@@ -181,24 +181,13 @@ def _max_throughput_statespace(
     evaluator: "Callable[[Mapping[str, int]], Fraction] | None" = None,
 ) -> Fraction:
     from repro.buffers.bounds import upper_bound_distribution
-    from repro.buffers.distribution import StorageDistribution
+    from repro.buffers.frontier import adaptive_maximum
 
-    if evaluator is None:
-        def evaluate(caps: Mapping[str, int]) -> Fraction:
-            return Executor(graph, caps, observe).run().throughput
-    else:
-        def evaluate(caps: Mapping[str, int]) -> Fraction:
-            return evaluator(StorageDistribution(caps))
+    def run(capacities: Mapping[str, int]) -> Fraction:
+        return Executor(graph, capacities, observe).run().throughput
 
-    capacities = dict(upper_bound_distribution(graph))
-    best = evaluate(capacities)
-    stable = 0
-    while stable < confirmations:
-        capacities = {name: 2 * value for name, value in capacities.items()}
-        enlarged = evaluate(capacities)
-        if enlarged == best:
-            stable += 1
-        else:
-            best = enlarged
-            stable = 0
-    return best
+    return adaptive_maximum(
+        evaluator if evaluator is not None else run,
+        upper_bound_distribution(graph),
+        confirmations,
+    )

@@ -15,8 +15,8 @@ This package is the paper's primary contribution:
   with (optionally quantised) binary search in the throughput
   dimension (Sec. 9),
 * :mod:`repro.buffers.dependencies` — a storage-dependency-guided
-  strategy (the refinement used by the SDF3 implementation of this
-  work), exact and usually far cheaper,
+  strategy (SDF3's refinement; its sweep, :mod:`repro.buffers.frontier`,
+  also drives CSDF and SADF), exact and usually far cheaper,
 * :mod:`repro.buffers.explorer` — the orchestrating public API.
 """
 

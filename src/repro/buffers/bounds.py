@@ -36,11 +36,15 @@ from repro.graph.channel import Channel
 from repro.graph.graph import SDFGraph
 
 
+def rate_lower_bound(production: int, consumption: int, initial_tokens: int) -> int:
+    """The [ALP97] lower bound of a channel with constant rates."""
+    divisor = gcd(production, consumption)
+    return max(initial_tokens, production + consumption - divisor + initial_tokens % divisor)
+
+
 def channel_lower_bound(channel: Channel) -> int:
     """Smallest capacity of *channel* compatible with positive throughput."""
-    divisor = gcd(channel.production, channel.consumption)
-    base = channel.production + channel.consumption - divisor + channel.initial_tokens % divisor
-    return max(channel.initial_tokens, base)
+    return rate_lower_bound(channel.production, channel.consumption, channel.initial_tokens)
 
 
 def channel_upper_bound(channel: Channel, repetitions: dict[str, int] | None = None, graph: SDFGraph | None = None) -> int:

@@ -1,79 +1,27 @@
-"""Storage-dependency-guided exploration.
+"""Storage-dependency-guided exploration of SDF graphs.
 
-This is the refinement the SDF3 implementation of the paper uses to
-avoid enumerating every distribution of every size: starting from the
-per-channel lower bounds, only channels whose *fullness actually
-blocked an otherwise-enabled actor* during the execution are worth
-enlarging — increasing any other channel leaves the (deterministic)
-execution unchanged.  Moreover a blocked channel needs to grow by at
-least its smallest observed capacity shortfall before any firing
-decision can change.
-
-Both facts make the following search exact:
-
-* maintain a frontier of storage distributions ordered by size,
-  seeded with the lower-bound distribution;
-* evaluate each popped distribution with blocking tracking;
-* for every space-blocking channel, enqueue the distribution enlarged
-  by the channel's minimal deficit;
-* stop expanding distributions that already reach the target
-  throughput.
-
-Exactness argument (the induction used in the tests): let ``gamma*``
-be any distribution with higher throughput than an explored
-``gamma <= gamma*`` (pointwise).  The two executions diverge at some
-first instant, where an actor starts under ``gamma*`` but is blocked
-under ``gamma`` purely by space on channels whose capacities differ.
-For such a channel the observed deficit at that instant is at most
-``gamma*[c] - gamma[c]``, so the enqueued increment stays pointwise
-below ``gamma*`` — by induction some explored distribution dominates
-no more than ``gamma*`` and reaches its throughput.  Hence every
-Pareto point has a witness in the explored set.
+The sweep itself — a size-ordered frontier grown only along channels
+whose lack of space blocked a firing, and its exactness argument —
+lives in :mod:`repro.buffers.frontier`, shared with the CSDF and SADF
+explorers.  This module plugs in the SDF probe: one blocking-aware
+:class:`~repro.buffers.evalcache.EvaluationService` evaluation per
+distribution.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from fractions import Fraction
-
-from collections.abc import Mapping
 
 from repro.buffers.bounds import lower_bound_distribution
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.evalcache import EvaluationService
-from repro.exceptions import BudgetExhausted
+from repro.buffers.evalcache import EvaluationRecord, EvaluationService
+# DependencyStats and DependencySweepResult are public here too.
+from repro.buffers.frontier import DependencyStats, DependencySweepResult, Probe, frontier_sweep
+from repro.exceptions import BudgetExhausted, ExplorationError
 from repro.graph.graph import SDFGraph
 from repro.runtime.config import UNSET, ExplorationConfig, coerce_config
-
-
-@dataclass
-class DependencyStats:
-    """Bookkeeping of one dependency-guided sweep."""
-
-    evaluations: int = 0
-    max_states_stored: int = 0
-    expansions: int = 0
-    duplicates_skipped: int = 0
-
-
-@dataclass(frozen=True)
-class DependencySweepResult:
-    """All distributions evaluated by the sweep, with throughputs.
-
-    ``complete`` is ``False`` when a run-controller budget interrupted
-    the sweep; ``pending`` then lists the frontier distributions that
-    were queued but never evaluated (informational — resuming replays
-    from the seed over the warm cache), and ``exhausted`` names the
-    tripped limit.
-    """
-
-    evaluations: dict[StorageDistribution, Fraction]
-    stats: DependencyStats
-    first_reaching_target: StorageDistribution | None = None
-    complete: bool = True
-    exhausted: str | None = None
-    pending: tuple[StorageDistribution, ...] = ()
 
 
 def dependency_sweep(
@@ -116,12 +64,9 @@ def dependency_sweep(
         reference executor under ``engine="auto"`` and
         ``engine="fast"`` raises
         :class:`~repro.exceptions.EngineError`.
-        With ``workers > 1`` the frontier entries of one size — which
-        are all known before any of them is processed, because every
-        expansion strictly grows the size — are evaluated as one
-        parallel batch; the results are then folded in the exact heap
-        order of the serial sweep, so the explored set, the recorded
-        throughputs and the first witness are identical.
+        With ``workers > 1`` each size level of the frontier is one
+        parallel batch, folded in serial order: the explored set, the
+        recorded throughputs and the first witness are identical.
         A budget interruption lands between probes; the sweep then
         returns everything evaluated so far with ``complete=False``.
     evaluator / engine:
@@ -134,8 +79,6 @@ def dependency_sweep(
     required.
     """
     if stop_throughput is None and max_size is None and not stop_positive:
-        from repro.exceptions import ExplorationError
-
         raise ExplorationError(
             "dependency_sweep needs a stop_throughput (usually the graph's maximal"
             " throughput) or a max_size; otherwise capacity growth never terminates"
@@ -144,13 +87,6 @@ def dependency_sweep(
         config, caller="dependency_sweep", evaluator=evaluator, engine=engine
     )
     seed = start if start is not None else lower_bound_distribution(graph)
-    service = config.evaluator
-    owns_service = service is None
-    if service is None:
-        service = EvaluationService(graph, observe, config=config.replaced(evaluator=None))
-    stats = DependencyStats()
-    evaluations: dict[StorageDistribution, Fraction] = {}
-    first_reaching: StorageDistribution | None = None
 
     def reached(throughput: Fraction) -> bool:
         return (
@@ -159,119 +95,52 @@ def dependency_sweep(
             else stop_throughput is not None and throughput >= stop_throughput
         )
 
-    order = graph.channel_names
-    heap: list[tuple[int, tuple[int, ...], StorageDistribution]] = []
-    queued: set[StorageDistribution] = set()
+    with _service(graph, observe, config) as service:
 
-    def cost(distribution: StorageDistribution) -> int:
-        return distribution.weighted_size(token_sizes)
+        def probe_level(batch, upcoming) -> list[Probe]:
+            if getattr(service, "speculate_enabled", False):
+                # The cheapest queued successors are very likely the next
+                # level; let idle workers warm them while this level
+                # occupies the demand path.
+                ahead = upcoming(4 * service.workers)
+                if ahead:
+                    service.speculate(ahead)
+            return [_probe(record) for record in service.evaluate_blocking_many(batch, reached)]
 
-    def push(distribution: StorageDistribution) -> None:
-        if distribution in queued or distribution in evaluations:
-            stats.duplicates_skipped += 1
-            return
-        if max_size is not None and cost(distribution) > max_size:
-            return
-        queued.add(distribution)
-        heapq.heappush(
-            heap, (cost(distribution), tuple(distribution[name] for name in order), distribution)
+        def frontier_update(size: int, throughput: Fraction) -> None:
+            service.telemetry.emit("frontier_update", size=size, throughput=str(throughput))
+
+        return frontier_sweep(
+            seed,
+            lambda distribution: _probe(service.evaluate_blocking(distribution, reached)),
+            reached,
+            graph.channel_names,
+            max_size=max_size,
+            token_sizes=token_sizes,
+            stop_at_first=stop_at_first,
+            probe_level=probe_level if service.workers > 1 else None,
+            on_ceiling=frontier_update,
         )
 
-    # Once some size S0 reaches the stop throughput, every Pareto
-    # point has size <= S0 (the front cannot rise above the target),
-    # so the exponential lattice beyond S0 need not be explored.
-    ceiling: int | None = None
-    interrupted: str | None = None
-    pending: tuple[StorageDistribution, ...] = ()
-    batch: list[StorageDistribution] = []
-    batch_done = 0
 
-    push(seed)
-    try:
-        while heap:
-            size = heap[0][0]
-            if ceiling is not None and size > ceiling:
-                break
-            # Every expansion strictly increases the cost, so all frontier
-            # entries of the current cost are already queued: pop them as
-            # one batch of independent probes.
-            batch = []
-            batch_done = 0
-            while heap and heap[0][0] == size:
-                batch.append(heapq.heappop(heap)[2])
-            for distribution in batch:
-                queued.discard(distribution)
+@contextmanager
+def _service(
+    graph: SDFGraph, observe: str | None, config: ExplorationConfig
+) -> Iterator[EvaluationService]:
+    """``config.evaluator``, or a private service closed on exit."""
+    if config.evaluator is not None:
+        yield config.evaluator
+        return
+    with EvaluationService(graph, observe, config=config.replaced(evaluator=None)) as service:
+        yield service
 
-            if service.workers > 1 and len(batch) > 1:
-                if getattr(service, "speculate_enabled", False) and heap:
-                    # The cheapest queued successors are very likely the
-                    # next batch; let idle workers warm them while this
-                    # batch occupies the demand path.
-                    service.speculate(
-                        entry[2]
-                        for entry in heapq.nsmallest(4 * service.workers, heap)
-                    )
-                records = service.evaluate_blocking_many(batch, reached)
-            else:
-                records = None  # evaluate lazily, preserving serial early exits
 
-            stop = False
-            for position, distribution in enumerate(batch):
-                batch_done = position
-                record = (
-                    records[position]
-                    if records is not None
-                    else service.evaluate_blocking(distribution, reached)
-                )
-                stats.evaluations += 1
-                stats.max_states_stored = max(stats.max_states_stored, record.states_stored)
-                evaluations[distribution] = record.throughput
+def _probe(record: EvaluationRecord) -> Probe:
+    def deficits() -> dict[str, int]:
+        known = record.space_deficits or {}
+        return {channel: known.get(channel, 1) for channel in record.space_blocked or ()}
 
-                if reached(record.throughput):
-                    if first_reaching is None:
-                        first_reaching = distribution
-                        if stop_at_first:
-                            stop = True
-                            break
-                    if ceiling is None or size < ceiling:
-                        ceiling = size
-                        service.telemetry.emit(
-                            "frontier_update",
-                            size=size,
-                            throughput=str(record.throughput),
-                        )
-                    continue
-                for channel in record.space_blocked or ():
-                    step = (record.space_deficits or {}).get(channel, 1)
-                    stats.expansions += 1
-                    successor = distribution.incremented(channel, step)
-                    if ceiling is not None and cost(successor) > ceiling:
-                        continue
-                    push(successor)
-            batch_done = len(batch)
-            if stop:
-                break
-    except BudgetExhausted as exhausted:
-        # Interruption is cooperative (between probes), so everything
-        # recorded is exact; keep the unevaluated remainder of the
-        # frontier for observability and return a partial result
-        # instead of losing the work already paid for.
-        interrupted = exhausted.reason
-        pending = tuple(batch[batch_done:]) + tuple(
-            entry for _, _, entry in sorted(heap)
-        )
-    finally:
-        if owns_service:
-            service.close()
-
-    return DependencySweepResult(
-        evaluations,
-        stats,
-        first_reaching,
-        complete=interrupted is None,
-        exhausted=interrupted,
-        pending=pending,
-    )
+    return Probe(record.throughput, deficits, record.states_stored)
 
 
 def find_minimal_distribution(
@@ -305,11 +174,7 @@ def find_minimal_distribution(
     # capacity growth would not terminate.
     from repro.analysis.throughput import max_throughput
 
-    service = config.evaluator
-    owns_service = service is None
-    if service is None:
-        service = EvaluationService(graph, observe, config=config.replaced(evaluator=None))
-    try:
+    with _service(graph, observe, config) as service:
         if constraint > max_throughput(graph, observe, evaluator=service):
             return None
         result = dependency_sweep(
@@ -321,9 +186,6 @@ def find_minimal_distribution(
             token_sizes=token_sizes,
             config=ExplorationConfig(evaluator=service),
         )
-    finally:
-        if owns_service:
-            service.close()
     witness = result.first_reaching_target
     if witness is None:
         if not result.complete:

@@ -228,13 +228,13 @@ class EvaluationService:
         self.engine = config.engine
         self.telemetry = TelemetryHub(config.on_event)
         self.controller = RunController(config.budget, self.telemetry)
+        self.batch_size = max(0, int(config.batch))
         # Probe backend: explicit config.backend, "auto" (best available
         # on this host), or the legacy engine pairing for None.  Config
         # validation already rejected unknown names, capability
         # mismatches and unavailable explicit backends at construction.
-        self.backend_name = resolve_backend(config.backend, config.engine)
+        self.backend_name = resolve_backend(config.backend, config.engine, self.batch_size)
         self._backend: ProbeBackend = backend_for(self.backend_name)
-        self.batch_size = max(0, int(config.batch))
         self.ceiling = ceiling
         self.stats = stats if stats is not None else EvalStats(workers=self.workers)
         self.stats.workers = self.workers
@@ -804,8 +804,19 @@ class EvaluationService:
         ceiling = state.get("ceiling")
         if ceiling is not None:
             self.set_ceiling(Fraction(ceiling))
+        entries = state.get("memo", ())
+        if self.bounds_enabled:
+            # Scan cuts are the only oracle decisions that leave no memo
+            # record, so a resumed run retraces the original's cuts only
+            # if the restored oracle is at least as strong as the
+            # original was at every point of its run.  The level caps
+            # evict the oldest members, and the original may have cut
+            # with a record its final antichains no longer hold:
+            # restoring without eviction keeps the bounds of every
+            # restored record.
+            self._oracle.widen(self._prune_limit + len(entries))
         order = self._order
-        for entry in state.get("memo", ()):
+        for entry in entries:
             vector = tuple(int(cap) for cap in entry["caps"])
             distribution = StorageDistribution(dict(zip(order, vector)))
             blocked = entry.get("blocked")

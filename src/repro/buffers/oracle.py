@@ -131,6 +131,20 @@ class ThroughputBoundsOracle:
             insort(self._ceil_levels, throughput)
         front.add(vector)
 
+    def widen(self, limit: int) -> None:
+        """Raise the per-level antichain cap to *limit* (never lowers it).
+
+        Applies to the levels already indexed and to those created
+        later.  While at most *limit* records are indexed, no level
+        evicts a member.
+        """
+        if limit <= self._limit:
+            return
+        self._limit = limit
+        for fronts in (self._floor, self._ceil):
+            for front in fronts.values():
+                front.limit = limit
+
     def snapshot(self) -> dict:
         """Deterministic rendering of everything the oracle knows.
 

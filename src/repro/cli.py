@@ -172,9 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="probe backend from the repro.engine.backends registry"
         " ('reference', 'fastcore', 'batch-numpy', 'cc', or 'auto' for the"
-        " best available on this host); unknown names, capability mismatches"
-        " and host-unavailable backends fail up front (default: matches"
-        " --engine)",
+        " best available on this host: cc with a C compiler, else"
+        " batch-numpy with --batch > 0 and fastcore without); unknown names,"
+        " capability mismatches and host-unavailable backends fail up front"
+        " (default: matches --engine)",
     )
     parser.add_argument(
         "--codegen-cache-dir",

@@ -1,28 +1,32 @@
 """Storage bounds for CSDF graphs.
 
-Unlike the SDF case, tight per-channel lower bounds for CSDF involve
-phase interleavings; for the exploration only *soundness* matters (the
-seed must not exceed any positive-throughput distribution), so a
-simple conservative bound is used:
-
-    lb(c) = max(initial tokens, max production phase, max consumption phase)
-
-— the channel must hold its initial tokens, admit the largest single
-production burst, and be able to accumulate the largest consumption
-requirement.  The upper bound mirrors the SDF [GGD02] form with the
-summed phase rates; the explorer verifies and enlarges it exactly as
-in the SDF path.
+For the exploration only *soundness* of a lower bound matters: the
+seed must not exceed any positive-throughput distribution.  A channel
+whose rates are the same in every phase moves tokens exactly like an
+SDF channel, so it gets the SDF [ALP97] bound
+(:func:`repro.buffers.bounds.rate_lower_bound`) — a lifted SDF graph
+then explores exactly what the SDF sweep explores.  Any other channel
+gets ``max(initial tokens, max production phase, max consumption
+phase)``: it must hold its initial tokens, admit the largest
+production burst and accumulate the largest consumption.  The upper
+bound mirrors the SDF [GGD02] form with the summed phase rates; the
+explorer verifies and enlarges it exactly as in the SDF path.
 """
 
 from __future__ import annotations
 
+from repro.buffers.bounds import rate_lower_bound
 from repro.buffers.distribution import StorageDistribution
 from repro.csdf.graph import CSDFChannel, CSDFGraph
 from repro.csdf.repetitions import csdf_repetition_vector
 
 
 def csdf_channel_lower_bound(channel: CSDFChannel) -> int:
-    """Sound (conservative) minimal capacity for positive throughput."""
+    """Sound minimal capacity for positive throughput."""
+    if len(set(channel.productions)) == 1 and len(set(channel.consumptions)) == 1:
+        return rate_lower_bound(
+            channel.productions[0], channel.consumptions[0], channel.initial_tokens
+        )
     return max(channel.initial_tokens, max(channel.productions), max(channel.consumptions))
 
 

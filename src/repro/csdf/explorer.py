@@ -1,23 +1,21 @@
 """Exact buffer/throughput exploration for CSDF graphs.
 
-The storage-dependency-guided sweep of
-:mod:`repro.buffers.dependencies` transfers verbatim: the CSDF
-execution is deterministic, enlarging a channel that never blocked a
-firing cannot change it, and a blocked channel must grow by at least
-its minimal observed deficit before any decision changes.  The sweep
-therefore reaches a witness for every Pareto point, and the
-size-ordered frontier with the throughput ceiling terminates exactly
-as in the SDF case.
+The storage-dependency-guided sweep of :mod:`repro.buffers.frontier`
+transfers verbatim: the CSDF execution is deterministic, enlarging a
+channel that never blocked a firing cannot change it, and a blocked
+channel must grow by at least its minimal observed deficit before any
+decision changes.  Its probe here is one blocking-tracking
+:class:`~repro.csdf.executor.CSDFExecutor` run per distribution.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.buffers.distribution import StorageDistribution
+from repro.buffers.frontier import Probe, adaptive_maximum, frontier_sweep
 from repro.buffers.pareto import ParetoFront
 from repro.csdf.bounds import csdf_lower_bound_distribution, csdf_upper_bound_distribution
 from repro.csdf.executor import CSDFExecutor
@@ -51,18 +49,11 @@ def csdf_max_throughput(
     *confirmations* consecutive doublings.
     """
     csdf_repetition_vector(graph)  # consistency guard
-    capacities = dict(csdf_upper_bound_distribution(graph))
-    best = CSDFExecutor(graph, capacities, observe).run().throughput
-    stable = 0
-    while stable < confirmations:
-        capacities = {name: 2 * value for name, value in capacities.items()}
-        enlarged = CSDFExecutor(graph, capacities, observe).run().throughput
-        if enlarged == best:
-            stable += 1
-        else:
-            best = enlarged
-            stable = 0
-    return best
+    return adaptive_maximum(
+        lambda capacities: CSDFExecutor(graph, capacities, observe).run().throughput,
+        csdf_upper_bound_distribution(graph),
+        confirmations,
+    )
 
 
 def explore_csdf_design_space(
@@ -79,49 +70,25 @@ def explore_csdf_design_space(
     upper = csdf_upper_bound_distribution(graph)
     max_thr = csdf_max_throughput(graph, observe)
 
-    order = graph.channel_names
-    evaluations: dict[StorageDistribution, Fraction] = {}
-    heap: list[tuple[int, tuple[int, ...], StorageDistribution]] = []
-    queued: set[StorageDistribution] = set()
-    max_states = 0
-    ceiling: int | None = None
+    def probe(distribution: StorageDistribution) -> Probe:
+        run = CSDFExecutor(graph, distribution, observe, track_blocking=True).run()
+        return Probe(
+            run.throughput,
+            lambda: {channel: run.space_deficits.get(channel, 1) for channel in run.space_blocked},
+            run.states_stored,
+        )
 
-    def push(distribution: StorageDistribution) -> None:
-        if distribution in queued or distribution in evaluations:
-            return
-        if max_size is not None and distribution.size > max_size:
-            return
-        if ceiling is not None and distribution.size > ceiling:
-            return
-        queued.add(distribution)
-        heapq.heappush(heap, (distribution.size, tuple(distribution[n] for n in order), distribution))
-
-    push(lower)
-    while heap:
-        size, _vector, distribution = heapq.heappop(heap)
-        if ceiling is not None and size > ceiling:
-            break
-        queued.discard(distribution)
-        result = CSDFExecutor(graph, distribution, observe, track_blocking=True).run()
-        evaluations[distribution] = result.throughput
-        max_states = max(max_states, result.states_stored)
-        if max_thr > 0 and result.throughput >= max_thr:
-            if ceiling is None or size < ceiling:
-                ceiling = size
-            continue
-        if max_thr == 0:
-            # The graph deadlocks at every distribution; nothing to grow.
-            break
-        for channel in result.space_blocked:
-            push(distribution.incremented(channel, result.space_deficits.get(channel, 1)))
-
-    front = ParetoFront.from_evaluations(evaluations)
+    # A graph deadlocking at every distribution (maximum 0) reaches its
+    # target at the seed already: nothing to grow.
+    sweep = frontier_sweep(
+        lower, probe, lambda value: value >= max_thr, graph.channel_names, max_size=max_size
+    )
     return CSDFDesignSpaceResult(
         graph_name=graph.name,
         observe=observe,
-        front=front,
-        evaluations=len(evaluations),
-        max_states_stored=max_states,
+        front=ParetoFront.from_evaluations(sweep.evaluations),
+        evaluations=len(sweep.evaluations),
+        max_states_stored=sweep.stats.max_states_stored,
         wall_time_s=time.perf_counter() - started,
         lower_bounds=lower,
         upper_bounds=upper,

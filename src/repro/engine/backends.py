@@ -78,8 +78,6 @@ from fractions import Fraction
 from typing import NamedTuple, Protocol, runtime_checkable
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 from repro.engine import ccore
 from repro.engine import executor as _reference
 from repro.engine.executor import (
@@ -227,22 +225,25 @@ def backend_descriptions() -> list[dict]:
 
 
 #: Preference order of ``backend="auto"``: the compiled C kernel where
-#: a compiler exists, the numpy lane kernel otherwise, and the plain
-#: compiled-Python kernel as the floor.  All exact — auto only ever
-#: trades speed.
+#: a compiler exists, the numpy lane kernel otherwise (only when probe
+#: waves form — one lane per call is far slower than ``fastcore``), and
+#: the plain compiled-Python kernel as the floor.  All exact — auto only
+#: ever trades speed.
 _AUTO_PREFERENCE = ("cc", "batch-numpy", "fastcore")
 
 
-def resolve_backend(name: str | None, engine: str = "auto") -> str:
+def resolve_backend(name: str | None, engine: str = "auto", batch: int = 0) -> str:
     """Resolve a config ``backend`` selector to a registered name.
 
     ``None`` keeps the legacy engine pairing (``"reference"`` for the
     reference engine, ``"fastcore"`` otherwise).  ``"auto"`` picks the
     best *available* backend on this host in :data:`_AUTO_PREFERENCE`
-    order — except under ``engine="reference"``, which requires the
-    blocking-instrumented reference backend.  Explicit names resolve to
-    themselves after an availability check, so asking for a backend the
-    host cannot run fails loudly instead of degrading silently.
+    order, skipping ``"batch-numpy"`` unless probe waves form
+    (``batch > 0``) — except under ``engine="reference"``, which
+    requires the blocking-instrumented reference backend.  Explicit
+    names resolve to themselves after an availability check, so asking
+    for a backend the host cannot run fails loudly instead of degrading
+    silently.
     """
     if name is None:
         return "reference" if engine == "reference" else "fastcore"
@@ -250,7 +251,7 @@ def resolve_backend(name: str | None, engine: str = "auto") -> str:
         if engine == "reference":
             return "reference"
         for candidate in _AUTO_PREFERENCE:
-            if candidate not in _BACKENDS:
+            if candidate not in _BACKENDS or (candidate == "batch-numpy" and batch <= 0):
                 continue
             if backend_availability(_BACKENDS[candidate]) is None:
                 return candidate
@@ -324,9 +325,12 @@ class FastcoreBackend:
 
 
 class _LaneKernel:
-    """Per-graph compiled arrays for the lock-step simulation."""
+    """Per-graph compiled arrays for the lock-step simulation (the only
+    numpy user: numpy is imported here, not by ``import repro``)."""
 
     def __init__(self, graph: SDFGraph, observe: str | None):
+        import numpy as np
+
         if graph.num_actors == 0:
             raise GraphError("cannot execute an empty graph")
         if observe is None:
@@ -385,6 +389,8 @@ class _LaneKernel:
         stall_threshold: int = _DEFAULT_STALL_THRESHOLD,
     ) -> list[EvalResult]:
         """Simulate every capacity row to its periodic phase or deadlock."""
+        import numpy as np
+
         lanes = len(capacity_rows)
         n, m = self.num_actors, self.num_channels
         observe_idx = self.observe_idx

@@ -113,8 +113,9 @@ class ExplorationConfig:
         ``None`` picks the backend matching ``engine`` (``"reference"``
         for the reference engine, ``"fastcore"`` otherwise);
         ``"auto"`` picks the best backend *available on this host*
-        (the compiled ``cc`` kernel where a C compiler exists, the
-        numpy lane kernel otherwise) — all exact, so auto only ever
+        (the compiled ``cc`` kernel where a C compiler exists; otherwise
+        the numpy lane kernel when probe waves form, ``batch > 0``, and
+        ``"fastcore"`` when they do not) — all exact, so auto only ever
         trades speed.  Unknown names, backends lacking a capability
         the selected engine requires, and backends the host cannot run
         (e.g. ``"cc"`` without a C compiler) raise

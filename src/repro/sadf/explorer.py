@@ -9,15 +9,12 @@ distribution meets a throughput target only if every reachable
 scenario — and every accepted switching pattern between them —
 sustains it.
 
-The sweep is the storage-dependency argument run on the worst case
-directly.  Every ingredient of ``W(d)`` (per-scenario steady-state
-throughput, per-scenario iteration makespan, and their cycle
-compositions) is monotone in *d* and changes only when a channel that
-*blocked* a firing grows by at least its minimal observed deficit; the
-union of blocking channels over all reachable scenarios (steady-state
-and makespan runs alike) is therefore a complete set of growth
-directions, and the size-ordered frontier with a throughput ceiling
-terminates exactly as in the SDF case.
+The sweep is :func:`~repro.buffers.frontier.frontier_sweep` probing
+the worst case ``W(d)``.  Every ingredient of ``W(d)`` is monotone in
+*d* and changes only when a channel that *blocked* a firing grows by
+at least its minimal observed deficit, so the probe's deficits are the
+per-channel minimum over the steady-state and makespan runs of every
+reachable scenario.
 
 Each scenario is evaluated through its own
 :class:`~repro.buffers.evalcache.EvaluationService` — memo cache,
@@ -40,7 +37,7 @@ SDF path by construction, the property pinned in
 
 from __future__ import annotations
 
-import heapq
+import functools
 import json
 import time
 from fractions import Fraction
@@ -55,6 +52,7 @@ from repro.buffers.explorer import (
     ExplorationStats,
     explore_design_space as _explore_sdf,
 )
+from repro.buffers.frontier import Probe, adaptive_maximum, frontier_sweep
 from repro.buffers.pareto import ParetoFront, ParetoPoint
 from repro.exceptions import (
     BudgetExhausted,
@@ -194,39 +192,51 @@ def explore_design_space(
         lower = _merged_bound(sadf, reachable, lower_bound_distribution)
         upper = _merged_bound(sadf, reachable, upper_bound_distribution)
 
-        makespan_cache: dict[tuple[str, tuple[int, ...]], MakespanResult] = {}
-
-        def makespans_at(
-            distribution: StorageDistribution, vector: tuple[int, ...]
-        ) -> Callable[[str], MakespanResult]:
-            def oracle(name: str) -> MakespanResult:
-                key = (name, vector)
-                if key not in makespan_cache:
-                    makespan_cache[key] = iteration_makespan(
-                        sadf.scenario_graph(name),
-                        distribution,
-                        sadf.scenario_repetitions(name),
-                    )
-                return makespan_cache[key]
-
-            return oracle
+        @functools.cache
+        def makespan(name: str, distribution: StorageDistribution) -> MakespanResult:
+            return iteration_makespan(
+                sadf.scenario_graph(name), distribution, sadf.scenario_repetitions(name)
+            )
 
         def worst_at(distribution: StorageDistribution) -> Fraction:
-            vector = tuple(distribution[name] for name in order)
             return worst_case_throughput(
                 sadf,
                 distribution,
                 observe,
                 throughputs=lambda name: services[name](distribution),
-                makespans=makespans_at(distribution, vector),
+                makespans=lambda name: makespan(name, distribution),
             ).worst_case
 
         evaluations: dict[StorageDistribution, Fraction] = {}
-        heap: list[tuple[int, tuple[int, ...], StorageDistribution]] = []
-        queued: set[StorageDistribution] = set()
-        complete = True
         exhausted: str | None = None
+        pending: tuple[StorageDistribution, ...] = ()
         max_thr: Fraction | None = None
+
+        def priced(distribution: StorageDistribution) -> Fraction:
+            worst = worst_at(distribution)
+            evaluations[distribution] = worst
+            return worst
+
+        def probe(distribution: StorageDistribution) -> Probe:
+            def deficits() -> dict[str, int]:
+                # Growth directions: every channel whose lack of space
+                # blocked a firing in any reachable scenario, in the
+                # pipelined steady state or within one barriered
+                # iteration, by its minimal observed deficit.
+                merged: dict[str, int] = {}
+                for name in reachable:
+                    record = services[name].evaluate_blocking(distribution)
+                    barrier = makespan(name, distribution)
+                    for blocked, known in (
+                        (record.space_blocked or (), record.space_deficits or {}),
+                        (barrier.space_blocked, barrier.space_deficits),
+                    ):
+                        for channel in blocked:
+                            step = known.get(channel, 1)
+                            merged[channel] = min(merged.get(channel, step), step)
+                return merged
+
+            return Probe(worst_at(distribution), deficits)
 
         try:
             # Per-scenario throughput ceilings first: they power the
@@ -241,86 +251,27 @@ def explore_design_space(
                     )
                 )
 
-            # Maximal worst case: evaluate at the conservative upper
-            # bound and double until stable twice (the CSDF adaptive
-            # scheme); every probe lands in the memos / caches.
-            probe = upper
-            best = worst_at(probe)
-            evaluations[probe] = best
-            stable = 0
-            while stable < 2:
-                probe = probe.scaled(2)
-                value = worst_at(probe)
-                evaluations[probe] = value
-                if value == best:
-                    stable += 1
-                else:
-                    best = value
-                    stable = 0
-            max_thr = best
+            # Maximal worst case; every probe lands in the memos / caches.
+            max_thr = adaptive_maximum(priced, upper, 2)
             while worst_at(upper) < max_thr:
                 upper = upper.scaled(2)
             evaluations[upper] = worst_at(upper)
 
-            ceiling: int | None = None
-
-            def push(distribution: StorageDistribution) -> None:
-                if distribution in queued or distribution in evaluations:
-                    return
-                if max_size is not None and distribution.size > max_size:
-                    return
-                if ceiling is not None and distribution.size > ceiling:
-                    return
-                queued.add(distribution)
-                heapq.heappush(
-                    heap,
-                    (
-                        distribution.size,
-                        tuple(distribution[name] for name in order),
-                        distribution,
-                    ),
-                )
-
-            push(lower)
-            while heap:
-                size, vector, distribution = heapq.heappop(heap)
-                if ceiling is not None and size > ceiling:
-                    break
-                queued.discard(distribution)
-                worst = worst_at(distribution)
-                evaluations[distribution] = worst
-                if max_thr > 0 and worst >= max_thr:
-                    if ceiling is None or size < ceiling:
-                        ceiling = size
-                    continue
-                if max_thr == 0:
-                    # Some reachable scenario deadlocks at every
-                    # distribution; nothing to grow towards.
-                    break
-                # Growth directions: every channel whose lack of space
-                # blocked a firing in any reachable scenario, in the
-                # pipelined steady state or within one barriered
-                # iteration, by its minimal observed deficit.
-                deficits: dict[str, int] = {}
-                oracle = makespans_at(distribution, vector)
-                for name in reachable:
-                    record = services[name].evaluate_blocking(distribution)
-                    for channel in record.space_blocked or ():
-                        step = (record.space_deficits or {}).get(channel, 1)
-                        deficits[channel] = min(
-                            deficits.get(channel, step), step
-                        )
-                    makespan = oracle(name)
-                    for channel in makespan.space_blocked:
-                        step = makespan.space_deficits.get(channel, 1)
-                        deficits[channel] = min(
-                            deficits.get(channel, step), step
-                        )
-                for channel, step in deficits.items():
-                    push(distribution.incremented(channel, step))
+            # A reachable scenario deadlocking at every distribution
+            # (maximum 0) reaches the target at the seed: nothing to grow.
+            sweep = frontier_sweep(
+                lower,
+                probe,
+                lambda worst: worst >= max_thr,
+                order,
+                max_size=max_size,
+                known=evaluations,
+            )
+            evaluations.update(sweep.evaluations)
+            exhausted, pending = sweep.exhausted, sweep.pending
         except BudgetExhausted as stop:
-            complete = False
             exhausted = stop.reason
+        complete = exhausted is None
         if max_thr is None:
             max_thr = max(evaluations.values(), default=Fraction(0))
 
@@ -340,7 +291,7 @@ def explore_design_space(
                 "exhausted": exhausted,
                 "channels": list(order),
                 "frontier": front.to_dicts(),
-                "pending": [dict(entry) for _, _, entry in sorted(heap)],
+                "pending": [dict(entry) for entry in pending],
                 "scenarios": {
                     name: services[name].export_state() for name in reachable
                 },
@@ -355,28 +306,29 @@ def explore_design_space(
                     scenarios=len(reachable),
                 )
 
+        def total(counter: str) -> int:
+            return sum(getattr(service.stats, counter) for service in services.values())
+
         hub.emit(
             "run_finish",
             complete=complete,
             exhausted=exhausted,
             pareto_points=len(front),
-            evaluations=sum(s.stats.evaluations for s in services.values()),
+            evaluations=total("evaluations"),
         )
         for service in services.values():
             hub.merge(service.telemetry)
         stats = ExplorationStats(
             strategy=SADF_STRATEGY,
-            evaluations=sum(s.stats.evaluations for s in services.values()),
-            max_states_stored=max(
-                (s.stats.max_states_stored for s in services.values()), default=0
-            ),
+            evaluations=total("evaluations"),
+            max_states_stored=max(s.stats.max_states_stored for s in services.values()),
             wall_time_s=time.perf_counter() - started,
             sizes_probed=len({d.size for d in evaluations}),
-            cache_hits=sum(s.stats.cache_hits for s in services.values()),
-            prunes=sum(s.stats.prunes for s in services.values()),
-            workers=max((s.workers for s in services.values()), default=1),
-            parallel_batches=sum(s.stats.parallel_batches for s in services.values()),
-            pool_restarts=sum(s.stats.pool_restarts for s in services.values()),
+            cache_hits=total("cache_hits"),
+            prunes=total("prunes"),
+            workers=max(s.workers for s in services.values()),
+            parallel_batches=total("parallel_batches"),
+            pool_restarts=total("pool_restarts"),
             pool_fallback_reason=next(
                 (
                     s.stats.pool_fallback_reason
@@ -385,20 +337,14 @@ def explore_design_space(
                 ),
                 None,
             ),
-            bounds_exact=sum(s.stats.bounds_exact for s in services.values()),
-            bounds_cut=sum(s.stats.bounds_cut for s in services.values()),
-            speculative_issued=sum(
-                s.stats.speculative_issued for s in services.values()
-            ),
-            speculative_useful=sum(
-                s.stats.speculative_useful for s in services.values()
-            ),
-            speculative_wasted=sum(
-                s.stats.speculative_wasted for s in services.values()
-            ),
-            backend=next(iter(services.values())).backend_name if services else None,
-            batch_calls=sum(s.stats.batch_calls for s in services.values()),
-            batch_lanes=sum(s.stats.batch_lanes for s in services.values()),
+            bounds_exact=total("bounds_exact"),
+            bounds_cut=total("bounds_cut"),
+            speculative_issued=total("speculative_issued"),
+            speculative_useful=total("speculative_useful"),
+            speculative_wasted=total("speculative_wasted"),
+            backend=services[reachable[0]].backend_name,
+            batch_calls=total("batch_calls"),
+            batch_lanes=total("batch_lanes"),
         )
         return DesignSpaceResult(
             graph_name=sadf.name,
@@ -426,23 +372,17 @@ def max_worst_case_throughput(
     """Maximal worst-case throughput over all storage distributions.
 
     Evaluated at the conservative upper bound and doubled until stable
-    for *confirmations* consecutive doublings (the CSDF adaptive
-    scheme), with plain reference executions — no caches or budgets.
+    for *confirmations* consecutive doublings
+    (:func:`~repro.buffers.frontier.adaptive_maximum`), with plain
+    reference executions — no caches or budgets.
     """
     sadf.validate()
     reachable = sadf.effective_fsm().reachable()
-    capacities = _merged_bound(sadf, reachable, upper_bound_distribution)
-    best = worst_case_throughput(sadf, capacities, observe).worst_case
-    stable = 0
-    while stable < confirmations:
-        capacities = capacities.scaled(2)
-        enlarged = worst_case_throughput(sadf, capacities, observe).worst_case
-        if enlarged == best:
-            stable += 1
-        else:
-            best = enlarged
-            stable = 0
-    return best
+    return adaptive_maximum(
+        lambda capacities: worst_case_throughput(sadf, capacities, observe).worst_case,
+        _merged_bound(sadf, reachable, upper_bound_distribution),
+        confirmations,
+    )
 
 
 def minimal_sadf_distribution_for_throughput(

@@ -166,6 +166,15 @@ class TestOracleCuts:
         assert low in (Fraction(0), Fraction(1, 7))  # maybe lost, never wrong
         assert high is None
 
+    def test_widen_keeps_members_the_cap_would_evict(self):
+        oracle = ThroughputBoundsOracle(limit=1)
+        oracle.observe((0, 9), Fraction(1, 7))
+        oracle.widen(2)
+        oracle.observe((9, 0), Fraction(1, 7))
+        # Both witnesses stay: each proves a cut two slices below it.
+        assert oracle.upper_below((0, 7), Fraction(1, 4))
+        assert oracle.upper_below((7, 0), Fraction(1, 4))
+
 
 @pytest.fixture()
 def graph():
@@ -254,6 +263,23 @@ class TestServiceBounds:
         assert restored(dist(alpha=4, beta=4)) == Fraction(1, 7)
         assert restored.stats.evaluations == before
         assert restored.stats.bounds_exact == 2
+
+    def test_restore_keeps_witnesses_the_original_evicted(self, graph):
+        # One witness per level: the second 1/7 record evicts the first,
+        # the only one proving the cut below.  A resumed run retraces
+        # the original's cuts, so the restored oracle must still prove
+        # every cut the original proved at any point of its run.
+        config = self.config()
+        service = EvaluationService(graph, "c", config=config, prune_limit=1)
+        service(dist(alpha=4, beta=6))  # 1/7
+        candidate = dist(alpha=4, beta=4)  # two slices below: level scan only
+        assert service.cuts_below(candidate, Fraction(1, 6))
+        service(dist(alpha=5, beta=2))  # 1/7, incomparable: evicts (4, 6)
+        assert not service.cuts_below(candidate, Fraction(1, 6))
+
+        restored = EvaluationService(graph, "c", config=config, prune_limit=1)
+        restored.restore_state(service.export_state())
+        assert restored.cuts_below(candidate, Fraction(1, 6))
 
     def test_bounds_require_cache(self):
         from repro.exceptions import ExplorationError

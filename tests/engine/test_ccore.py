@@ -173,7 +173,20 @@ def test_broken_cc_reports_unavailable(broken_cc):
 
 
 def test_auto_falls_back_when_cc_broken(broken_cc):
-    assert resolve_backend("auto") == "batch-numpy"
+    # The numpy lane kernel pays off only when probe waves form; one
+    # lane per call is several times slower than fastcore.
+    assert resolve_backend("auto") == "fastcore"
+    assert resolve_backend("auto", batch=128) == "batch-numpy"
+
+
+def test_service_resolves_auto_by_batch_width_when_cc_broken(broken_cc):
+    from repro.buffers.evalcache import EvaluationService
+    from repro.runtime.config import ExplorationConfig
+
+    for batch, expected in ((0, "fastcore"), (8, "batch-numpy")):
+        config = ExplorationConfig(backend="auto", batch=batch)
+        with EvaluationService(fig1_example(), "c", config=config) as service:
+            assert service.backend_name == expected
 
 
 def test_explicit_cc_raises_actionable_error(broken_cc):
@@ -219,6 +232,7 @@ def test_missing_compiler_reason_names_candidates(monkeypatch):
 @needs_cc
 def test_auto_prefers_cc():
     assert resolve_backend("auto") == "cc"
+    assert resolve_backend("auto", batch=128) == "cc"
     # The reference engine still needs the blocking-instrumented backend.
     assert resolve_backend("auto", engine="reference") == "reference"
     assert resolve_backend(None) == "fastcore"

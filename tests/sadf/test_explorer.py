@@ -98,6 +98,14 @@ class TestBudgetAndResume:
         assert payload["format"] == SADF_CHECKPOINT_FORMAT
         assert set(payload["scenarios"]) == {"i", "p"}
 
+    def test_pending_lists_the_interrupted_distribution(self):
+        # The budget trips inside the worst-case evaluation of the seed,
+        # which stays pending (as in the SDF sweep's checkpoints).
+        config = ExplorationConfig(budget=Budget(max_probes=3))
+        result = explore_design_space(h263_frames(), "mc", config=config)
+        assert result.resume_token.payload["pending"] == [dict(result.lower_bounds)]
+        assert all(point.distribution != result.lower_bounds for point in result.front)
+
     def test_resume_reaches_full_front(self):
         config = ExplorationConfig(budget=Budget(max_probes=3))
         partial = explore_design_space(h263_frames(), "mc", config=config)
