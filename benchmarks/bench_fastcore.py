@@ -7,9 +7,9 @@ equivalent on every run:
   graph: ``FastKernel.run`` vs the plain reference ``Executor``;
 * **exploration** — full design-space explorations of the BML99 case
   studies (modem, sample-rate converter, satellite receiver) through
-  ``explore_design_space`` with ``engine="auto"`` vs
-  ``engine="reference"`` — i.e. the fast kernel as picked automatically
-  against the status-quo instrumented path.
+  ``explore_design_space`` with ``backend="fastcore"`` vs
+  ``backend="reference"`` — i.e. the default compiled-Python probe
+  backend against the instrumented reference executor.
 
 Run standalone to emit ``BENCH_fastcore.json`` (median speedup per
 graph plus the aggregate BML99 exploration median, which the full run
@@ -99,17 +99,17 @@ def bench_exploration(name: str, repeats: int, strategy: str = "divide") -> dict
     graph = GALLERY[name]()
     max_size = lower_bound_distribution(graph).size + BML99[name]
 
-    def front(engine):
+    def front(backend):
         result = explore_design_space(
             graph,
             strategy=strategy,
             max_size=max_size,
-            config=ExplorationConfig(engine=engine),
+            config=ExplorationConfig(backend=backend),
         )
         return [(point.size, point.throughput, point.distribution) for point in result.front]
 
-    assert front("auto") == front("reference"), name  # correctness gate
-    fast = _median_time(lambda: front("auto"), repeats)
+    assert front("fastcore") == front("reference"), name  # correctness gate
+    fast = _median_time(lambda: front("fastcore"), repeats)
     reference = _median_time(lambda: front("reference"), repeats)
     return {
         "strategy": strategy,

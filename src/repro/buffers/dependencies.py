@@ -21,7 +21,7 @@ from repro.buffers.evalcache import EvaluationRecord, EvaluationService
 from repro.buffers.frontier import DependencyStats, DependencySweepResult, Probe, frontier_sweep
 from repro.exceptions import BudgetExhausted, ExplorationError
 from repro.graph.graph import SDFGraph
-from repro.runtime.config import UNSET, ExplorationConfig, coerce_config
+from repro.runtime.config import ExplorationConfig
 
 
 def dependency_sweep(
@@ -35,8 +35,6 @@ def dependency_sweep(
     stop_at_first: bool = False,
     token_sizes: Mapping[str, int] | None = None,
     config: ExplorationConfig | None = None,
-    evaluator: object = UNSET,
-    engine: object = UNSET,
 ) -> DependencySweepResult:
     """Explore the useful sub-lattice of storage distributions.
 
@@ -59,19 +57,15 @@ def dependency_sweep(
         ``config.evaluator`` shares a ready-made
         :class:`~repro.buffers.evalcache.EvaluationService` (warm
         cache, budget, telemetry); otherwise a private service is
-        built from the config and closed before returning.  Note the
+        built from the config and closed before returning.  The
         sweep's probes are blocking-aware, so they run on the
-        reference executor under ``engine="auto"`` and
-        ``engine="fast"`` raises
-        :class:`~repro.exceptions.EngineError`.
+        service's blocking backend (``"reference"`` unless
+        ``config.backend`` has the ``"blocking"`` capability).
         With ``workers > 1`` each size level of the frontier is one
         parallel batch, folded in serial order: the explored set, the
         recorded throughputs and the first witness are identical.
         A budget interruption lands between probes; the sweep then
         returns everything evaluated so far with ``complete=False``.
-    evaluator / engine:
-        Removed legacy aliases: passing any of them raises
-        :class:`~repro.exceptions.ConfigError` naming the migration.
 
     A sweep without *stop_throughput* diverges on most graphs (a
     source actor that is merely *ahead* keeps hitting full channels at
@@ -83,9 +77,7 @@ def dependency_sweep(
             "dependency_sweep needs a stop_throughput (usually the graph's maximal"
             " throughput) or a max_size; otherwise capacity growth never terminates"
         )
-    config = coerce_config(
-        config, caller="dependency_sweep", evaluator=evaluator, engine=engine
-    )
+    config = config if config is not None else ExplorationConfig()
     seed = start if start is not None else lower_bound_distribution(graph)
 
     def reached(throughput: Fraction) -> bool:
@@ -151,8 +143,6 @@ def find_minimal_distribution(
     max_size: int | None = None,
     token_sizes: Mapping[str, int] | None = None,
     config: ExplorationConfig | None = None,
-    evaluator: object = UNSET,
-    engine: object = UNSET,
 ) -> tuple[StorageDistribution, Fraction] | None:
     """Smallest distribution whose throughput meets *constraint*.
 
@@ -166,9 +156,7 @@ def find_minimal_distribution(
     propagates — a plain ``None`` would be indistinguishable from
     "provably unachievable".
     """
-    config = coerce_config(
-        config, caller="find_minimal_distribution", evaluator=evaluator, engine=engine
-    )
+    config = config if config is not None else ExplorationConfig()
     # An unachievable constraint must be rejected up front: without a
     # reachable stop level the sweep's size ceiling never engages and
     # capacity growth would not terminate.

@@ -4,7 +4,7 @@ Every exploration strategy ultimately reduces to throughput queries on
 storage distributions, answered by a cold-start state-space execution.
 :class:`EvaluationService` is the single funnel all strategies route
 those queries through.  It layers three exact accelerations on top of
-the raw :class:`~repro.engine.executor.Executor`:
+the raw probe backends of :mod:`repro.engine.backends`:
 
 **Memo cache.**  Results are memoised under the canonical form of the
 distribution (the capacity vector in the graph's channel order), so a
@@ -56,6 +56,14 @@ process pool.  ``workers=1`` is exactly today's serial path; results
 are merged back in input order, so batch callers observe the same
 deterministic sequence either way.
 
+**One probe path.**  Every simulation the service runs is a
+:meth:`~repro.engine.backends.ProbeBackend.evaluate_batch` call, and
+every result becomes a memo record through one helper.  Plain probes
+(inline or in waves) run on ``config.backend``; blocking-aware, pooled
+and speculative probes run on the service's *blocking backend* — the
+selected backend when it has the ``"blocking"`` capability, the
+``"reference"`` backend otherwise.
+
 **Run control.**  The service carries the run's
 :class:`~repro.runtime.controller.RunController` and
 :class:`~repro.runtime.telemetry.TelemetryHub` (built from its
@@ -85,13 +93,11 @@ from repro.buffers.distribution import StorageDistribution
 from repro.buffers.oracle import ThroughputBoundsOracle
 from repro.buffers.search import SearchStats
 from repro.buffers.shared import dominates as _dominates
-from repro.engine.backends import ProbeBackend, backend_for, resolve_backend
-from repro.engine.executor import Executor
-from repro.engine.fastcore import ENGINES
-from repro.engine.parallel import ParallelProber, RawEvaluation
-from repro.exceptions import CapacityError, EngineError, ExplorationError
+from repro.engine.backends import EvalResult, ProbeBackend, backend_for, resolve_backend
+from repro.engine.parallel import ParallelProber
+from repro.exceptions import CapacityError, ExplorationError
 from repro.graph.graph import SDFGraph
-from repro.runtime.config import UNSET, ExplorationConfig, coerce_config
+from repro.runtime.config import ExplorationConfig
 from repro.runtime.controller import RunController
 from repro.runtime.telemetry import TelemetryHub
 
@@ -177,22 +183,19 @@ class EvaluationService:
     ----------
     config:
         The :class:`~repro.runtime.config.ExplorationConfig` governing
-        this service: ``engine`` / ``workers`` / ``cache`` select the
-        kernel, pool size and memoisation; ``budget`` and ``on_event``
-        wire the service's :class:`~repro.runtime.controller
-        .RunController` and :class:`~repro.runtime.telemetry
-        .TelemetryHub`; ``probe_timeout`` / ``max_pool_restarts`` /
-        ``retry_backoff`` tune the fault-tolerant worker pool.  The
-        ``evaluator`` field must be unset — a service cannot wrap
-        another service.
+        this service: ``backend`` / ``workers`` / ``cache`` select the
+        probe backend, pool size and memoisation; ``budget`` and
+        ``on_event`` wire the service's :class:`~repro.runtime
+        .controller.RunController` and :class:`~repro.runtime
+        .telemetry.TelemetryHub`; ``probe_timeout`` /
+        ``max_pool_restarts`` / ``retry_backoff`` tune the
+        fault-tolerant worker pool.  The ``evaluator`` field must be
+        unset — a service cannot wrap another service.
     ceiling:
         The graph's **maximal throughput over all distributions**.
         Required for the superset prune; must be exact (pass the value
         of :func:`repro.analysis.throughput.max_throughput`), or leave
         unset / call :meth:`set_ceiling` once known.
-    workers / cache / engine:
-        Removed legacy aliases: passing any of them raises
-        :class:`~repro.exceptions.ConfigError` naming the migration.
     """
 
     def __init__(
@@ -204,37 +207,33 @@ class EvaluationService:
         ceiling: Fraction | None = None,
         prune_limit: int = _PRUNE_FRONT_LIMIT,
         stats: EvalStats | None = None,
-        workers: object = UNSET,
-        cache: object = UNSET,
-        engine: object = UNSET,
     ):
-        config = coerce_config(
-            config, caller="EvaluationService", workers=workers, cache=cache, engine=engine
-        )
+        config = config if config is not None else ExplorationConfig()
         if config.evaluator is not None:
             raise ExplorationError(
                 "EvaluationService cannot be built from a config carrying an"
                 " evaluator; use that service directly"
-            )
-        if config.engine not in ENGINES:  # config validates too; belt and braces
-            raise EngineError(
-                f"unknown engine {config.engine!r}; expected one of {ENGINES}"
             )
         self.graph = graph
         self.observe = observe if observe is not None else graph.actor_names[-1]
         self.config = config
         self.workers = max(1, int(config.workers))
         self.cache_enabled = bool(config.cache)
-        self.engine = config.engine
         self.telemetry = TelemetryHub(config.on_event)
         self.controller = RunController(config.budget, self.telemetry)
         self.batch_size = max(0, int(config.batch))
-        # Probe backend: explicit config.backend, "auto" (best available
-        # on this host), or the legacy engine pairing for None.  Config
-        # validation already rejected unknown names, capability
-        # mismatches and unavailable explicit backends at construction.
-        self.backend_name = resolve_backend(config.backend, config.engine, self.batch_size)
+        # Config validation already rejected unknown names and
+        # unavailable explicit backends at construction; "auto" picks
+        # the best one available on this host.
+        self.backend_name = resolve_backend(config.backend, self.batch_size)
         self._backend: ProbeBackend = backend_for(self.backend_name)
+        # Blocking-aware, pooled and speculative probes need per-channel
+        # space-blocking data.
+        self._blocking_backend: ProbeBackend = (
+            self._backend
+            if "blocking" in self._backend.capabilities
+            else backend_for("reference")
+        )
         self.ceiling = ceiling
         self.stats = stats if stats is not None else EvalStats(workers=self.workers)
         self.stats.workers = self.workers
@@ -399,10 +398,11 @@ class EvaluationService:
                 # one probe at a time.
                 self.controller.before_probes(len(misses))
                 prober = self._ensure_prober()
-                raw_results = prober.map([dict(d) for _, d, _ in misses])
+                results = prober.map([dict(d) for _, d, _ in misses])
                 self._sync_pool_stats(prober)
-                for (index, distribution, vector), raw in zip(misses, raw_results):
-                    records[index] = self._absorb(distribution, vector, raw)
+                for (index, distribution, vector), result in zip(misses, results):
+                    self._count_evaluation(prober.backend)
+                    records[index] = self._store(vector, self._record(distribution, result))
             else:
                 for index, distribution, vector in misses:
                     records[index] = self._execute(distribution, vector, blocking=blocking)
@@ -492,36 +492,14 @@ class EvaluationService:
         *,
         blocking: bool = True,
     ) -> EvaluationRecord:
-        if blocking and self.engine == "fast":
-            raise EngineError(
-                "engine='fast' cannot serve blocking-aware queries (the fast"
-                " kernel produces no per-channel blocking information);"
-                " use engine='auto' or engine='reference'"
-            )
+        backend = self._blocking_backend if blocking else self._backend
         self.controller.before_probes(1)
         size = sum(vector)
         self.telemetry.emit("probe_start", size=size, blocking=blocking)
         probe_started = time.perf_counter()
-        self.stats.evaluations += 1
-        if not blocking:
-            result = self._backend.evaluate_batch(
-                self.graph, [dict(distribution)], self.observe
-            )[0]
-            if "compiled" in self._backend.capabilities:
-                self.stats.fast_runs += 1
-            record = self._result_record(distribution, result)
-        else:
-            result = Executor(self.graph, distribution, self.observe, track_blocking=True).run()
-            record = EvaluationRecord(
-                distribution,
-                result.throughput,
-                result.states_stored,
-                result.space_blocked,
-                dict(result.space_deficits),
-            )
-            self.stats.max_states_stored = max(
-                self.stats.max_states_stored, result.states_stored
-            )
+        self._count_evaluation(backend)
+        result = backend.evaluate_batch(self.graph, [dict(distribution)], self.observe)[0]
+        record = self._record(distribution, result)
         duration = time.perf_counter() - probe_started
         self.telemetry.record_time("probe", duration)
         self.telemetry.emit(
@@ -532,10 +510,14 @@ class EvaluationService:
         )
         return self._store(vector, record)
 
-    def _result_record(
-        self, distribution: StorageDistribution, result
-    ) -> EvaluationRecord:
-        """An :class:`EvaluationRecord` from a backend ``EvalResult``."""
+    def _count_evaluation(self, backend: ProbeBackend) -> None:
+        """Count one demand simulation run on *backend*."""
+        self.stats.evaluations += 1
+        if "compiled" in backend.capabilities:
+            self.stats.fast_runs += 1
+
+    def _record(self, distribution: StorageDistribution, result: EvalResult) -> EvaluationRecord:
+        """The memo record of one backend result (tracks the state-space peak)."""
         self.stats.max_states_stored = max(
             self.stats.max_states_stored, result.states_stored
         )
@@ -573,7 +555,6 @@ class EvaluationService:
         started = time.perf_counter()
         results = self._backend.evaluate_batch(self.graph, wave, self.observe)
         duration = time.perf_counter() - started
-        compiled = "compiled" in self._backend.capabilities
         self.stats.batch_calls += 1
         self.stats.batch_lanes += len(wave)
         self.telemetry.emit(
@@ -584,30 +565,14 @@ class EvaluationService:
         self.telemetry.record_time("batch", duration)
         records: list[EvaluationRecord] = []
         for (_, distribution, vector), result in zip(misses, results):
-            self.stats.evaluations += 1
-            if compiled:
-                self.stats.fast_runs += 1
-            records.append(self._store(vector, self._result_record(distribution, result)))
+            self._count_evaluation(self._backend)
+            records.append(self._store(vector, self._record(distribution, result)))
         for (distribution, vector), result in zip(extras, results[len(misses) :]):
-            self._store(vector, self._result_record(distribution, result))
+            self._store(vector, self._record(distribution, result))
             self._spec_origin.add(vector)
             self.stats.speculative_issued += 1
             self.telemetry.emit("speculative_issued", size=sum(vector))
         return records
-
-    def _absorb(
-        self,
-        distribution: StorageDistribution,
-        vector: tuple[int, ...],
-        raw: RawEvaluation,
-    ) -> EvaluationRecord:
-        throughput, states_stored, blocked, deficits = raw
-        self.stats.evaluations += 1
-        self.stats.max_states_stored = max(self.stats.max_states_stored, states_stored)
-        record = EvaluationRecord(
-            distribution, throughput, states_stored, frozenset(blocked), dict(deficits)
-        )
-        return self._store(vector, record)
 
     def _store(self, vector: tuple[int, ...], record: EvaluationRecord) -> EvaluationRecord:
         if not self.cache_enabled:
@@ -676,21 +641,12 @@ class EvaluationService:
         """
         if not self.speculate_enabled or self._prober is None:
             return
-        for item, raw in self._prober.harvest():
+        for item, result in self._prober.harvest():
             caps = dict(item)
             vector = self._vector(caps)
             if vector in self._memo:
                 continue
-            throughput, states_stored, blocked, deficits = raw
-            self.stats.max_states_stored = max(self.stats.max_states_stored, states_stored)
-            record = EvaluationRecord(
-                StorageDistribution(caps),
-                throughput,
-                states_stored,
-                frozenset(blocked),
-                dict(deficits),
-            )
-            self._store(vector, record)
+            self._store(vector, self._record(StorageDistribution(caps), result))
             self._spec_origin.add(vector)
 
     def _claim_speculative(
@@ -705,13 +661,14 @@ class EvaluationService:
         """
         if not self.speculate_enabled or self._prober is None:
             return None
-        raw = self._prober.claim(tuple(sorted(dict(distribution).items())))
-        if raw is None:
+        result = self._prober.claim(tuple(sorted(dict(distribution).items())))
+        if result is None:
             return None
         self.controller.before_probes(1)
         self.stats.speculative_useful += 1
         self.telemetry.emit("speculative_useful", size=sum(vector))
-        return self._absorb(distribution, vector, raw)
+        self._count_evaluation(self._prober.backend)
+        return self._store(vector, self._record(distribution, result))
 
     # -- lifecycle / introspection ------------------------------------------
     def set_ceiling(self, ceiling: Fraction) -> None:
@@ -730,6 +687,7 @@ class EvaluationService:
             self._prober = ParallelProber(
                 self.graph,
                 self.observe,
+                self._blocking_backend,
                 self.workers,
                 probe_timeout=self.config.probe_timeout,
                 max_restarts=self.config.max_pool_restarts,

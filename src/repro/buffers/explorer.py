@@ -48,7 +48,7 @@ from repro.runtime.checkpoint import (
     restore_service,
     save_checkpoint,
 )
-from repro.runtime.config import UNSET, ExplorationConfig, coerce_config
+from repro.runtime.config import ExplorationConfig
 
 _STRATEGIES = ("dependency", "divide", "exhaustive")
 
@@ -239,10 +239,6 @@ def explore_design_space(
     collect_all_witnesses: bool = False,
     config: ExplorationConfig | None = None,
     resume: "ResumeToken | Mapping | str | None" = None,
-    workers: object = UNSET,
-    cache: object = UNSET,
-    engine: object = UNSET,
-    evaluator: object = UNSET,
 ) -> DesignSpaceResult:
     """Chart the full storage/throughput Pareto space of *graph*.
 
@@ -284,7 +280,7 @@ def explore_design_space(
         default scans stop as soon as the maximal throughput is found.
     config:
         The run's :class:`~repro.runtime.config.ExplorationConfig` —
-        engine, workers, cache, a shared evaluator, budgets, a
+        backend, workers, cache, a shared evaluator, budgets, a
         checkpoint path and the telemetry callback.  A tripped budget
         returns a partial result (``complete=False`` + resume token)
         instead of raising; with ``config.checkpoint`` set, the
@@ -295,19 +291,9 @@ def explore_design_space(
         the *same graph*.  The banked memo cache is restored and the
         strategy replayed over it deterministically, which provably
         yields the identical front an uninterrupted run produces.
-    workers / cache / engine / evaluator:
-        Removed legacy aliases: passing any of them raises
-        :class:`~repro.exceptions.ConfigError` naming the migration.
     """
     assert_consistent(graph)
-    config = coerce_config(
-        config,
-        caller="explore_design_space",
-        workers=workers,
-        cache=cache,
-        engine=engine,
-        evaluator=evaluator,
-    )
+    config = config if config is not None else ExplorationConfig()
     if strategy not in _STRATEGIES:
         raise ExplorationError(f"unknown strategy {strategy!r}; pick one of {_STRATEGIES}")
     if token_sizes is not None and strategy != "dependency":
@@ -501,21 +487,17 @@ def minimal_distribution_for_throughput(
     token_sizes: Mapping[str, int] | None = None,
     *,
     config: ExplorationConfig | None = None,
-    engine: object = UNSET,
 ) -> ParetoPoint | None:
     """Smallest storage distribution meeting a throughput constraint.
 
     This is the headline query of the paper: the exact minimal storage
     space needed to execute the graph at a required throughput.
     Returns ``None`` when the constraint exceeds the graph's maximal
-    throughput.  Run control (engine, workers, budgets, telemetry)
-    comes from *config*; the removed legacy ``engine=`` keyword
-    raises :class:`~repro.exceptions.ConfigError`.
+    throughput.  Run control (backend, workers, budgets, telemetry)
+    comes from *config*; a budget tripping before the minimum is found
+    raises :class:`~repro.exceptions.BudgetExhausted`.
     """
     assert_consistent(graph)
-    config = coerce_config(
-        config, caller="minimal_distribution_for_throughput", engine=engine
-    )
     if constraint <= 0:
         raise ExplorationError("the throughput constraint must be positive")
     found = find_minimal_distribution(

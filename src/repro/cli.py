@@ -32,7 +32,7 @@ from repro.buffers.distribution import StorageDistribution
 from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
 from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.engine.executor import execute
-from repro.exceptions import ReproError
+from repro.exceptions import BudgetExhausted, ReproError
 from repro.gallery.registry import (
     gallery_graph,
     gallery_names,
@@ -160,22 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
         " demand (only effective with --workers > 1; results are bit-identical)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("auto", "fast", "reference"),
-        default="auto",
-        help="simulation kernel for throughput probes: the fast event-calendar"
-        " kernel, the instrumented reference executor, or automatic selection"
-        " (default: auto)",
-    )
-    parser.add_argument(
         "--backend",
+        default="fastcore",
         metavar="NAME",
         help="probe backend from the repro.engine.backends registry"
         " ('reference', 'fastcore', 'batch-numpy', 'cc', or 'auto' for the"
         " best available on this host: cc with a C compiler, else"
-        " batch-numpy with --batch > 0 and fastcore without); unknown names,"
-        " capability mismatches and host-unavailable backends fail up front"
-        " (default: matches --engine)",
+        " batch-numpy with --batch > 0 and fastcore without); blocking-aware"
+        " probes run on the reference executor unless the backend records"
+        " blocking data; unknown names and host-unavailable backends fail up"
+        " front (default: fastcore)",
     )
     parser.add_argument(
         "--codegen-cache-dir",
@@ -311,6 +305,11 @@ def main(argv: list[str] | None = None) -> int:
         if arguments.throughput:
             return _minimal_for_constraint(graph, arguments, out)
         return _explore(graph, arguments, out)
+    except BudgetExhausted as stop:
+        # A constraint query whose budget tripped has no answer yet;
+        # exit like a partial exploration.
+        print(stop, file=out)
+        return 3
     except ReproError as error:
         print(f"buffy: error: {error}", file=sys.stderr)
         return 1
@@ -331,7 +330,6 @@ def _evaluate_distribution(graph: SDFGraph, arguments: argparse.Namespace, out) 
         graph,
         capacities,
         arguments.observe,
-        engine=arguments.engine,
         record_schedule=need_schedule,
     )
     print(f"distribution {capacities} (size {capacities.size})", file=out)
@@ -388,7 +386,6 @@ def _runtime_config(arguments: argparse.Namespace) -> "ExplorationConfig":
     if arguments.deadline is not None or arguments.max_probes is not None:
         budget = Budget(deadline_s=arguments.deadline, max_probes=arguments.max_probes)
     return ExplorationConfig(
-        engine=arguments.engine,
         workers=arguments.workers,
         cache=not arguments.no_cache,
         bounds=arguments.bounds_oracle,
@@ -407,7 +404,7 @@ def _minimal_for_constraint(graph: SDFGraph, arguments: argparse.Namespace, out)
         graph,
         constraint,
         arguments.observe,
-        config=ExplorationConfig(engine=arguments.engine),
+        config=_runtime_config(arguments),
     )
     if point is None:
         print(f"throughput {constraint} is not achievable for {graph.name!r}", file=out)
@@ -513,7 +510,7 @@ def _run_sadf(arguments: argparse.Namespace, out) -> int:
     if arguments.throughput:
         constraint = parse_fraction(arguments.throughput)
         point = minimal_sadf_distribution_for_throughput(
-            sadf, constraint, arguments.observe
+            sadf, constraint, arguments.observe, config=_runtime_config(arguments)
         )
         if point is None:
             print(

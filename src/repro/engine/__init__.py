@@ -28,13 +28,15 @@ asymptotically faster for graphs with large execution times.
 On top of the reference :class:`Executor`, :mod:`repro.engine.fastcore`
 provides a compiled event-calendar kernel (:class:`FastKernel`) that
 computes bit-for-bit identical results for uninstrumented runs; the
-``engine="auto"`` knob of :func:`execute` (and of the analysis and
-exploration entry points built on it) selects it automatically.
+``engine="auto"`` knob of :func:`execute` (and of
+:func:`repro.analysis.throughput.analyze`) selects it for one
+instrumented or plain run automatically.
 
 :mod:`repro.engine.backends` packages both kernels (plus a lock-step
-batched numpy kernel) behind the :class:`ProbeBackend` registry — the
-seam the exploration layers use to evaluate whole waves of capacity
-vectors at once.
+batched numpy kernel and a compiled C kernel) behind the
+:class:`ProbeBackend` registry — the one seam through which the
+exploration layers run every probe, selected by
+``ExplorationConfig.backend``.
 """
 
 from repro.engine.backends import (

@@ -23,9 +23,11 @@ is the protocol all of them implement:
       would drop this and be rejected by the config validation).
     * ``"blocking"`` — :class:`EvalResult`\\ s carry per-channel
       space-blocking information (only the reference executor
-      collects it; ``engine="reference"`` requires it).
+      collects it).  The evaluation service runs its blocking-aware,
+      pooled and speculative probes on the selected backend when it
+      has this capability, and on ``"reference"`` otherwise.
     * ``"compiled"`` — probes run on a per-graph compiled kernel
-      (``engine="fast"`` requires it; counted as ``fast_runs``).
+      (counted as ``fast_runs``).
     * ``"lanes"`` — the backend evaluates a batch as parallel lanes
       of one vectorized simulation rather than a loop, so wide waves
       amortise per-instant cost across the batch.
@@ -232,24 +234,16 @@ def backend_descriptions() -> list[dict]:
 _AUTO_PREFERENCE = ("cc", "batch-numpy", "fastcore")
 
 
-def resolve_backend(name: str | None, engine: str = "auto", batch: int = 0) -> str:
+def resolve_backend(name: str, batch: int = 0) -> str:
     """Resolve a config ``backend`` selector to a registered name.
 
-    ``None`` keeps the legacy engine pairing (``"reference"`` for the
-    reference engine, ``"fastcore"`` otherwise).  ``"auto"`` picks the
-    best *available* backend on this host in :data:`_AUTO_PREFERENCE`
-    order, skipping ``"batch-numpy"`` unless probe waves form
-    (``batch > 0``) — except under ``engine="reference"``, which
-    requires the blocking-instrumented reference backend.  Explicit
-    names resolve to themselves after an availability check, so asking
-    for a backend the host cannot run fails loudly instead of degrading
-    silently.
+    ``"auto"`` picks the best *available* backend on this host in
+    :data:`_AUTO_PREFERENCE` order, skipping ``"batch-numpy"`` unless
+    probe waves form (``batch > 0``).  Explicit names resolve to
+    themselves after an availability check, so asking for a backend
+    the host cannot run fails loudly instead of degrading silently.
     """
-    if name is None:
-        return "reference" if engine == "reference" else "fastcore"
     if name == "auto":
-        if engine == "reference":
-            return "reference"
         for candidate in _AUTO_PREFERENCE:
             if candidate not in _BACKENDS or (candidate == "batch-numpy" and batch <= 0):
                 continue

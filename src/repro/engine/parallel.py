@@ -10,11 +10,13 @@ batch parallelises perfectly.
 :class:`ParallelProber` wraps a :class:`concurrent.futures.\
 ProcessPoolExecutor` around this pattern:
 
-* the (picklable) graph and observed actor are shipped **once** per
-  worker through the pool initializer — tasks then carry only the
-  capacity vector;
+* the (picklable) graph, observed actor and probe backend are shipped
+  **once** per worker through the pool initializer — tasks then carry
+  only the capacity vector, and every task is one call of the
+  backend's ``evaluate_batch``;
 * ``workers=1`` (the default everywhere) never creates a pool and runs
-  every task inline, byte-for-byte the serial path;
+  every task inline through the same backend, byte-for-byte the serial
+  path;
 * the pool is **fault tolerant**: a worker killed mid-batch (OOM
   killer, container limits) or a probe exceeding ``probe_timeout``
   triggers a bounded number of pool restarts with exponential backoff;
@@ -23,10 +25,10 @@ ProcessPoolExecutor` around this pattern:
   prober degrade to the inline path, and then it records *why* in
   :attr:`fallback_reason` instead of silently eating the failure.
 
-Results are returned in task order, so callers observe the same
-deterministic sequence as a serial scan.  The module-level worker
-functions must stay importable at top level for ``spawn``-based
-platforms.
+Results are :class:`~repro.engine.backends.EvalResult`\\ s returned in
+task order, so callers observe the same deterministic sequence as a
+serial scan.  The module-level worker functions must stay importable
+at top level for ``spawn``-based platforms.
 """
 
 from __future__ import annotations
@@ -35,53 +37,40 @@ import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from fractions import Fraction
 
+from repro.engine.backends import EvalResult, ProbeBackend
 from repro.graph.graph import SDFGraph
-
-#: Raw result of one remote evaluation:
-#: ``(throughput, states_stored, space_blocked, space_deficits)``.
-RawEvaluation = tuple[Fraction, int, tuple[str, ...], tuple[tuple[str, int], ...]]
 
 _worker_graph: SDFGraph | None = None
 _worker_observe: str | None = None
+_worker_backend: ProbeBackend | None = None
 
 
-def _init_worker(graph: SDFGraph, observe: str | None) -> None:
-    """Pool initializer: pin the graph/observe pair in the worker."""
-    global _worker_graph, _worker_observe
+def _init_worker(graph: SDFGraph, observe: str | None, backend: ProbeBackend) -> None:
+    """Pool initializer: pin the graph, observed actor and backend in the worker."""
+    global _worker_graph, _worker_observe, _worker_backend
     _worker_graph = graph
     _worker_observe = observe
+    _worker_backend = backend
 
 
-def _run_task(capacity_items: tuple[tuple[str, int], ...]) -> RawEvaluation:
-    """Worker entry point: one executor run for one distribution."""
-    assert _worker_graph is not None, "worker pool used before initialisation"
-    return evaluate_raw(_worker_graph, dict(capacity_items), _worker_observe)
-
-
-def evaluate_raw(
-    graph: SDFGraph, capacities: dict[str, int], observe: str | None
-) -> RawEvaluation:
-    """One blocking-tracked executor run, reduced to a picklable tuple."""
-    from repro.engine.executor import Executor
-
-    result = Executor(graph, capacities, observe, track_blocking=True).run()
-    return (
-        result.throughput,
-        result.states_stored,
-        tuple(sorted(result.space_blocked)),
-        tuple(sorted(result.space_deficits.items())),
-    )
+def _run_task(capacity_items: tuple[tuple[str, int], ...]) -> EvalResult:
+    """Worker entry point: one backend probe of one distribution."""
+    assert _worker_backend is not None, "worker pool used before initialisation"
+    return _worker_backend.evaluate_batch(
+        _worker_graph, [dict(capacity_items)], _worker_observe
+    )[0]
 
 
 class ParallelProber:
-    """Maps distributions to :data:`RawEvaluation` tuples, possibly in parallel.
+    """Maps distributions to :class:`~repro.engine.backends.EvalResult`\\ s,
+    possibly in parallel.
 
     Parameters
     ----------
-    graph / observe:
-        Fixed for the prober's lifetime; shipped to workers once.
+    graph / observe / backend:
+        Fixed for the prober's lifetime; shipped to workers once.  Every
+        probe, pooled or inline, is a call of ``backend.evaluate_batch``.
     workers:
         Pool size.  ``1`` (or less) never spawns processes.
     probe_timeout:
@@ -105,6 +94,7 @@ class ParallelProber:
         self,
         graph: SDFGraph,
         observe: str | None,
+        backend: ProbeBackend,
         workers: int = 1,
         *,
         probe_timeout: float | None = None,
@@ -114,6 +104,7 @@ class ParallelProber:
     ):
         self.graph = graph
         self.observe = observe
+        self.backend = backend
         self.workers = max(1, int(workers))
         self.probe_timeout = probe_timeout
         self.max_restarts = max(0, int(max_restarts))
@@ -123,7 +114,7 @@ class ParallelProber:
         self._pool_failed = False
         self._closed = False
         #: In-flight speculative probes, keyed by sorted capacity items.
-        self._speculative: dict[tuple[tuple[str, int], ...], "Future[RawEvaluation]"] = {}
+        self._speculative: dict[tuple[tuple[str, int], ...], "Future[EvalResult]"] = {}
         self.batches = 0
         self.tasks = 0
         #: Pool rebuilds performed so far (across all batches).
@@ -148,7 +139,7 @@ class ParallelProber:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(self.graph, self.observe),
+                    initargs=(self.graph, self.observe, self.backend),
                 )
             except (OSError, ValueError) as error:
                 self._fail(f"pool unavailable: {type(error).__name__}: {error}")
@@ -172,7 +163,7 @@ class ParallelProber:
 
     def _map_on_pool(
         self, pool: ProcessPoolExecutor, items: Sequence[tuple]
-    ) -> list[RawEvaluation]:
+    ) -> list[EvalResult]:
         if self.probe_timeout is None:
             chunksize = max(1, len(items) // (self.workers * 4))
             return list(pool.map(_run_task, items, chunksize=chunksize))
@@ -185,7 +176,7 @@ class ParallelProber:
             for future in futures:
                 future.cancel()
 
-    def map(self, capacities: Sequence[dict[str, int]]) -> list[RawEvaluation]:
+    def map(self, capacities: Sequence[dict[str, int]]) -> list[EvalResult]:
         """Evaluate every distribution; results in input order.
 
         Pure evaluations make the retry loop exact: a batch that failed
@@ -228,7 +219,9 @@ class ParallelProber:
                 self._fail(
                     f"{kind}; gave up after {restarts_this_batch} pool restart(s)"
                 )
-        return [evaluate_raw(self.graph, dict(item), self.observe) for item in items]
+        return self.backend.evaluate_batch(
+            self.graph, [dict(item) for item in items], self.observe
+        )
 
     # -- speculative probing -------------------------------------------------
     def speculate(self, capacities: Sequence[dict[str, int]]) -> int:
@@ -258,7 +251,7 @@ class ParallelProber:
             issued += 1
         return issued
 
-    def harvest(self) -> list[tuple[tuple[tuple[str, int], ...], RawEvaluation]]:
+    def harvest(self) -> list[tuple[tuple[tuple[str, int], ...], EvalResult]]:
         """Completed speculative results, keyed by capacity items.
 
         Failed speculative probes are discarded without a restart — a
@@ -275,7 +268,7 @@ class ParallelProber:
                 pass
         return ready
 
-    def claim(self, item: tuple[tuple[str, int], ...]) -> RawEvaluation | None:
+    def claim(self, item: tuple[tuple[str, int], ...]) -> EvalResult | None:
         """Block on an in-flight speculative probe of *item*, if any.
 
         The demand path calls this on a cache miss so a distribution is

@@ -66,8 +66,7 @@ class ConfigError(ExplorationError):
     """An :class:`~repro.runtime.config.ExplorationConfig` is unusable.
 
     Raised at *construction* time — an unknown probe backend name, a
-    backend lacking a capability the selected engine requires, a
-    negative batch width.  Failing up front is deliberate: a run must
+    backend this host cannot run, a negative batch width.  Failing up front is deliberate: a run must
     never silently degrade to a different backend mid-flight, because
     the whole point of the backend seam is that results are
     bit-identical and the operator knows which kernel produced them.

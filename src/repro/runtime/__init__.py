@@ -15,8 +15,7 @@ this package makes long runs *operable*:
 * :mod:`repro.runtime.telemetry` — structured events, counters and
   timers behind the CLI's ``--stats-json``.
 
-See ``docs/RUNTIME.md`` for the operator's guide and the migration
-table from the removed per-function keywords.
+See ``docs/RUNTIME.md`` for the operator's guide.
 """
 
 from repro.exceptions import BudgetExhausted, CheckpointError

@@ -1,8 +1,6 @@
 """`ExplorationConfig` — the one knob object for all exploration entry points.
 
-PRs past bolted ``workers=``, ``cache=``, ``engine=`` and ``evaluator=``
-onto every exploration function.  This module replaces that creeping
-surface with a single frozen dataclass accepted as ``config=`` by
+A single frozen dataclass accepted as ``config=`` by
 
 * :func:`repro.buffers.explorer.explore_design_space`,
 * :func:`repro.buffers.explorer.minimal_distribution_for_throughput`,
@@ -10,12 +8,9 @@ surface with a single frozen dataclass accepted as ``config=`` by
 * :func:`repro.buffers.dependencies.find_minimal_distribution`,
 * :class:`repro.buffers.evalcache.EvaluationService`.
 
-The old keywords are gone: after a deprecation cycle (one full release
-of ``DeprecationWarning``), passing ``workers=`` / ``cache=`` /
-``engine=`` / ``evaluator=`` to an entry point now raises
-:class:`~repro.exceptions.ConfigError` naming the migration.  New
-capabilities (budgets, checkpoints, telemetry, fault-tolerance tuning)
-land on the config only.
+Run-control capabilities (backends, budgets, checkpoints, telemetry,
+fault-tolerance tuning) land on the config only, never as keywords of
+the entry points.
 """
 
 from __future__ import annotations
@@ -25,29 +20,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 from collections.abc import Callable
 
-from repro.exceptions import ConfigError, EngineError, ExplorationError
+from repro.exceptions import ConfigError, ExplorationError
 from repro.runtime.budget import Budget
 from repro.runtime.telemetry import TelemetryEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.buffers.evalcache import EvaluationService
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value in
-#: the deprecated-keyword shims.
-UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>", "__bool__": lambda self: False})()
-
-#: Valid engine selectors (kept in sync with
-#: :data:`repro.engine.fastcore.ENGINES`; duplicated here so building a
-#: config stays import-light).
-_ENGINES = ("auto", "fast", "reference")
-
-#: Capabilities a probe backend must offer per engine selector: the
-#: reference engine records space-blocking data, so a backend serving
-#: it must produce that data; ``fast`` promises compiled-kernel probes.
-_REQUIRED_CAPABILITIES = {
-    "reference": frozenset({"blocking"}),
-    "fast": frozenset({"compiled"}),
-}
 
 
 @dataclass(frozen=True)
@@ -56,9 +34,6 @@ class ExplorationConfig:
 
     Parameters
     ----------
-    engine:
-        Simulation kernel for plain throughput probes: ``"auto"``,
-        ``"fast"`` or ``"reference"``.
     workers:
         Process-pool size for fanning out independent probes; ``1``
         stays serial (bit-identical results either way).
@@ -81,8 +56,8 @@ class ExplorationConfig:
     evaluator:
         Bring-your-own :class:`~repro.buffers.evalcache
         .EvaluationService` (e.g. a warm cache shared across runs).
-        When set, ``engine`` / ``workers`` / ``cache`` / ``budget`` /
-        ``on_event`` must be left at their defaults — the service was
+        When set, ``workers`` / ``cache`` / ``budget`` / ``on_event`` /
+        ``backend`` must be left at their defaults — the service was
         already built and its own controller governs the run.
     budget:
         Optional :class:`~repro.runtime.budget.Budget` (deadline,
@@ -109,19 +84,20 @@ class ExplorationConfig:
     backend:
         Probe backend name from the :mod:`repro.engine.backends`
         registry (``"reference"``, ``"fastcore"``, ``"batch-numpy"``,
-        ``"cc"``, or any backend registered by the application).
-        ``None`` picks the backend matching ``engine`` (``"reference"``
-        for the reference engine, ``"fastcore"`` otherwise);
+        ``"cc"``, or any backend registered by the application;
+        default ``"fastcore"``), the only setting that picks where
+        probes run.  Plain probes run on it; blocking-aware, pooled
+        and speculative probes run on it when it has the
+        ``"blocking"`` capability and on ``"reference"`` otherwise.
         ``"auto"`` picks the best backend *available on this host*
-        (the compiled ``cc`` kernel where a C compiler exists; otherwise
-        the numpy lane kernel when probe waves form, ``batch > 0``, and
-        ``"fastcore"`` when they do not) — all exact, so auto only ever
-        trades speed.  Unknown names, backends lacking a capability
-        the selected engine requires, and backends the host cannot run
-        (e.g. ``"cc"`` without a C compiler) raise
-        :class:`~repro.exceptions.ConfigError` here, at construction —
-        a run never silently degrades to a different backend
-        mid-flight.
+        (the compiled ``cc`` kernel where a C compiler exists;
+        otherwise the numpy lane kernel when probe waves form,
+        ``batch > 0``, and ``"fastcore"`` when they do not) — all
+        exact, so auto only ever trades speed.  Unknown names and
+        backends the host cannot run (e.g. ``"cc"`` without a C
+        compiler) raise :class:`~repro.exceptions.ConfigError` here,
+        at construction — a run never silently degrades to a
+        different backend mid-flight.
     batch:
         Probe wave width.  ``0`` (default) keeps the classic per-probe
         evaluation path; ``batch >= 1`` makes the scan and speculation
@@ -131,7 +107,6 @@ class ExplorationConfig:
         counters (``batch_calls``/``batch_lanes``) differ.
     """
 
-    engine: str = "auto"
     workers: int = 1
     cache: bool = True
     evaluator: "EvaluationService | None" = None
@@ -143,36 +118,21 @@ class ExplorationConfig:
     retry_backoff: float = 0.05
     bounds: bool = False
     speculate: bool = False
-    backend: str | None = None
+    backend: str = "fastcore"
     batch: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINES:
-            raise EngineError(
-                f"unknown engine {self.engine!r}; expected one of {_ENGINES}"
-            )
         if int(self.workers) < 1:
             raise ExplorationError("workers must be >= 1")
         if int(self.batch) < 0:
             raise ConfigError("batch must be >= 0 (0 disables wave batching)")
-        if self.backend is not None and self.backend != "auto":
-            # Imported lazily so building a default config stays
-            # import-light (no numpy pull-in for plain explorations).
-            # "auto" needs no validation: it resolves per host to an
-            # available backend satisfying the engine's capabilities.
+        if self.backend != "auto":
+            # Imported here: the runtime package imports nothing from
+            # the engine layer at module level.  "auto" needs no
+            # validation: it resolves per host to an available backend.
             from repro.engine.backends import backend_availability, backend_for
 
-            backend = backend_for(self.backend)  # unknown name -> ConfigError
-            required = _REQUIRED_CAPABILITIES.get(self.engine, frozenset())
-            missing = required - backend.capabilities
-            if missing:
-                raise ConfigError(
-                    f"backend {self.backend!r} lacks the"
-                    f" {', '.join(sorted(missing))} capability required by"
-                    f" engine={self.engine!r} (backend capabilities:"
-                    f" {', '.join(sorted(backend.capabilities)) or 'none'})"
-                )
-            reason = backend_availability(backend)
+            reason = backend_availability(backend_for(self.backend))  # unknown name -> ConfigError
             if reason is not None:
                 raise ConfigError(
                     f"probe backend {self.backend!r} is unavailable on this"
@@ -200,14 +160,13 @@ class ExplorationConfig:
             )
         if self.evaluator is not None:
             owned_only = {
-                "engine": "auto",
                 "workers": 1,
                 "cache": True,
                 "budget": None,
                 "on_event": None,
                 "bounds": False,
                 "speculate": False,
-                "backend": None,
+                "backend": "fastcore",
                 "batch": 0,
             }
             clashes = [
@@ -225,43 +184,3 @@ class ExplorationConfig:
         """A copy with *changes* applied (frozen-dataclass convenience)."""
         return replace(self, **changes)
 
-
-def coerce_config(
-    config: ExplorationConfig | None,
-    *,
-    caller: str,
-    workers: object = UNSET,
-    cache: object = UNSET,
-    engine: object = UNSET,
-    evaluator: object = UNSET,
-    stacklevel: int = 3,
-) -> ExplorationConfig:
-    """Resolve the ``config=`` parameter of one entry point.
-
-    The legacy keywords (``workers=``, ``cache=``, ``engine=``,
-    ``evaluator=``) went through a full release as a
-    ``DeprecationWarning`` shim; passing any of them now raises
-    :class:`~repro.exceptions.ConfigError` naming the migration.  The
-    parameters (and ``stacklevel``) survive so every entry point keeps
-    rejecting them with the same message rather than a generic
-    ``TypeError``.
-    """
-    del stacklevel  # kept for signature compatibility with the shim era
-    legacy = {
-        name: value
-        for name, value in (
-            ("workers", workers),
-            ("cache", cache),
-            ("engine", engine),
-            ("evaluator", evaluator),
-        )
-        if value is not UNSET
-    }
-    if not legacy:
-        return config if config is not None else ExplorationConfig()
-    rendered = ", ".join(f"{name}=" for name in sorted(legacy))
-    raise ConfigError(
-        f"{caller}: the keyword(s) {rendered} were removed; pass"
-        " config=ExplorationConfig(...) carrying them instead"
-        " (see docs/RUNTIME.md for the migration table)"
-    )

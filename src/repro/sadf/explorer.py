@@ -61,7 +61,7 @@ from repro.exceptions import (
     GraphError,
 )
 from repro.runtime.checkpoint import ResumeToken, save_checkpoint
-from repro.runtime.config import ExplorationConfig, coerce_config
+from repro.runtime.config import ExplorationConfig
 from repro.runtime.controller import RunController
 from repro.runtime.telemetry import TelemetryHub
 from repro.sadf.graph import SADFGraph
@@ -121,7 +121,7 @@ def explore_design_space(
         included — so callers can bank what the run paid for.
     """
     sadf.validate()
-    config = coerce_config(config, caller="sadf.explore_design_space")
+    config = config if config is not None else ExplorationConfig()
     if observe is None:
         observe = sadf.actor_names[-1]
     if observe not in sadf.actors:
@@ -396,11 +396,20 @@ def minimal_sadf_distribution_for_throughput(
     *constraint* in every reachable scenario and switching pattern.
 
     Returns ``None`` when the constraint exceeds the graph's maximal
-    worst-case throughput.
+    worst-case throughput.  If a budget on *config* trips before the
+    exploration completes, :class:`~repro.exceptions.BudgetExhausted`
+    propagates: the smallest point of a partial front need not be
+    minimal.
     """
     if constraint <= 0:
         raise ExplorationError("the throughput constraint must be positive")
     result = explore_design_space(sadf, observe, config=config)
+    if not result.complete:
+        raise BudgetExhausted(
+            "exploration budget exhausted before a minimal distribution"
+            f" was found ({result.exhausted})",
+            reason=result.exhausted or "budget",
+        )
     return result.front.smallest_for(constraint)
 
 

@@ -74,12 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1, metavar="N", help="job worker threads (default: 1)")
     serve.add_argument("--queue-size", type=int, default=64, metavar="N", help="max queued jobs (default: 64)")
     serve.add_argument(
-        "--engine",
-        choices=("auto", "fast", "reference"),
-        default="auto",
-        help="simulation kernel for job probes (default: auto)",
-    )
-    serve.add_argument(
         "--bulkhead-interactive",
         type=int,
         default=0,
@@ -260,7 +254,6 @@ def _serve(arguments: argparse.Namespace) -> int:
         port=arguments.port,
         workers=arguments.workers,
         queue_size=arguments.queue_size,
-        engine=arguments.engine,
         bulkhead=bulkhead,
         breakers=breakers,
         allow_chaos=arguments.allow_chaos,

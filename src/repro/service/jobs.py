@@ -185,6 +185,18 @@ class Job:
         return job
 
 
+def _job_config(params: Mapping, **run) -> ExplorationConfig:
+    """The exploration config a job's ``params`` select, plus the *run*
+    fields (budget, telemetry, checkpoint) the manager owns."""
+    return ExplorationConfig(
+        bounds=bool(params.get("bounds", False)),
+        speculate=bool(params.get("speculate", False)),
+        backend=params.get("backend") or "fastcore",
+        batch=int(params.get("batch", 0)),
+        **run,
+    )
+
+
 class JobManager:
     """Bounded queue + worker pool + durable JSONL job store.
 
@@ -203,8 +215,6 @@ class JobManager:
         Maximum number of *queued* jobs; submissions beyond it are
         rejected with HTTP 503 so clients back off instead of queueing
         unbounded work.
-    engine:
-        Simulation-kernel selector handed to every job's config.
     telemetry:
         Server-wide :class:`~repro.runtime.telemetry.TelemetryHub`;
         every finished job's hub is merged into it (``/metrics``).
@@ -233,7 +243,6 @@ class JobManager:
         *,
         workers: int = 1,
         queue_size: int = 64,
-        engine: str = "auto",
         telemetry: TelemetryHub | None = None,
         bulkhead: Bulkhead | None = None,
         breakers: Mapping[str, CircuitBreaker] | None = None,
@@ -245,7 +254,6 @@ class JobManager:
             raise ServiceError("queue_size must be >= 1")
         self.registry = registry
         self.telemetry = telemetry if telemetry is not None else TelemetryHub()
-        self.engine = engine
         #: Optional ``(job, event)`` observer of every telemetry event of
         #: every running job — live dashboards, deterministic tests.
         self.probe_callback: Callable[[Job, TelemetryEvent], None] | None = None
@@ -486,15 +494,7 @@ class JobManager:
             service = EvaluationService(
                 graph,
                 job.spec.observe,
-                config=ExplorationConfig(
-                    engine=self.engine,
-                    budget=budget,
-                    on_event=forward,
-                    bounds=bool(job.spec.params.get("bounds", False)),
-                    speculate=bool(job.spec.params.get("speculate", False)),
-                    backend=job.spec.params.get("backend"),
-                    batch=int(job.spec.params.get("batch", 0)),
-                ),
+                config=_job_config(job.spec.params, budget=budget, on_event=forward),
             )
             try:
                 bank = self.registry.bank(job.spec.fingerprint, job.spec.observe)
@@ -626,15 +626,8 @@ class JobManager:
             observe,
             strategy=str(params.get("strategy", "dependency")),
             max_size=params.get("max_size"),
-            config=ExplorationConfig(
-                engine=self.engine,
-                budget=budget,
-                on_event=forward,
-                bounds=bool(params.get("bounds", False)),
-                speculate=bool(params.get("speculate", False)),
-                backend=params.get("backend"),
-                batch=int(params.get("batch", 0)),
-                checkpoint=checkpoint,
+            config=_job_config(
+                params, budget=budget, on_event=forward, checkpoint=checkpoint
             ),
             resume=resume,
             scenario_states=scenario_states or None,

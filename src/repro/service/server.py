@@ -77,7 +77,7 @@ class AnalysisServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` / :attr:`url`).
-    workers / queue_size / engine:
+    workers / queue_size:
         Passed through to :class:`~repro.service.jobs.JobManager`.
     bulkhead / breakers / allow_chaos:
         The resilience plane, passed through to the manager: a
@@ -94,7 +94,6 @@ class AnalysisServer:
         port: int = 0,
         workers: int = 1,
         queue_size: int = 64,
-        engine: str = "auto",
         bulkhead=None,
         breakers=None,
         allow_chaos: bool = False,
@@ -106,7 +105,6 @@ class AnalysisServer:
             data_dir,
             workers=workers,
             queue_size=queue_size,
-            engine=engine,
             telemetry=self.telemetry,
             bulkhead=bulkhead,
             breakers=breakers,

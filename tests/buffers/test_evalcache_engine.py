@@ -1,5 +1,5 @@
-"""EvaluationService engine selection: fast kernel for plain queries,
-reference executor for blocking-aware ones, identical answers."""
+"""EvaluationService backend selection: the selected backend for plain
+queries, the blocking backend for blocking-aware ones, identical answers."""
 
 from fractions import Fraction
 
@@ -7,8 +7,10 @@ import pytest
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.evalcache import EvaluationService
+from repro.buffers.explorer import explore_design_space
+from repro.engine import backends
+from repro.engine.backends import ReferenceBackend
 from repro.runtime.config import ExplorationConfig
-from repro.exceptions import EngineError
 
 
 def distributions():
@@ -23,7 +25,7 @@ def test_plain_queries_use_fast_kernel_by_default(fig1):
     service = EvaluationService(fig1, "c")
     values = [service(d) for d in distributions()]
     assert service.stats.fast_runs == service.stats.evaluations > 0
-    reference = EvaluationService(fig1, "c", config=ExplorationConfig(engine="reference"))
+    reference = EvaluationService(fig1, "c", config=ExplorationConfig(backend="reference"))
     assert values == [reference(d) for d in distributions()]
     assert reference.stats.fast_runs == 0
 
@@ -35,16 +37,49 @@ def test_blocking_queries_always_run_on_reference(fig1):
     assert service.stats.fast_runs == 0
 
 
-def test_forced_fast_engine_rejects_blocking_queries(fig1):
-    service = EvaluationService(fig1, "c", config=ExplorationConfig(engine="fast"))
+def test_compiled_backend_sends_blocking_queries_to_reference(fig1):
+    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="fastcore"))
     assert service(StorageDistribution({"alpha": 4, "beta": 2})) == Fraction(1, 7)
-    with pytest.raises(EngineError, match="blocking-aware"):
-        service.evaluate_blocking(StorageDistribution({"alpha": 4, "beta": 2}))
+    assert service.stats.fast_runs == 1
+    record = service.evaluate_blocking(StorageDistribution({"alpha": 5, "beta": 3}))
+    assert record.has_blocking and record.throughput == Fraction(1, 6)
+    assert service.stats.fast_runs == 1  # the blocking probe ran on the reference backend
 
 
-def test_unknown_engine_rejected_at_construction(fig1):
-    with pytest.raises(EngineError, match="unknown engine"):
-        EvaluationService(fig1, "c", config=ExplorationConfig(engine="warp"))
+class _CountingBlockingBackend(ReferenceBackend):
+    """A stand-in for a blocking-aware compiled kernel."""
+
+    name = "counting-blocking"
+    capabilities = frozenset({"exact", "blocking", "compiled"})
+
+    def __init__(self):
+        self.lanes = 0
+
+    def evaluate_batch(self, graph, vectors, observe=None):
+        self.lanes += len(vectors)
+        return super().evaluate_batch(graph, vectors, observe)
+
+
+@pytest.fixture()
+def blocking_backend(monkeypatch):
+    backend = _CountingBlockingBackend()
+    monkeypatch.setitem(backends._BACKENDS, backend.name, backend)
+    return backend
+
+
+def test_blocking_capable_backend_serves_blocking_queries(fig1, blocking_backend):
+    """Declaring the blocking capability is all a backend needs to run
+    the dependency sweep's probes itself."""
+    result = explore_design_space(
+        fig1, "c", config=ExplorationConfig(backend=blocking_backend.name)
+    )
+    assert [(p.size, p.throughput) for p in result.front] == [
+        (6, Fraction(1, 7)),
+        (8, Fraction(1, 6)),
+        (9, Fraction(1, 5)),
+        (10, Fraction(1, 4)),
+    ]
+    assert blocking_backend.lanes == result.stats.evaluations > 0
 
 
 def test_blocking_record_never_replaced_by_thin_one(fig1):

@@ -1,0 +1,80 @@
+"""Every evaluation-service probe enters through a probe backend.
+
+The service runs a simulation only as a ``ProbeBackend.evaluate_batch``
+call: the lanes the registered backends evaluate add up to the run's
+``evaluations``, and the reference executor runs only inside the
+reference backend — blocking-aware probes included.
+"""
+
+import pytest
+
+from repro.buffers.explorer import explore_design_space
+from repro.engine import backends
+from repro.engine.executor import Executor
+from repro.gallery import modem_modes
+from repro.gallery.registry import gallery_graph
+from repro.runtime.config import ExplorationConfig
+from repro.sadf import explore_design_space as explore_sadf
+
+
+class ProbeLog:
+    """Lanes evaluated per backend and executor runs outside a backend."""
+
+    def __init__(self):
+        self.lanes = 0
+        self.inside_reference = 0
+        self.stray_executor_runs = 0
+
+
+def _counted(log, cls):
+    """*cls*'s ``evaluate_batch``, counting lanes into *log*."""
+    original = cls.evaluate_batch
+    reference = cls is backends.ReferenceBackend
+
+    def evaluate_batch(self, graph, vectors, observe=None):
+        log.lanes += len(vectors)
+        log.inside_reference += reference
+        try:
+            return original(self, graph, vectors, observe)
+        finally:
+            log.inside_reference -= reference
+
+    return evaluate_batch
+
+
+@pytest.fixture()
+def probes(monkeypatch):
+    log = ProbeLog()
+    for cls in {type(backends.backend_for(name)) for name in backends.backend_names()}:
+        monkeypatch.setattr(cls, "evaluate_batch", _counted(log, cls))
+    run = Executor.run
+
+    def executor_run(self):
+        log.stray_executor_runs += not log.inside_reference
+        return run(self)
+
+    monkeypatch.setattr(Executor, "run", executor_run)
+    return log
+
+
+WORKLOADS = {
+    "dependency": lambda: explore_design_space(gallery_graph("modem")),
+    "divide-bounds": lambda: explore_design_space(
+        gallery_graph("bipartite"), strategy="divide", config=ExplorationConfig(bounds=True)
+    ),
+    "divide-batch-numpy": lambda: explore_design_space(
+        gallery_graph("bipartite"),
+        strategy="divide",
+        config=ExplorationConfig(backend="batch-numpy", batch=8),
+    ),
+    "sadf-modem-modes": lambda: explore_sadf(modem_modes()),
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_probe_enters_through_a_backend(probes, workload):
+    result = WORKLOADS[workload]()
+    assert result.complete
+    assert result.stats.evaluations > 0
+    assert probes.lanes == result.stats.evaluations
+    assert probes.stray_executor_runs == 0

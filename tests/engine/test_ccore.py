@@ -233,6 +233,6 @@ def test_missing_compiler_reason_names_candidates(monkeypatch):
 def test_auto_prefers_cc():
     assert resolve_backend("auto") == "cc"
     assert resolve_backend("auto", batch=128) == "cc"
-    # The reference engine still needs the blocking-instrumented backend.
-    assert resolve_backend("auto", engine="reference") == "reference"
-    assert resolve_backend(None) == "fastcore"
+    # Explicit names resolve to themselves.
+    assert resolve_backend("reference") == "reference"
+    assert resolve_backend("fastcore") == "fastcore"

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.buffers.bounds import lower_bound_distribution
+from repro.engine.backends import backend_for
 from repro.engine.executor import Executor
-from repro.engine.parallel import ParallelProber, evaluate_raw
+from repro.engine.parallel import ParallelProber
 from repro.gallery import fig1_example
+
+REFERENCE = backend_for("reference")
 
 
 @pytest.fixture()
@@ -22,20 +25,11 @@ BATCH = [
 
 
 def expected(graph):
-    return [evaluate_raw(graph, dict(c), "c") for c in BATCH]
-
-
-def test_evaluate_raw_matches_executor(graph):
-    throughput, states, blocked, deficits = evaluate_raw(graph, {"alpha": 4, "beta": 2}, "c")
-    result = Executor(graph, {"alpha": 4, "beta": 2}, "c", track_blocking=True).run()
-    assert throughput == result.throughput
-    assert states == result.states_stored
-    assert set(blocked) == set(result.space_blocked)
-    assert dict(deficits) == dict(result.space_deficits)
+    return REFERENCE.evaluate_batch(graph, BATCH, "c")
 
 
 def test_serial_prober_runs_inline(graph):
-    prober = ParallelProber(graph, "c", workers=1)
+    prober = ParallelProber(graph, "c", REFERENCE, workers=1)
     assert not prober.parallel
     assert prober.map(BATCH) == expected(graph)
     assert prober._pool is None  # no processes were ever spawned
@@ -43,7 +37,7 @@ def test_serial_prober_runs_inline(graph):
 
 
 def test_parallel_prober_preserves_input_order(graph):
-    with ParallelProber(graph, "c", workers=2) as prober:
+    with ParallelProber(graph, "c", REFERENCE, workers=2) as prober:
         assert prober.parallel
         results = prober.map(BATCH)
         assert results == expected(graph)
@@ -55,19 +49,19 @@ def test_parallel_prober_preserves_input_order(graph):
 
 
 def test_single_item_batches_stay_inline(graph):
-    with ParallelProber(graph, "c", workers=2) as prober:
+    with ParallelProber(graph, "c", REFERENCE, workers=2) as prober:
         assert prober.map(BATCH[:1]) == expected(graph)[:1]
         assert prober.batches == 0  # too small to be worth shipping out
 
 
 def test_empty_batch(graph):
-    prober = ParallelProber(graph, "c", workers=2)
+    prober = ParallelProber(graph, "c", REFERENCE, workers=2)
     assert prober.map([]) == []
     prober.close()
 
 
 def test_close_is_idempotent(graph):
-    prober = ParallelProber(graph, "c", workers=2)
+    prober = ParallelProber(graph, "c", REFERENCE, workers=2)
     prober.map(BATCH)
     prober.close()
     prober.close()
@@ -77,7 +71,7 @@ def test_close_is_idempotent(graph):
 
 
 def test_broken_pool_falls_back_inline(graph):
-    prober = ParallelProber(graph, "c", workers=2)
+    prober = ParallelProber(graph, "c", REFERENCE, workers=2)
     prober._pool_failed = True  # simulate an unspawnable pool
     assert not prober.parallel
     assert prober.map(BATCH) == expected(graph)
@@ -87,6 +81,8 @@ def test_broken_pool_falls_back_inline(graph):
 
 def test_prober_on_lower_bound_distribution(graph):
     lower = lower_bound_distribution(graph)
-    with ParallelProber(graph, "c", workers=2) as prober:
-        [(throughput, _states, _blocked, _deficits)] = prober.map([dict(lower)])
-        assert throughput == Executor(graph, lower, "c").run().throughput
+    with ParallelProber(graph, "c", REFERENCE, workers=2) as prober:
+        [result] = prober.map([dict(lower)])
+        run = Executor(graph, lower, "c", track_blocking=True).run()
+        assert result.throughput == run.throughput
+        assert result.space_blocked == run.space_blocked

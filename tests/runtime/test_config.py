@@ -1,5 +1,6 @@
-"""ExplorationConfig: validation, the removed-kwarg guard, re-exports."""
+"""ExplorationConfig: validation, the one backend selector, re-exports."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -8,23 +9,23 @@ import pytest
 from repro.buffers.dependencies import dependency_sweep, find_minimal_distribution
 from repro.buffers.evalcache import EvaluationService
 from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
-from repro.exceptions import ConfigError, EngineError, ExplorationError
+from repro.exceptions import ExplorationError
 from repro.gallery.registry import gallery_graph
 from repro.runtime import Budget, ExplorationConfig
-from repro.runtime.config import UNSET, coerce_config
 
 
 class TestValidation:
     def test_defaults(self):
         config = ExplorationConfig()
-        assert config.engine == "auto"
+        assert config.backend == "fastcore"
         assert config.workers == 1
         assert config.cache is True
         assert config.budget is None
 
-    def test_unknown_engine_raises_engine_error(self):
-        with pytest.raises(EngineError, match="unknown engine"):
-            ExplorationConfig(engine="warp")
+    def test_backend_is_the_only_selector(self):
+        assert "engine" not in {f.name for f in dataclasses.fields(ExplorationConfig)}
+        with pytest.raises(TypeError, match="engine"):
+            ExplorationConfig(engine="reference")
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ExplorationError):
@@ -62,25 +63,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="batch-numpy"):
             ExplorationConfig(backend="warp")
 
-    def test_backend_capability_mismatch_raises_config_error(self):
-        from repro.exceptions import ConfigError
-
-        # The reference engine records blocking data; compiled-only
-        # backends cannot serve it and must be rejected up front.
-        with pytest.raises(ConfigError, match="lacks the blocking capability"):
-            ExplorationConfig(engine="reference", backend="fastcore")
-        with pytest.raises(ConfigError, match="lacks the blocking capability"):
-            ExplorationConfig(engine="reference", backend="batch-numpy")
-        # engine="fast" promises compiled probes.
-        with pytest.raises(ConfigError, match="lacks the compiled capability"):
-            ExplorationConfig(engine="fast", backend="reference")
-
-    def test_valid_backend_engine_pairs_accepted(self):
+    def test_valid_backends_accepted(self):
         ExplorationConfig(backend="reference")
         ExplorationConfig(backend="fastcore")
         ExplorationConfig(backend="batch-numpy", batch=16)
-        ExplorationConfig(engine="reference", backend="reference")
-        ExplorationConfig(engine="fast", backend="batch-numpy")
+        ExplorationConfig(backend="auto")
 
     def test_negative_batch_raises_config_error(self):
         from repro.exceptions import ConfigError
@@ -100,49 +87,20 @@ class TestValidation:
         config = ExplorationConfig(workers=2)
         other = config.replaced(workers=4)
         assert config.workers == 2 and other.workers == 4
-        assert other.engine == config.engine
+        assert other.backend == config.backend
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ExplorationConfig().workers = 3
 
 
-class TestCoerceConfig:
-    def test_no_inputs_yields_default_config(self):
-        config = coerce_config(None, caller="f")
-        assert config == ExplorationConfig()
-
-    def test_explicit_config_passes_through(self):
-        config = ExplorationConfig(workers=2)
-        assert coerce_config(config, caller="f") is config
-
-    def test_legacy_kwargs_raise_config_error_naming_the_migration(self):
-        with pytest.raises(ConfigError, match=r"f: the keyword\(s\) engine=, workers="):
-            coerce_config(None, caller="f", workers=3, engine="reference")
-
-    def test_error_points_at_the_migration_table(self):
-        with pytest.raises(ConfigError, match="docs/RUNTIME.md"):
-            coerce_config(None, caller="f", workers=3)
-
-    def test_mixing_config_and_legacy_raises_too(self):
-        with pytest.raises(ConfigError, match="were removed"):
-            coerce_config(ExplorationConfig(), caller="f", workers=2)
-
-    def test_unset_sentinel_is_falsy_and_distinct_from_none(self):
-        assert not UNSET
-        # None is a meaningful legacy value: evaluator=None must still
-        # be rejected, not mistaken for "kwarg not passed".
-        with pytest.raises(ConfigError, match="evaluator="):
-            coerce_config(None, caller="f", evaluator=None)
-
-
 class TestEntryPointShims:
-    """Every public entry point accepts config= and rejects the removed
-    kwargs with the migration message (not a bare TypeError)."""
+    """Every public entry point accepts config=; the removed per-call
+    keywords have no shim left, so they fail with Python's TypeError."""
 
     def test_explore_design_space(self):
         graph = gallery_graph("example")
-        with pytest.raises(ConfigError, match="explore_design_space"):
+        with pytest.raises(TypeError, match="workers"):
             explore_design_space(graph, "c", workers=1)
 
     def test_explore_design_space_config_form(self):
@@ -154,27 +112,27 @@ class TestEntryPointShims:
 
     def test_minimal_distribution_for_throughput(self):
         graph = gallery_graph("example")
-        with pytest.raises(ConfigError, match="minimal_distribution_for_throughput"):
+        with pytest.raises(TypeError, match="engine"):
             minimal_distribution_for_throughput(graph, Fraction(1, 6), "c", engine="auto")
 
     def test_dependency_sweep(self):
         graph = gallery_graph("example")
-        with pytest.raises(ConfigError, match="dependency_sweep"):
+        with pytest.raises(TypeError, match="engine"):
             dependency_sweep(graph, "c", stop_throughput=Fraction(1, 4), engine="reference")
 
     def test_find_minimal_distribution(self):
         graph = gallery_graph("example")
-        with pytest.raises(ConfigError, match="find_minimal_distribution"):
+        with pytest.raises(TypeError, match="engine"):
             find_minimal_distribution(graph, Fraction(1, 6), "c", engine="auto")
 
     def test_evaluation_service(self):
         graph = gallery_graph("example")
-        with pytest.raises(ConfigError, match="EvaluationService"):
+        with pytest.raises(TypeError, match="workers"):
             EvaluationService(graph, "c", workers=1, cache=True)
 
     def test_mixing_raises_at_entry_point(self):
         graph = gallery_graph("example")
-        with pytest.raises(ConfigError, match="were removed"):
+        with pytest.raises(TypeError, match="workers"):
             explore_design_space(graph, "c", config=ExplorationConfig(), workers=2)
 
     def test_config_only_call_emits_no_deprecation(self):

@@ -16,9 +16,17 @@ import pytest
 from repro.buffers.evalcache import EvaluationService
 from repro.buffers.explorer import explore_design_space
 from repro.engine import parallel
-from repro.engine.parallel import ParallelProber, evaluate_raw
+from repro.engine.backends import backend_for
+from repro.engine.parallel import ParallelProber
 from repro.gallery.registry import gallery_graph
 from repro.runtime import ExplorationConfig
+
+REFERENCE = backend_for("reference")
+
+
+def reference(graph, batch):
+    """The reference backend's results for *batch*, probed serially."""
+    return REFERENCE.evaluate_batch(graph, batch, "c")
 
 
 def make_batch(graph, count=6, base=None):
@@ -50,8 +58,8 @@ class TestWorkerDeath:
     def test_killed_worker_triggers_restart_and_exact_results(self):
         graph = gallery_graph("example")
         batch = make_batch(graph)
-        expected = [evaluate_raw(graph, c, "c") for c in batch]
-        with ParallelProber(graph, "c", workers=2, max_restarts=2, retry_backoff=0.0) as prober:
+        expected = reference(graph, batch)
+        with ParallelProber(graph, "c", REFERENCE, workers=2, max_restarts=2, retry_backoff=0.0) as prober:
             kill_one_worker(prober)
             results = prober.map(batch)
             assert results == expected
@@ -61,11 +69,12 @@ class TestWorkerDeath:
     def test_restart_budget_exhaustion_falls_back_inline(self):
         graph = gallery_graph("example")
         batch = make_batch(graph)
-        expected = [evaluate_raw(graph, c, "c") for c in batch]
+        expected = reference(graph, batch)
         events = []
         with ParallelProber(
             graph,
             "c",
+            REFERENCE,
             workers=2,
             max_restarts=0,
             retry_backoff=0.0,
@@ -88,6 +97,7 @@ class TestWorkerDeath:
         with ParallelProber(
             graph,
             "c",
+            REFERENCE,
             workers=2,
             max_restarts=1,
             retry_backoff=0.0,
@@ -120,18 +130,18 @@ class TestWorkerDeath:
 
 def _slow_task(capacity_items):
     time.sleep(0.8)
-    return evaluate_raw(gallery_graph("example"), dict(capacity_items), "c")
+    return REFERENCE.evaluate_batch(gallery_graph("example"), [dict(capacity_items)], "c")[0]
 
 
 class TestProbeTimeout:
     def test_hung_probe_trips_watchdog_and_falls_back(self, monkeypatch):
         graph = gallery_graph("example")
         batch = make_batch(graph, count=4)
-        expected = [evaluate_raw(graph, c, "c") for c in batch]
+        expected = reference(graph, batch)
         # Workers are forked, so they inherit the patched module and hang.
         monkeypatch.setattr(parallel, "_run_task", _slow_task)
         with ParallelProber(
-            graph, "c", workers=2, probe_timeout=0.1, max_restarts=0, retry_backoff=0.0
+            graph, "c", REFERENCE, workers=2, probe_timeout=0.1, max_restarts=0, retry_backoff=0.0
         ) as prober:
             results = prober.map(batch)
             assert results == expected  # inline path bypasses _run_task
@@ -142,7 +152,7 @@ class TestProbeTimeout:
         graph = gallery_graph("example")
         monkeypatch.setattr(parallel, "_run_task", _slow_task)
         with ParallelProber(
-            graph, "c", workers=2, probe_timeout=0.1, max_restarts=1, retry_backoff=0.0
+            graph, "c", REFERENCE, workers=2, probe_timeout=0.1, max_restarts=1, retry_backoff=0.0
         ) as prober:
             prober.map(make_batch(graph, count=4))
             assert prober.pool_restarts == 1
@@ -152,7 +162,7 @@ class TestProbeTimeout:
 class TestLifecycle:
     def test_close_is_idempotent(self):
         graph = gallery_graph("example")
-        prober = ParallelProber(graph, "c", workers=2)
+        prober = ParallelProber(graph, "c", REFERENCE, workers=2)
         prober.map(make_batch(graph))
         prober.close()
         prober.close()  # second close must be a no-op, not an error
@@ -160,10 +170,10 @@ class TestLifecycle:
 
     def test_closed_prober_still_answers_inline(self):
         graph = gallery_graph("example")
-        prober = ParallelProber(graph, "c", workers=2)
+        prober = ParallelProber(graph, "c", REFERENCE, workers=2)
         prober.close()
         batch = make_batch(graph, count=3)
-        assert prober.map(batch) == [evaluate_raw(graph, c, "c") for c in batch]
+        assert prober.map(batch) == reference(graph, batch)
 
     def test_service_close_idempotent_and_syncs_stats(self):
         graph = gallery_graph("example")
@@ -205,6 +215,6 @@ class TestPoolUnavailable:
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
         batch = make_batch(graph)
-        with ParallelProber(graph, "c", workers=2) as prober:
-            assert prober.map(batch) == [evaluate_raw(graph, c, "c") for c in batch]
+        with ParallelProber(graph, "c", REFERENCE, workers=2) as prober:
+            assert prober.map(batch) == reference(graph, batch)
             assert "pool unavailable" in prober.fallback_reason

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro.buffers.explorer import explore_design_space as explore_sdf
-from repro.exceptions import CheckpointError, ExplorationError
-from repro.gallery import h263_frames
+from repro.exceptions import BudgetExhausted, CheckpointError, ExplorationError
+from repro.gallery import h263_frames, modem_modes
 from repro.runtime.budget import Budget
 from repro.runtime.config import ExplorationConfig
 from repro.sadf.explorer import (
@@ -88,6 +88,17 @@ class TestMultiScenarioSweep:
 
 
 class TestBudgetAndResume:
+    def test_minimal_distribution_raises_when_the_budget_trips(self):
+        # The partial front of a tripped budget holds the upper-bound
+        # probe (size 400), which is no minimum; the true one is 51.
+        constraint = Fraction(32, 161)
+        config = ExplorationConfig(budget=Budget(max_probes=3))
+        with pytest.raises(BudgetExhausted) as stop:
+            minimal_sadf_distribution_for_throughput(modem_modes(), constraint, config=config)
+        assert stop.value.reason == "probes"
+        point = minimal_sadf_distribution_for_throughput(modem_modes(), constraint)
+        assert point is not None and point.size == 51
+
     def test_budget_yields_partial_with_token(self):
         config = ExplorationConfig(budget=Budget(max_probes=3))
         result = explore_design_space(h263_frames(), "mc", config=config)

@@ -139,10 +139,6 @@ class TestBackendFlag:
         assert "unknown probe backend 'warp'" in err
         assert "batch-numpy" in err  # the registry is listed
 
-    def test_capability_mismatch_fails_up_front(self, capsys):
-        assert main(["gallery:example", "--engine", "reference", "--backend", "fastcore"]) == 1
-        assert "lacks the blocking capability" in capsys.readouterr().err
-
     def test_negative_batch_rejected(self, capsys):
         assert main(["gallery:example", "--batch", "-3"]) == 1
         assert "batch must be >= 0" in capsys.readouterr().err

@@ -7,6 +7,7 @@ partial result), ``--checkpoint`` / ``--resume`` round-trip it, and
 
 import json
 
+from repro import cli
 from repro.cli import main
 
 
@@ -26,6 +27,43 @@ class TestBudgetFlags:
     def test_unconstrained_run_still_exits_zero(self, capsys):
         assert main(["gallery:example", "--observe", "c"]) == 0
         assert "Pareto points: 4" in capsys.readouterr().out
+
+
+class TestConstraintQuery:
+    def test_budget_trip_exits_like_a_partial_run(self, capsys):
+        code = main(["gallery:modem", "--throughput", "1/3", "--max-probes", "2"])
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "budget exhausted" in out and "size" not in out
+
+    def test_unknown_backend_fails_up_front(self, capsys):
+        code = main(
+            ["gallery:example", "--observe", "c", "--throughput", "1/7", "--backend", "nonexistent"]
+        )
+        assert code == 1
+        assert "unknown probe backend 'nonexistent'" in capsys.readouterr().err
+
+    def test_runtime_flags_reach_the_query(self, monkeypatch, capsys):
+        seen = []
+        query = cli.minimal_distribution_for_throughput
+
+        def spy(graph, constraint, observe, *, config):
+            seen.append(config)
+            return query(graph, constraint, observe, config=config)
+
+        monkeypatch.setattr(cli, "minimal_distribution_for_throughput", spy)
+        code = main(
+            [
+                "gallery:example", "--observe", "c", "--throughput", "1/6",
+                "--backend", "reference", "--workers", "2", "--bounds-oracle",
+                "--max-probes", "50",
+            ]
+        )
+        assert code == 0
+        assert "size 8" in capsys.readouterr().out
+        (config,) = seen
+        assert config.backend == "reference" and config.workers == 2
+        assert config.bounds and config.budget.max_probes == 50
 
 
 class TestCheckpointFlags:

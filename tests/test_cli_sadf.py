@@ -54,6 +54,19 @@ def test_gallery_sadf_minimal_distribution(capsys):
     assert "not achievable" in out
 
 
+def test_sadf_minimal_distribution_honours_the_runtime_flags(capsys):
+    code, out = run(
+        capsys, "gallery:modem-modes", "--throughput", "32/161", "--max-probes", "3"
+    )
+    assert code == 3
+    assert "budget exhausted" in out and "size" not in out
+    code = main(
+        ["gallery:h263-frames", "--observe", "mc", "--throughput", "1/13", "--backend", "warp"]
+    )
+    assert code == 1
+    assert "unknown probe backend 'warp'" in capsys.readouterr().err
+
+
 def test_sadfjson_file_is_autodetected(tmp_path, capsys):
     path = tmp_path / "frames.json"
     write_sadf_json(h263_frames(), path)
