@@ -47,7 +47,7 @@ def main() -> None:
     print()
 
     result = explore_csdf_design_space(graph, "snk")
-    print(f"Pareto space ({result.evaluations} evaluations):")
+    print(f"Pareto space ({result.stats.evaluations} evaluations):")
     for point in result.front:
         print(f"  {point}")
     print()

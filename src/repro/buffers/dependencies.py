@@ -1,9 +1,9 @@
-"""Storage-dependency-guided exploration of SDF graphs.
+"""Storage-dependency-guided exploration of SDF and CSDF graphs.
 
 The sweep itself — a size-ordered frontier grown only along channels
 whose lack of space blocked a firing, and its exactness argument —
-lives in :mod:`repro.buffers.frontier`, shared with the CSDF and SADF
-explorers.  This module plugs in the SDF probe: one blocking-aware
+lives in :mod:`repro.buffers.frontier`, shared with the SADF explorer.
+This module plugs in the probe: one blocking-aware
 :class:`~repro.buffers.evalcache.EvaluationService` evaluation per
 distribution.
 """
@@ -13,19 +13,28 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from repro.buffers.bounds import lower_bound_distribution
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.evalcache import EvaluationRecord, EvaluationService
 # DependencyStats and DependencySweepResult are public here too.
-from repro.buffers.frontier import DependencyStats, DependencySweepResult, Probe, frontier_sweep
+from repro.buffers.frontier import (
+    DependencyStats,
+    DependencySweepResult,
+    Probe,
+    frontier_sweep,
+    graph_model,
+)
 from repro.exceptions import BudgetExhausted, ExplorationError
 from repro.graph.graph import SDFGraph
 from repro.runtime.config import ExplorationConfig
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.csdf.graph import CSDFGraph
+
 
 def dependency_sweep(
-    graph: SDFGraph,
+    graph: "SDFGraph | CSDFGraph",
     observe: str | None = None,
     *,
     stop_throughput: Fraction | None = None,
@@ -78,7 +87,7 @@ def dependency_sweep(
             " throughput) or a max_size; otherwise capacity growth never terminates"
         )
     config = config if config is not None else ExplorationConfig()
-    seed = start if start is not None else lower_bound_distribution(graph)
+    seed = start if start is not None else graph_model(graph).lower()
 
     def reached(throughput: Fraction) -> bool:
         return (
@@ -90,7 +99,7 @@ def dependency_sweep(
     with _service(graph, observe, config) as service:
 
         def probe_level(batch, upcoming) -> list[Probe]:
-            if getattr(service, "speculate_enabled", False):
+            if service.speculate_enabled:
                 # The cheapest queued successors are very likely the next
                 # level; let idle workers warm them while this level
                 # occupies the demand path.
@@ -117,7 +126,7 @@ def dependency_sweep(
 
 @contextmanager
 def _service(
-    graph: SDFGraph, observe: str | None, config: ExplorationConfig
+    graph: "SDFGraph | CSDFGraph", observe: str | None, config: ExplorationConfig
 ) -> Iterator[EvaluationService]:
     """``config.evaluator``, or a private service closed on exit."""
     if config.evaluator is not None:
@@ -136,7 +145,7 @@ def _probe(record: EvaluationRecord) -> Probe:
 
 
 def find_minimal_distribution(
-    graph: SDFGraph,
+    graph: "SDFGraph | CSDFGraph",
     constraint: Fraction,
     observe: str | None = None,
     *,
@@ -160,10 +169,8 @@ def find_minimal_distribution(
     # An unachievable constraint must be rejected up front: without a
     # reachable stop level the sweep's size ceiling never engages and
     # capacity growth would not terminate.
-    from repro.analysis.throughput import max_throughput
-
     with _service(graph, observe, config) as service:
-        if constraint > max_throughput(graph, observe, evaluator=service):
+        if constraint > graph_model(graph).maximum(observe, service):
             return None
         result = dependency_sweep(
             graph,

@@ -62,7 +62,8 @@ every result becomes a memo record through one helper.  Plain probes
 (inline or in waves) run on ``config.backend``; blocking-aware, pooled
 and speculative probes run on the service's *blocking backend* — the
 selected backend when it has the ``"blocking"`` capability, the
-``"reference"`` backend otherwise.
+``"reference"`` backend otherwise.  A CSDF graph runs every probe on
+``"reference"``, the one backend with a CSDF executor.
 
 **Run control.**  The service carries the run's
 :class:`~repro.runtime.controller.RunController` and
@@ -84,7 +85,7 @@ serial path, witnesses included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
 from collections.abc import Iterable, Mapping, Sequence
@@ -151,6 +152,18 @@ class EvalStats(SearchStats):
         """Speculative probes issued but never consumed by a demand query."""
         return max(0, self.speculative_issued - self.speculative_useful)
 
+    def fold(self, other: "EvalStats") -> None:
+        """Add *other*'s counters to these: a resumed run's earlier legs,
+        or another scenario's service.  ``max_states_stored`` takes the
+        maximum; ``workers`` and ``pool_fallback_reason`` stay as they are."""
+        for field in fields(self):
+            name = field.name
+            if name in ("workers", "pool_fallback_reason"):
+                continue
+            mine, theirs = getattr(self, name), getattr(other, name)
+            merged = max(mine, theirs) if name == "max_states_stored" else mine + theirs
+            setattr(self, name, merged)
+
 
 class EvaluationRecord(NamedTuple):
     """Cached outcome of one distribution evaluation.
@@ -174,10 +187,11 @@ class EvaluationRecord(NamedTuple):
 class EvaluationService:
     """Memoising, pruning, optionally parallel throughput oracle.
 
-    Drop-in compatible with
-    :class:`~repro.buffers.search.ThroughputEvaluator` (callable, with
-    ``.stats`` and ``.evaluations``), plus batch and blocking-aware
-    entry points for the strategies that need them.
+    Callable on a distribution, with ``.stats`` and ``.evaluations``,
+    plus batch and blocking-aware entry points for the strategies that
+    need them.  *graph* is an SDF graph or a CSDF graph; every probe of
+    a CSDF graph runs on the reference backend, whatever
+    ``config.backend`` names.
 
     Parameters
     ----------
@@ -224,8 +238,13 @@ class EvaluationService:
         self.batch_size = max(0, int(config.batch))
         # Config validation already rejected unknown names and
         # unavailable explicit backends at construction; "auto" picks
-        # the best one available on this host.
-        self.backend_name = resolve_backend(config.backend, self.batch_size)
+        # the best one available on this host.  No compiled kernel runs
+        # CSDF: every probe of a CSDF graph runs on the reference backend.
+        self.backend_name = (
+            resolve_backend(config.backend, self.batch_size)
+            if isinstance(graph, SDFGraph)
+            else "reference"
+        )
         self._backend: ProbeBackend = backend_for(self.backend_name)
         # Blocking-aware, pooled and speculative probes need per-channel
         # space-blocking data.
@@ -791,29 +810,7 @@ class EvaluationService:
             self._store(vector, record)
         restored = state.get("stats")
         if restored:
-            previous = EvalStats.from_dict(restored)
-            for name in (
-                "evaluations",
-                "cache_hits",
-                "sizes_probed",
-                "threshold_scans",
-                "prunes_superset",
-                "prunes_subset",
-                "parallel_batches",
-                "parallel_tasks",
-                "fast_runs",
-                "pool_restarts",
-                "bounds_exact",
-                "bounds_cut",
-                "speculative_issued",
-                "speculative_useful",
-                "batch_calls",
-                "batch_lanes",
-            ):
-                setattr(self.stats, name, getattr(self.stats, name) + getattr(previous, name))
-            self.stats.max_states_stored = max(
-                self.stats.max_states_stored, previous.max_states_stored
-            )
+            self.stats.fold(EvalStats.from_dict(restored))
 
     def close(self) -> None:
         """Release the worker pool, if one was created (idempotent)."""

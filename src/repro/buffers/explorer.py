@@ -1,8 +1,8 @@
 """Public design-space exploration API (Secs. 8-9 of the paper).
 
 :func:`explore_design_space` charts the complete Pareto space of
-storage size vs. throughput for a consistent SDF graph, using one of
-three strategies:
+storage size vs. throughput for a consistent SDF or CSDF graph, using
+one of three strategies:
 
 * ``"dependency"`` (default) — storage-dependency-guided sweep; exact
   and usually the cheapest by far;
@@ -13,6 +13,12 @@ three strategies:
 All strategies return the same Pareto front (a property-tested
 invariant); they differ only in how much of the design space they must
 evaluate.
+
+A :class:`~repro.csdf.graph.CSDFGraph` is an ordinary input: only its
+consistency check, bound box and maximal throughput differ
+(:func:`~repro.buffers.frontier.graph_model`), and its probes run on
+the reference backend.  Everything else — memo, budgets, checkpoints,
+telemetry, workers and the bounds oracle — is shared.
 
 Long runs are governed by the run controller of :mod:`repro.runtime`:
 an :class:`~repro.runtime.config.ExplorationConfig` carries budgets,
@@ -28,14 +34,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import TYPE_CHECKING
 from collections.abc import Mapping
 
-from repro.analysis.consistency import assert_consistent
-from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.buffers.dependencies import dependency_sweep, find_minimal_distribution
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.enumerate import count_distributions_of_size
-from repro.buffers.evalcache import EvaluationService
+from repro.buffers.evalcache import EvalStats, EvaluationService
+from repro.buffers.frontier import graph_model
 from repro.buffers.pareto import ParetoFront, ParetoPoint
 from repro.buffers.quantize import thin_front
 from repro.buffers.search import SizeProbe, divide_and_conquer, exhaustive_sweep
@@ -49,6 +55,9 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.config import ExplorationConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.csdf.graph import CSDFGraph
 
 _STRATEGIES = ("dependency", "divide", "exhaustive")
 
@@ -93,6 +102,41 @@ class ExplorationStats:
         """Inverse of :meth:`to_dict` (unknown keys ignored)."""
         known = {field.name for field in fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in known})
+
+    @classmethod
+    def from_eval_stats(
+        cls,
+        counters: EvalStats,
+        *,
+        strategy: str,
+        wall_time_s: float,
+        sizes_probed: int,
+        backend: str,
+        search_space: int | None = None,
+    ) -> "ExplorationStats":
+        """The run's statistics from its evaluation-service counters."""
+        return cls(
+            strategy=strategy,
+            evaluations=counters.evaluations,
+            max_states_stored=counters.max_states_stored,
+            wall_time_s=wall_time_s,
+            sizes_probed=sizes_probed,
+            search_space=search_space,
+            cache_hits=counters.cache_hits,
+            prunes=counters.prunes,
+            workers=counters.workers,
+            parallel_batches=counters.parallel_batches,
+            pool_restarts=counters.pool_restarts,
+            pool_fallback_reason=counters.pool_fallback_reason,
+            bounds_exact=counters.bounds_exact,
+            bounds_cut=counters.bounds_cut,
+            speculative_issued=counters.speculative_issued,
+            speculative_useful=counters.speculative_useful,
+            speculative_wasted=counters.speculative_wasted,
+            backend=backend,
+            batch_calls=counters.batch_calls,
+            batch_lanes=counters.batch_lanes,
+        )
 
 
 @dataclass(frozen=True)
@@ -227,7 +271,7 @@ class DesignSpaceResult:
 
 
 def explore_design_space(
-    graph: SDFGraph,
+    graph: "SDFGraph | CSDFGraph",
     observe: str | None = None,
     *,
     strategy: str = "dependency",
@@ -240,7 +284,8 @@ def explore_design_space(
     config: ExplorationConfig | None = None,
     resume: "ResumeToken | Mapping | str | None" = None,
 ) -> DesignSpaceResult:
-    """Chart the full storage/throughput Pareto space of *graph*.
+    """Chart the full storage/throughput Pareto space of *graph*, an
+    SDF or a CSDF graph.
 
     Parameters
     ----------
@@ -292,7 +337,8 @@ def explore_design_space(
         strategy replayed over it deterministically, which provably
         yields the identical front an uninterrupted run produces.
     """
-    assert_consistent(graph)
+    model = graph_model(graph)
+    model.check()
     config = config if config is not None else ExplorationConfig()
     if strategy not in _STRATEGIES:
         raise ExplorationError(f"unknown strategy {strategy!r}; pick one of {_STRATEGIES}")
@@ -303,8 +349,8 @@ def explore_design_space(
     if observe is None:
         observe = graph.actor_names[-1]
 
-    lower = lower_bound_distribution(graph)
-    upper = upper_bound_distribution(graph)
+    lower = model.lower()
+    upper = model.upper()
     started = time.perf_counter()
 
     owns_service = config.evaluator is None
@@ -334,10 +380,8 @@ def explore_design_space(
         # maximum is computed independently and the bound box is
         # enlarged until it provably contains a maximal-throughput
         # distribution.
-        from repro.analysis.throughput import max_throughput as _max_throughput
-
         try:
-            max_thr = _max_throughput(graph, observe, evaluator=service)
+            max_thr = model.maximum(observe, service)
             service.set_ceiling(max_thr)
             low_bound, high_bound = (
                 throughput_bounds if throughput_bounds is not None else (None, None)
@@ -440,27 +484,13 @@ def explore_design_space(
             pareto_points=len(front),
             evaluations=service.stats.evaluations,
         )
-        stats = ExplorationStats(
+        stats = ExplorationStats.from_eval_stats(
+            service.stats,
             strategy=strategy,
-            evaluations=service.stats.evaluations,
-            max_states_stored=service.stats.max_states_stored,
             wall_time_s=time.perf_counter() - started,
             sizes_probed=sizes_probed,
-            search_space=search_space,
-            cache_hits=service.stats.cache_hits,
-            prunes=service.stats.prunes,
-            workers=service.workers,
-            parallel_batches=service.stats.parallel_batches,
-            pool_restarts=service.stats.pool_restarts,
-            pool_fallback_reason=service.stats.pool_fallback_reason,
-            bounds_exact=service.stats.bounds_exact,
-            bounds_cut=service.stats.bounds_cut,
-            speculative_issued=service.stats.speculative_issued,
-            speculative_useful=service.stats.speculative_useful,
-            speculative_wasted=service.stats.speculative_wasted,
             backend=service.backend_name,
-            batch_calls=service.stats.batch_calls,
-            batch_lanes=service.stats.batch_lanes,
+            search_space=search_space,
         )
         return DesignSpaceResult(
             graph_name=graph.name,
@@ -481,7 +511,7 @@ def explore_design_space(
 
 
 def minimal_distribution_for_throughput(
-    graph: SDFGraph,
+    graph: "SDFGraph | CSDFGraph",
     constraint: Fraction,
     observe: str | None = None,
     token_sizes: Mapping[str, int] | None = None,
@@ -491,13 +521,15 @@ def minimal_distribution_for_throughput(
     """Smallest storage distribution meeting a throughput constraint.
 
     This is the headline query of the paper: the exact minimal storage
-    space needed to execute the graph at a required throughput.
-    Returns ``None`` when the constraint exceeds the graph's maximal
-    throughput.  Run control (backend, workers, budgets, telemetry)
-    comes from *config*; a budget tripping before the minimum is found
-    raises :class:`~repro.exceptions.BudgetExhausted`.
+    space needed to execute the graph (SDF or CSDF) at a required
+    throughput.  The sweep stops at the first distribution reaching the
+    constraint.  Returns ``None`` when the constraint exceeds the
+    graph's maximal throughput.  Run control (backend, workers,
+    budgets, telemetry) comes from *config*; a budget tripping before
+    the minimum is found raises
+    :class:`~repro.exceptions.BudgetExhausted`.
     """
-    assert_consistent(graph)
+    graph_model(graph).check()
     if constraint <= 0:
         raise ExplorationError("the throughput constraint must be positive")
     found = find_minimal_distribution(
@@ -509,7 +541,9 @@ def minimal_distribution_for_throughput(
     return ParetoPoint(distribution.weighted_size(token_sizes), value, (distribution,))
 
 
-def maximal_throughput_point(graph: SDFGraph, observe: str | None = None) -> ParetoPoint:
+def maximal_throughput_point(
+    graph: "SDFGraph | CSDFGraph", observe: str | None = None
+) -> ParetoPoint:
     """The Pareto point realising the graph's maximal throughput."""
     result = explore_design_space(graph, observe)
     point = result.front.max_throughput_point

@@ -14,11 +14,13 @@ distribution below ``gamma*`` reaches its value: every Pareto point has
 a witness in the explored set.
 
 :func:`frontier_sweep` is that loop over a *probe*; each explorer plugs
-in its own — an evaluation-service query
-(:func:`repro.buffers.dependencies.dependency_sweep`), a CSDF execution
-(:mod:`repro.csdf.explorer`) or the worst case over every reachable
-scenario (:mod:`repro.sadf.explorer`).  :func:`adaptive_maximum` is the
-"evaluate at the upper bound, double until stable" maximum they use.
+in its own — an evaluation-service query for SDF and CSDF graphs
+(:func:`repro.buffers.dependencies.dependency_sweep`) or the worst case
+over every reachable scenario (:mod:`repro.sadf.explorer`).
+:func:`adaptive_maximum` is the "evaluate at the upper bound, double
+until stable" maximum they use.  :func:`graph_model` is the one place
+the SDF and CSDF pipelines differ: consistency check, bound box and
+maximal throughput.
 """
 
 from __future__ import annotations
@@ -27,10 +29,17 @@ import heapq
 from collections.abc import Callable, Container, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from repro.analysis.consistency import assert_consistent
+from repro.analysis.throughput import max_throughput
+from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.buffers.distribution import StorageDistribution
 from repro.exceptions import BudgetExhausted
+from repro.graph.graph import SDFGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.csdf.graph import CSDFGraph
 
 
 class Probe(NamedTuple):
@@ -218,3 +227,45 @@ def adaptive_maximum(
             best = value
             stable = 0
     return best
+
+
+class GraphModel(NamedTuple):
+    """The model-specific pieces of an SDF or CSDF exploration.
+
+    ``check()`` rejects an inconsistent graph; ``lower()`` / ``upper()``
+    give the Fig. 7 bound box; ``maximum(observe, evaluator)`` is the
+    maximal throughput over all distributions, its probes (if any) run
+    through *evaluator*.
+    """
+
+    check: Callable[[], object]
+    lower: Callable[[], StorageDistribution]
+    upper: Callable[[], StorageDistribution]
+    maximum: Callable[[str | None, Callable[[StorageDistribution], Fraction]], Fraction]
+
+
+def graph_model(graph: "SDFGraph | CSDFGraph") -> GraphModel:
+    """The :class:`GraphModel` of *graph*.
+
+    An :class:`~repro.graph.graph.SDFGraph` gets the SDF analyses;
+    anything else is a CSDF graph, whose package is imported only here.
+    The CSDF maximum doubles the conservative upper bound until stable.
+    """
+    if isinstance(graph, SDFGraph):
+        return GraphModel(
+            lambda: assert_consistent(graph),
+            lambda: lower_bound_distribution(graph),
+            lambda: upper_bound_distribution(graph),
+            lambda observe, evaluator: max_throughput(graph, observe, evaluator=evaluator),
+        )
+    from repro.csdf.bounds import csdf_lower_bound_distribution, csdf_upper_bound_distribution
+    from repro.csdf.repetitions import csdf_repetition_vector
+
+    return GraphModel(
+        lambda: csdf_repetition_vector(graph),
+        lambda: csdf_lower_bound_distribution(graph),
+        lambda: csdf_upper_bound_distribution(graph),
+        lambda observe, evaluator: adaptive_maximum(
+            evaluator, csdf_upper_bound_distribution(graph), 2
+        ),
+    )

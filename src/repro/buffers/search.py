@@ -15,11 +15,10 @@ Two cooperating searches:
   over a throughput grid, where each probe only scans until *some*
   distribution reaches the threshold.
 
-Both strategies share a memoising evaluator so a distribution is never
-simulated twice.  The evaluator may be the plain
-:class:`ThroughputEvaluator` below or the richer
-:class:`~repro.buffers.evalcache.EvaluationService`; with the latter,
-the per-size scans fan their independent probes out to a process pool
+Both strategies take the run's
+:class:`~repro.buffers.evalcache.EvaluationService` as their evaluator,
+so a distribution is never simulated twice.  With workers or probe
+waves configured, the per-size scans fan their independent probes out
 in enumeration-ordered waves, so results (including early exits and
 witness selection) are bit-identical to the serial scan.
 """
@@ -29,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice
+from typing import TYPE_CHECKING
 from collections.abc import Callable, Iterator, Mapping
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.enumerate import distributions_of_size
 from repro.buffers.quantize import quantize_down
-from repro.engine.executor import Executor
 from repro.graph.graph import SDFGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.buffers.evalcache import EvaluationService
 
 
 @dataclass
@@ -70,32 +72,6 @@ class SizeProbe:
     exact: bool
 
 
-class ThroughputEvaluator:
-    """Memoising throughput oracle for storage distributions."""
-
-    def __init__(self, graph: SDFGraph, observe: str | None, stats: SearchStats | None = None):
-        self.graph = graph
-        self.observe = observe
-        self.stats = stats if stats is not None else SearchStats()
-        self._cache: dict[StorageDistribution, Fraction] = {}
-
-    def __call__(self, distribution: StorageDistribution) -> Fraction:
-        cached = self._cache.get(distribution)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        result = Executor(self.graph, distribution, self.observe).run()
-        self.stats.evaluations += 1
-        self.stats.max_states_stored = max(self.stats.max_states_stored, result.states_stored)
-        self._cache[distribution] = result.throughput
-        return result.throughput
-
-    @property
-    def evaluations(self) -> dict[StorageDistribution, Fraction]:
-        """All evaluated distributions with their throughputs."""
-        return dict(self._cache)
-
-
 class SizeSearch:
     """Throughput-dimension search for a fixed channel bound box."""
 
@@ -105,7 +81,7 @@ class SizeSearch:
         observe: str | None,
         lower: Mapping[str, int],
         upper: Mapping[str, int],
-        evaluator: ThroughputEvaluator,
+        evaluator: EvaluationService,
     ):
         self.graph = graph
         self.channels = graph.channel_names
@@ -114,10 +90,14 @@ class SizeSearch:
         self.evaluator = evaluator
 
     def _cutter(self) -> Callable[[StorageDistribution, Fraction], bool] | None:
-        """The evaluator's bounds-oracle cut test, if it offers one."""
-        if getattr(self.evaluator, "bounds_enabled", False):
+        """The evaluator's bounds-oracle cut test, if the oracle is on."""
+        if self.evaluator.bounds_enabled:
             return self.evaluator.cuts_below
         return None
+
+    def _serial(self) -> bool:
+        """Whether the evaluator probes one distribution at a time."""
+        return self.evaluator.workers <= 1 and self.evaluator.batch_size <= 0
 
     def _scan(
         self,
@@ -126,14 +106,14 @@ class SizeSearch:
     ) -> Iterator[tuple[StorageDistribution, Fraction]]:
         """Yield ``(distribution, throughput)`` in enumeration order.
 
-        With a plain evaluator this is the serial loop.  With a
-        parallel :class:`~repro.buffers.evalcache.EvaluationService`
-        the enumeration is consumed in growing waves whose members are
-        evaluated as one batch; yielding still follows enumeration
-        order, so callers that stop early (the ``stop_at`` exit, a
-        threshold hit) make identical decisions either way — at most
-        the tail of the current wave is evaluated speculatively, and
-        those results land in the shared cache rather than being lost.
+        With a serial evaluator this is the serial loop.  With workers
+        or probe waves configured the enumeration is consumed in
+        growing waves whose members are evaluated as one batch;
+        yielding still follows enumeration order, so callers that stop
+        early (the ``stop_at`` exit, a threshold hit) make identical
+        decisions either way — at most the tail of the current wave is
+        evaluated speculatively, and those results land in the shared
+        cache rather than being lost.
 
         *skip* drops candidates without evaluating (or yielding) them —
         the bounds-oracle cut.  Serially it is consulted per candidate
@@ -141,15 +121,13 @@ class SizeSearch:
         time, which is merely conservative (fewer cuts, same results).
         """
         generator = distributions_of_size(self.channels, size, self.lower, self.upper)
-        evaluate_many = getattr(self.evaluator, "evaluate_many", None)
-        workers = getattr(self.evaluator, "workers", 1)
-        batch_size = getattr(self.evaluator, "batch_size", 0)
-        if evaluate_many is None or (workers <= 1 and batch_size <= 0):
+        if self._serial():
             for distribution in generator:
                 if skip is not None and skip(distribution):
                     continue
                 yield distribution, self.evaluator(distribution)
             return
+        batch_size, workers = self.evaluator.batch_size, self.evaluator.workers
         if batch_size > 0:
             # Lock-step backends amortise per-call overhead over lanes:
             # start at the configured width, cap well above it so hot
@@ -163,7 +141,7 @@ class SizeSearch:
                 return
             batch = chunk if skip is None else [d for d in chunk if not skip(d)]
             if batch:
-                yield from zip(batch, evaluate_many(batch))
+                yield from zip(batch, self.evaluator.evaluate_many(batch))
             wave = min(2 * wave, cap)
 
     # -- exact scan -----------------------------------------------------
@@ -258,18 +236,14 @@ class SizeSearch:
                 return True
             return best > prev and cut(distribution, best)
 
-        serial = getattr(self.evaluator, "evaluate_many", None) is None or (
-            getattr(self.evaluator, "workers", 1) <= 1
-            and getattr(self.evaluator, "batch_size", 0) <= 0
-        )
-        if serial:
-            peek = getattr(self.evaluator, "cached_throughput", None)
+        if self._serial():
+            peek = self.evaluator.cached_throughput
             promotions = 0
             failures = 0
             for distribution in distributions_of_size(
                 self.channels, size, self.lower, self.upper
             ):
-                value = peek(distribution) if peek is not None else None
+                value = peek(distribution)
                 if value is None:
                     if skip(distribution):
                         continue
@@ -367,7 +341,7 @@ def _wisher(
     graph: SDFGraph,
     lower: Mapping[str, int],
     upper: Mapping[str, int],
-    evaluator: ThroughputEvaluator,
+    evaluator: EvaluationService,
     probed: Mapping[int, SizeProbe] | None = None,
 ) -> Callable[[int], None]:
     """A ``wish(size)`` hook seeding speculative probes for one slice.
@@ -377,12 +351,12 @@ def _wisher(
     :meth:`EvaluationService.speculate`.  A no-op callable when the
     evaluator does not speculate, so strategies call it unconditionally.
     """
-    if not getattr(evaluator, "speculate_enabled", False):
+    if not evaluator.speculate_enabled:
         return lambda size: None
     low_size = sum(lower.values())
     high_size = sum(upper.values())
-    batch_size = getattr(evaluator, "batch_size", 0)
-    head = batch_size if batch_size > 0 else 4 * getattr(evaluator, "workers", 1)
+    batch_size = evaluator.batch_size
+    head = batch_size if batch_size > 0 else 4 * evaluator.workers
 
     def wish(size: int) -> None:
         if size < low_size or size > high_size:
@@ -402,7 +376,7 @@ def exhaustive_sweep(
     lower: Mapping[str, int],
     upper: Mapping[str, int],
     max_throughput: Fraction,
-    evaluator: ThroughputEvaluator | None = None,
+    evaluator: EvaluationService,
     stop_early: bool = True,
 ) -> tuple[dict[int, SizeProbe], SearchStats]:
     """Scan every size in ``[sz(lb), sz(ub)]``; stop once the maximum is hit.
@@ -411,7 +385,6 @@ def exhaustive_sweep(
     every tied witness of the per-size maximum is collected (needed to
     exhibit non-unique minimal storage distributions, Fig. 6).
     """
-    evaluator = evaluator or ThroughputEvaluator(graph, observe)
     search = SizeSearch(graph, observe, lower, upper, evaluator)
     low_size = sum(lower.values())
     high_size = sum(upper.values())
@@ -435,7 +408,7 @@ def divide_and_conquer(
     lower: Mapping[str, int],
     upper: Mapping[str, int],
     max_throughput: Fraction,
-    evaluator: ThroughputEvaluator | None = None,
+    evaluator: EvaluationService,
     quantum: Fraction | None = None,
 ) -> tuple[dict[int, SizeProbe], SearchStats]:
     """The paper's strategy: recursive halving of the size interval.
@@ -447,7 +420,6 @@ def divide_and_conquer(
     the throughput dimension, with the smaller size's result serving
     as the incremental lower bound (Sec. 9).
     """
-    evaluator = evaluator or ThroughputEvaluator(graph, observe)
     search = SizeSearch(graph, observe, lower, upper, evaluator)
     low_size = sum(lower.values())
     high_size = sum(upper.values())
@@ -460,7 +432,7 @@ def divide_and_conquer(
     # dominated by it).  Probe values are exact in both modes and the
     # minimal size of each throughput value carries its complete
     # witness tuple, so the resulting front is bit-identical.
-    bounds_first = quantum is None and getattr(evaluator, "bounds_enabled", False)
+    bounds_first = quantum is None and evaluator.bounds_enabled
     wish = _wisher(graph, lower, upper, evaluator, probed=probes)
 
     def probe(size: int, known_low: Fraction) -> SizeProbe:

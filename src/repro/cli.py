@@ -29,10 +29,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
+from repro.buffers.explorer import (
+    DesignSpaceResult,
+    explore_design_space,
+    minimal_distribution_for_throughput,
+)
 from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.engine.executor import execute
-from repro.exceptions import BudgetExhausted, ReproError
+from repro.exceptions import BudgetExhausted, ExplorationError, ReproError
 from repro.gallery.registry import (
     gallery_graph,
     gallery_names,
@@ -432,6 +436,29 @@ def _explore(graph: SDFGraph, arguments: argparse.Namespace, out) -> int:
         config=_runtime_config(arguments),
         resume=arguments.resume,
     )
+    code = _report(result, arguments, out)
+    if arguments.table:
+        print(table2([table2_row(graph, arguments.observe, result)]), file=out)
+    if arguments.shared:
+        from repro.buffers.shared import compare_storage_models
+
+        print("shared-memory requirement per Pareto point:", file=out)
+        for point, report in zip(
+            result.front, compare_storage_models(graph, result.front, result.observe)
+        ):
+            print(
+                f"  size {point.size}: shared peak {report.peak_shared_tokens}"
+                f" (saves {report.saving})",
+                file=out,
+            )
+    return code
+
+
+def _report(
+    result: DesignSpaceResult, arguments: argparse.Namespace, out, chart_prefix: str = ""
+) -> int:
+    """Print an exploration result, write the files its flags ask for,
+    and return the exit code (3 for a partial result)."""
     print(result.summary(), file=out)
     if arguments.checkpoint:
         print(f"resume checkpoint written to {arguments.checkpoint}", file=out)
@@ -448,21 +475,8 @@ def _explore(graph: SDFGraph, arguments: argparse.Namespace, out) -> int:
         write_result_json(result, arguments.output_json)
         print(f"exploration result written to {arguments.output_json}", file=out)
     if arguments.chart:
-        print(ascii_pareto(result.front, title=f"Pareto space of {graph.name!r}"), file=out)
-    if arguments.table:
-        print(table2([table2_row(graph, arguments.observe, result)]), file=out)
-    if arguments.shared:
-        from repro.buffers.shared import compare_storage_models
-
-        print("shared-memory requirement per Pareto point:", file=out)
-        for point, report in zip(
-            result.front, compare_storage_models(graph, result.front, result.observe)
-        ):
-            print(
-                f"  size {point.size}: shared peak {report.peak_shared_tokens}"
-                f" (saves {report.saving})",
-                file=out,
-            )
+        title = f"{chart_prefix}Pareto space of {result.graph_name!r}"
+        print(ascii_pareto(result.front, title=title), file=out)
     return 0 if result.complete else 3
 
 
@@ -534,34 +548,18 @@ def _run_sadf(arguments: argparse.Namespace, out) -> int:
         config=_runtime_config(arguments),
         resume=arguments.resume,
     )
-    print(result.summary(), file=out)
-    if arguments.checkpoint:
-        print(f"resume checkpoint written to {arguments.checkpoint}", file=out)
-    if arguments.stats_json:
-        import json
-
-        Path(arguments.stats_json).write_text(
-            json.dumps(result.telemetry or {}, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"telemetry snapshot written to {arguments.stats_json}", file=out)
-    if arguments.output_json:
-        from repro.io.frontjson import write_result_json
-
-        write_result_json(result, arguments.output_json)
-        print(f"exploration result written to {arguments.output_json}", file=out)
-    if arguments.chart:
-        print(
-            ascii_pareto(result.front, title=f"SADF Pareto space of {sadf.name!r}"),
-            file=out,
-        )
-    return 0 if result.complete else 3
+    return _report(result, arguments, out, chart_prefix="SADF ")
 
 
 def _run_csdf(arguments: argparse.Namespace, out) -> int:
     from repro.csdf.executor import CSDFExecutor
-    from repro.csdf.explorer import explore_csdf_design_space
     from repro.io.csdfjson import read_csdf_json
 
+    if arguments.shared:
+        raise ExplorationError(
+            "--shared needs per-channel occupancy tracking, which only SDF"
+            " executions provide; it cannot be combined with --csdf"
+        )
     graph = read_csdf_json(arguments.graph)
     if arguments.capacities:
         capacities = parse_capacities(arguments.capacities)
@@ -572,32 +570,8 @@ def _run_csdf(arguments: argparse.Namespace, out) -> int:
             print("execution deadlocks", file=out)
         return 0
     if arguments.throughput:
-        from repro.csdf.explorer import csdf_minimal_distribution_for_throughput
-
-        constraint = parse_fraction(arguments.throughput)
-        found = csdf_minimal_distribution_for_throughput(graph, constraint, arguments.observe)
-        if found is None:
-            print(f"throughput {constraint} is not achievable for {graph.name!r}", file=out)
-            return 1
-        distribution, value = found
-        print(
-            f"minimal storage for throughput >= {constraint}: size {distribution.size},"
-            f" distribution {distribution} (throughput {value})",
-            file=out,
-        )
-        return 0
-    result = explore_csdf_design_space(graph, arguments.observe, max_size=arguments.max_size)
-    print(
-        f"CSDF design space of {result.graph_name!r} (observing {result.observe!r}):",
-        file=out,
-    )
-    print(f"  maximal throughput: {result.max_throughput}", file=out)
-    print(f"  Pareto points: {len(result.front)}", file=out)
-    for point in result.front:
-        print(f"    {point}", file=out)
-    if arguments.chart:
-        print(ascii_pareto(result.front, title=f"CSDF Pareto space of {graph.name!r}"), file=out)
-    return 0
+        return _minimal_for_constraint(graph, arguments, out)
+    return _explore(graph, arguments, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,9 +14,16 @@ generalisation on top of the same machinery:
   the same claim-at-start storage semantics, tick/event modes, reduced
   state space and blocking tracking,
 * :mod:`repro.csdf.bounds` — sound (conservative) storage bounds,
-* :mod:`repro.csdf.explorer` — the dependency-guided exact Pareto
-  exploration, returning the same
-  :class:`~repro.buffers.pareto.ParetoFront` objects as the SDF path.
+* :mod:`repro.csdf.explorer` — the maximal throughput and a shorthand
+  for the exploration.
+
+A CSDF graph is an ordinary input of the SDF pipeline:
+:func:`repro.buffers.explorer.explore_design_space` and
+:func:`~repro.buffers.explorer.minimal_distribution_for_throughput`
+accept it and return the same results as for SDF graphs.  Its probes
+run on the reference backend of the evaluation service, so memo,
+budgets, checkpoints, telemetry, workers, the bounds oracle and all
+three strategies apply unchanged.
 
 An SDF graph is exactly a CSDF graph whose actors all have one phase;
 the test suite checks behavioural equivalence of the two engines on
@@ -25,12 +32,7 @@ such graphs.
 
 from repro.csdf.bounds import csdf_lower_bound_distribution, csdf_upper_bound_distribution
 from repro.csdf.executor import CSDFExecutor, CSDFExecutionResult
-from repro.csdf.explorer import (
-    CSDFDesignSpaceResult,
-    csdf_max_throughput,
-    csdf_minimal_distribution_for_throughput,
-    explore_csdf_design_space,
-)
+from repro.csdf.explorer import csdf_max_throughput, explore_csdf_design_space
 from repro.csdf.graph import CSDFActor, CSDFChannel, CSDFGraph, from_sdf
 from repro.csdf.repetitions import (
     csdf_firings_per_iteration,
@@ -41,7 +43,6 @@ from repro.csdf.repetitions import (
 __all__ = [
     "CSDFActor",
     "CSDFChannel",
-    "CSDFDesignSpaceResult",
     "CSDFExecutionResult",
     "CSDFExecutor",
     "CSDFGraph",
@@ -49,7 +50,6 @@ __all__ = [
     "csdf_is_consistent",
     "csdf_lower_bound_distribution",
     "csdf_max_throughput",
-    "csdf_minimal_distribution_for_throughput",
     "csdf_repetition_vector",
     "csdf_upper_bound_distribution",
     "explore_csdf_design_space",

@@ -266,7 +266,11 @@ class ReferenceBackend:
 
     The only backend collecting per-channel space-blocking data, which
     the dependency-guided strategy consumes; it is therefore also the
-    oracle every other backend is conformance-tested against.
+    oracle every other backend is conformance-tested against.  It is
+    also the only backend that runs CSDF graphs: given a graph that is
+    not an :class:`~repro.graph.graph.SDFGraph`, it runs the
+    :class:`~repro.csdf.executor.CSDFExecutor`, which takes the same
+    arguments and reports the same fields.
     """
 
     name = "reference"
@@ -278,9 +282,13 @@ class ReferenceBackend:
         vectors: Sequence[Mapping[str, int]],
         observe: str | None = None,
     ) -> list[EvalResult]:
+        if isinstance(graph, SDFGraph):
+            executor = Executor
+        else:
+            from repro.csdf.executor import CSDFExecutor as executor
         results = []
         for capacities in vectors:
-            run = Executor(graph, capacities, observe, track_blocking=True).run()
+            run = executor(graph, capacities, observe, track_blocking=True).run()
             results.append(
                 EvalResult(
                     run.throughput,

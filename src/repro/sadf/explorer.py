@@ -46,7 +46,7 @@ from collections.abc import Callable, Mapping
 
 from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.evalcache import EvaluationService
+from repro.buffers.evalcache import EvalStats, EvaluationService
 from repro.buffers.explorer import (
     DesignSpaceResult,
     ExplorationStats,
@@ -306,45 +306,33 @@ def explore_design_space(
                     scenarios=len(reachable),
                 )
 
-        def total(counter: str) -> int:
-            return sum(getattr(service.stats, counter) for service in services.values())
-
+        counters = EvalStats(workers=max(s.workers for s in services.values()))
+        for service in services.values():
+            counters.fold(service.stats)
+        # The first scenario whose pool degraded explains the run's.
+        counters.pool_fallback_reason = next(
+            (
+                s.stats.pool_fallback_reason
+                for s in services.values()
+                if s.stats.pool_fallback_reason
+            ),
+            None,
+        )
         hub.emit(
             "run_finish",
             complete=complete,
             exhausted=exhausted,
             pareto_points=len(front),
-            evaluations=total("evaluations"),
+            evaluations=counters.evaluations,
         )
         for service in services.values():
             hub.merge(service.telemetry)
-        stats = ExplorationStats(
+        stats = ExplorationStats.from_eval_stats(
+            counters,
             strategy=SADF_STRATEGY,
-            evaluations=total("evaluations"),
-            max_states_stored=max(s.stats.max_states_stored for s in services.values()),
             wall_time_s=time.perf_counter() - started,
             sizes_probed=len({d.size for d in evaluations}),
-            cache_hits=total("cache_hits"),
-            prunes=total("prunes"),
-            workers=max(s.workers for s in services.values()),
-            parallel_batches=total("parallel_batches"),
-            pool_restarts=total("pool_restarts"),
-            pool_fallback_reason=next(
-                (
-                    s.stats.pool_fallback_reason
-                    for s in services.values()
-                    if s.stats.pool_fallback_reason
-                ),
-                None,
-            ),
-            bounds_exact=total("bounds_exact"),
-            bounds_cut=total("bounds_cut"),
-            speculative_issued=total("speculative_issued"),
-            speculative_useful=total("speculative_useful"),
-            speculative_wasted=total("speculative_wasted"),
             backend=services[reachable[0]].backend_name,
-            batch_calls=total("batch_calls"),
-            batch_lanes=total("batch_lanes"),
         )
         return DesignSpaceResult(
             graph_name=sadf.name,

@@ -32,6 +32,12 @@ def test_memo_answers_repeat_queries_without_rerunning(graph):
     assert service.cache_size == 1
 
 
+def test_records_max_states(graph):
+    service = EvaluationService(graph, "c")
+    service(dist(alpha=4, beta=2))
+    assert service.stats.max_states_stored >= 2
+
+
 def test_ceiling_squeeze_prunes_supersets(graph):
     ceiling = Fraction(1, 4)  # the example's maximal throughput
     service = EvaluationService(graph, "c", ceiling=ceiling)

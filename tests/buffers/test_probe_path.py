@@ -2,13 +2,15 @@
 
 The service runs a simulation only as a ``ProbeBackend.evaluate_batch``
 call: the lanes the registered backends evaluate add up to the run's
-``evaluations``, and the reference executor runs only inside the
-reference backend — blocking-aware probes included.
+``evaluations``, and the reference executors — SDF and CSDF — run only
+inside the reference backend, blocking-aware probes included.
 """
 
 import pytest
 
 from repro.buffers.explorer import explore_design_space
+from repro.csdf.executor import CSDFExecutor
+from repro.csdf.graph import from_sdf
 from repro.engine import backends
 from repro.engine.executor import Executor
 from repro.gallery import modem_modes
@@ -47,14 +49,17 @@ def probes(monkeypatch):
     log = ProbeLog()
     for cls in {type(backends.backend_for(name)) for name in backends.backend_names()}:
         monkeypatch.setattr(cls, "evaluate_batch", _counted(log, cls))
-    run = Executor.run
+    for executor in (Executor, CSDFExecutor):
+        monkeypatch.setattr(executor, "run", _logged_run(log, executor.run))
+    return log
 
-    def executor_run(self):
+
+def _logged_run(log, run):
+    def logged(self):
         log.stray_executor_runs += not log.inside_reference
         return run(self)
 
-    monkeypatch.setattr(Executor, "run", executor_run)
-    return log
+    return logged
 
 
 WORKLOADS = {
@@ -68,6 +73,7 @@ WORKLOADS = {
         config=ExplorationConfig(backend="batch-numpy", batch=8),
     ),
     "sadf-modem-modes": lambda: explore_sadf(modem_modes()),
+    "csdf-modem-lift": lambda: explore_design_space(from_sdf(gallery_graph("modem"))),
 }
 
 

@@ -4,41 +4,15 @@ from fractions import Fraction
 
 from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.search import (
-    SizeSearch,
-    ThroughputEvaluator,
-    divide_and_conquer,
-    exhaustive_sweep,
-)
+from repro.buffers.evalcache import EvaluationService
+from repro.buffers.search import SizeSearch, divide_and_conquer, exhaustive_sweep
 
 
 def make_search(graph, observe="c"):
-    evaluator = ThroughputEvaluator(graph, observe)
+    evaluator = EvaluationService(graph, observe)
     lower = lower_bound_distribution(graph)
     upper = upper_bound_distribution(graph)
     return SizeSearch(graph, observe, lower, upper, evaluator), evaluator, lower, upper
-
-
-class TestThroughputEvaluator:
-    def test_memoisation(self, fig1):
-        evaluator = ThroughputEvaluator(fig1, "c")
-        distribution = StorageDistribution({"alpha": 4, "beta": 2})
-        first = evaluator(distribution)
-        second = evaluator(distribution)
-        assert first == second == Fraction(1, 7)
-        assert evaluator.stats.evaluations == 1
-        assert evaluator.stats.cache_hits == 1
-
-    def test_records_max_states(self, fig1):
-        evaluator = ThroughputEvaluator(fig1, "c")
-        evaluator(StorageDistribution({"alpha": 4, "beta": 2}))
-        assert evaluator.stats.max_states_stored >= 2
-
-    def test_evaluations_snapshot(self, fig1):
-        evaluator = ThroughputEvaluator(fig1, "c")
-        distribution = StorageDistribution({"alpha": 4, "beta": 2})
-        evaluator(distribution)
-        assert evaluator.evaluations == {distribution: Fraction(1, 7)}
 
 
 class TestMaxThroughputForSize:
@@ -106,7 +80,9 @@ class TestSweeps:
     def test_exhaustive_covers_until_max(self, fig1):
         lower = lower_bound_distribution(fig1)
         upper = upper_bound_distribution(fig1)
-        probes, stats = exhaustive_sweep(fig1, "c", lower, upper, Fraction(1, 4))
+        probes, stats = exhaustive_sweep(
+            fig1, "c", lower, upper, Fraction(1, 4), EvaluationService(fig1, "c")
+        )
         assert sorted(probes) == list(range(6, 11))
         assert probes[10].throughput == Fraction(1, 4)
         assert stats.evaluations > 0
@@ -114,8 +90,12 @@ class TestSweeps:
     def test_divide_and_conquer_agrees_with_exhaustive(self, fig1):
         lower = lower_bound_distribution(fig1)
         upper = upper_bound_distribution(fig1)
-        exhaustive, _ = exhaustive_sweep(fig1, "c", lower, upper, Fraction(1, 4))
-        divided, _ = divide_and_conquer(fig1, "c", lower, upper, Fraction(1, 4))
+        exhaustive, _ = exhaustive_sweep(
+            fig1, "c", lower, upper, Fraction(1, 4), EvaluationService(fig1, "c")
+        )
+        divided, _ = divide_and_conquer(
+            fig1, "c", lower, upper, Fraction(1, 4), EvaluationService(fig1, "c")
+        )
         for size, probe in divided.items():
             if size in exhaustive:
                 assert probe.throughput == exhaustive[size].throughput
@@ -126,7 +106,9 @@ class TestSweeps:
         lower = lower_bound_distribution(fig6)
         upper = upper_bound_distribution(fig6)
         target = max_throughput(fig6, "d")
-        divided, stats = divide_and_conquer(fig6, "d", lower, upper, target)
+        divided, stats = divide_and_conquer(
+            fig6, "d", lower, upper, target, EvaluationService(fig6, "d")
+        )
         assert stats.sizes_probed <= upper.size - lower.size + 1
 
 
@@ -135,7 +117,6 @@ class TestAscendingWalk:
 
     @staticmethod
     def bounded_service(graph, observe="c"):
-        from repro.buffers.evalcache import EvaluationService
         from repro.runtime.config import ExplorationConfig
 
         return EvaluationService(graph, observe, config=ExplorationConfig(bounds=True))

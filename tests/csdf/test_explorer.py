@@ -1,21 +1,24 @@
 """Unit tests for the CSDF design-space exploration."""
 
+import os
 import random
+import subprocess
+import sys
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repro.buffers.explorer import explore_design_space
+from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
 from repro.csdf.executor import CSDFExecutor
-from repro.csdf.explorer import (
-    csdf_max_throughput,
-    csdf_minimal_distribution_for_throughput,
-    explore_csdf_design_space,
-)
+from repro.csdf.explorer import csdf_max_throughput, explore_csdf_design_space
 from repro.csdf.graph import CSDFGraph, from_sdf
 from repro.exceptions import ExplorationError
+from repro.gallery import fig1_example, modem
 from repro.gallery.random_graphs import random_consistent_graph
+from repro.runtime import Budget, ExplorationConfig
+from tests.csdf.test_sdf_lift import _phased_graph
 
 
 def downsampler():
@@ -83,16 +86,94 @@ class TestCSDFDesignSpace:
 
 class TestCSDFMinimalDistribution:
     def test_constraint_query(self):
-        found = csdf_minimal_distribution_for_throughput(downsampler(), Fraction(1, 3), "snk")
+        found = minimal_distribution_for_throughput(downsampler(), Fraction(1, 3), "snk")
         assert found is not None
-        distribution, value = found
+        distribution, value = found.distribution, found.throughput
         assert value >= Fraction(1, 3)
         measured = CSDFExecutor(downsampler(), distribution, "snk").run().throughput
         assert measured == value
 
     def test_unachievable_returns_none(self):
-        assert csdf_minimal_distribution_for_throughput(downsampler(), Fraction(1, 2), "snk") is None
+        assert minimal_distribution_for_throughput(downsampler(), Fraction(1, 2), "snk") is None
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ExplorationError):
-            csdf_minimal_distribution_for_throughput(downsampler(), Fraction(0), "snk")
+            minimal_distribution_for_throughput(downsampler(), Fraction(0), "snk")
+
+    def test_query_stops_before_the_full_exploration(self, monkeypatch):
+        runs = []
+        original = CSDFExecutor.run
+
+        def counted(self):
+            runs.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CSDFExecutor, "run", counted)
+        lifted = from_sdf(modem())
+        full = explore_design_space(lifted)
+        explored = len(runs)
+        runs.clear()
+        point = minimal_distribution_for_throughput(lifted, full.front[0].throughput)
+        assert point.size == full.front[0].size
+        assert 0 < len(runs) < explored
+
+
+#: CSDF graphs the shared pipeline must treat like SDF graphs.
+GRAPHS = {
+    "downsampler": downsampler,
+    "phased": _phased_graph,
+    "fig1-lift": lambda: from_sdf(fig1_example()),
+}
+
+
+def _front(result):
+    """The front with its witnesses, for exact comparison."""
+    return result.front.to_dicts()
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+class TestSharedPipeline:
+    def test_strategies_return_the_dependency_front(self, name):
+        graph = GRAPHS[name]()
+        dependency = explore_design_space(graph)
+        assert dependency.stats.backend == "reference"
+        for strategy in ("divide", "exhaustive"):
+            other = explore_design_space(graph, strategy=strategy)
+            assert other.front == dependency.front
+            assert other.max_throughput == dependency.max_throughput
+
+    def test_workers_return_the_identical_front(self, name):
+        serial = explore_design_space(GRAPHS[name]())
+        pooled = explore_design_space(GRAPHS[name](), config=ExplorationConfig(workers=2))
+        assert _front(pooled) == _front(serial)
+
+    def test_budget_resumes_to_the_identical_front(self, name, tmp_path):
+        full = explore_design_space(GRAPHS[name]())
+        checkpoint = tmp_path / "csdf.json"
+        partial = explore_design_space(
+            GRAPHS[name](),
+            config=ExplorationConfig(budget=Budget(max_probes=3), checkpoint=checkpoint),
+        )
+        assert not partial.complete and partial.exhausted == "probes"
+        for resume in (partial.resume_token, str(checkpoint)):
+            resumed = explore_design_space(GRAPHS[name](), resume=resume)
+            assert resumed.complete
+            assert _front(resumed) == _front(full)
+
+
+def test_sdf_exploration_leaves_the_csdf_package_unloaded():
+    """The SDF/CSDF switch imports :mod:`repro.csdf` only for a CSDF
+    graph (checked in a fresh interpreter: this one loaded it above)."""
+    code = (
+        "import sys\n"
+        "import repro, repro.buffers.evalcache, repro.engine.backends\n"
+        "from repro.buffers.explorer import explore_design_space\n"
+        "from repro.gallery import fig1_example\n"
+        "explore_design_space(fig1_example(), 'c')\n"
+        "print('repro.csdf' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.strip() == "False"

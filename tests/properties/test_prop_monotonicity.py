@@ -64,14 +64,15 @@ def test_fig1_size_sweep_monotone(seed):
     best = 0
     for size in range(6, 17):
         from repro.buffers.bounds import upper_bound_distribution
-        from repro.buffers.search import SizeSearch, ThroughputEvaluator
+        from repro.buffers.evalcache import EvaluationService
+        from repro.buffers.search import SizeSearch
 
         search = SizeSearch(
             graph,
             "c",
             lower_bound_distribution(graph),
             upper_bound_distribution(graph),
-            ThroughputEvaluator(graph, "c"),
+            EvaluationService(graph, "c"),
         )
         value = search.max_throughput_for_size(size).throughput
         assert value >= best

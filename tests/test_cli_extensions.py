@@ -103,9 +103,56 @@ class TestCsdfMode:
         code = main([str(csdf_file), "--csdf", "--observe", "snk", "--chart"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "CSDF design space" in out
+        assert "design space of 'decimator'" in out
         assert "maximal throughput: 1/3" in out
         assert "distribution size" in out  # chart rendered
+
+    def test_probe_budget_gives_a_partial_result(self, csdf_file, capsys):
+        code = main([str(csdf_file), "--csdf", "--observe", "snk", "--max-probes", "2"])
+        assert code == 3
+        assert "INCOMPLETE: budget exhausted (probes)" in capsys.readouterr().out
+
+    def test_unknown_backend_is_rejected(self, csdf_file, capsys):
+        assert main([str(csdf_file), "--csdf", "--backend", "nonexistent"]) == 1
+        assert "unknown probe backend 'nonexistent'" in capsys.readouterr().err
+
+    def test_checkpoint_resumes_to_the_uninterrupted_front(self, csdf_file, tmp_path, capsys):
+        def front_lines(out):
+            return [line for line in out.splitlines() if "size=" in line]
+
+        assert main([str(csdf_file), "--csdf", "--observe", "snk"]) == 0
+        uninterrupted = front_lines(capsys.readouterr().out)
+        checkpoint = tmp_path / "ck.json"
+        common = [str(csdf_file), "--csdf", "--observe", "snk"]
+        assert main(common + ["--max-probes", "2", "--checkpoint", str(checkpoint)]) == 3
+        assert json.loads(checkpoint.read_text())["format"] == "repro-checkpoint"
+        capsys.readouterr()
+        assert main(common + ["--resume", str(checkpoint)]) == 0
+        assert front_lines(capsys.readouterr().out) == uninterrupted
+
+    def test_stats_and_output_json(self, csdf_file, tmp_path):
+        stats, output = tmp_path / "stats.json", tmp_path / "out.json"
+        code = main(
+            [
+                str(csdf_file),
+                "--csdf",
+                "--observe",
+                "snk",
+                "--stats-json",
+                str(stats),
+                "--output-json",
+                str(output),
+            ]
+        )
+        assert code == 0
+        assert json.loads(stats.read_text())["counters"]
+        result = json.loads(output.read_text())
+        assert result["graph"] == "decimator" and result["complete"]
+        assert result["stats"]["backend"] == "reference"
+
+    def test_shared_is_rejected(self, csdf_file, capsys):
+        assert main([str(csdf_file), "--csdf", "--shared"]) == 1
+        assert "--shared" in capsys.readouterr().err
 
     def test_evaluate_distribution(self, csdf_file, capsys):
         code = main([str(csdf_file), "--csdf", "--observe", "snk", "--capacities", "a=2,b=1"])

@@ -85,9 +85,10 @@ class TestQuantizedSearchEdges:
     def test_grid_collapse(self, fig1):
         """When low and high quantise to the same level, no probe runs."""
         from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
-        from repro.buffers.search import SizeSearch, ThroughputEvaluator
+        from repro.buffers.evalcache import EvaluationService
+        from repro.buffers.search import SizeSearch
 
-        evaluator = ThroughputEvaluator(fig1, "c")
+        evaluator = EvaluationService(fig1, "c")
         search = SizeSearch(
             fig1,
             "c",
