@@ -68,8 +68,9 @@ def dependency_sweep(
         cache, budget, telemetry); otherwise a private service is
         built from the config and closed before returning.  The
         sweep's probes are blocking-aware, so they run on the
-        service's blocking backend (``"reference"`` unless
-        ``config.backend`` has the ``"blocking"`` capability).
+        service's blocking backend: ``config.backend`` when it has
+        the ``"blocking"`` capability (the default ``"fastcore"``,
+        ``"cc"`` and ``"reference"`` do), ``"reference"`` otherwise.
         With ``workers > 1`` each size level of the frontier is one
         parallel batch, folded in serial order: the explored set, the
         recorded throughputs and the first witness are identical.

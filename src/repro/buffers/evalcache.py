@@ -59,11 +59,13 @@ deterministic sequence either way.
 **One probe path.**  Every simulation the service runs is a
 :meth:`~repro.engine.backends.ProbeBackend.evaluate_batch` call, and
 every result becomes a memo record through one helper.  Plain probes
-(inline or in waves) run on ``config.backend``; blocking-aware, pooled
-and speculative probes run on the service's *blocking backend* — the
-selected backend when it has the ``"blocking"`` capability, the
-``"reference"`` backend otherwise.  A CSDF graph runs every probe on
-``"reference"``, the one backend with a CSDF executor.
+(inline or in waves) run on ``config.backend`` without asking for
+blocking data; blocking-aware, pooled and speculative probes ask for it
+(``blocking=True``) on the service's *blocking backend* — the selected
+backend when it has the ``"blocking"`` capability (``reference``,
+``fastcore`` and ``cc`` do), the ``"reference"`` backend otherwise.  A
+CSDF graph runs every probe on ``"reference"``, the one backend with a
+CSDF executor.
 
 **Run control.**  The service carries the run's
 :class:`~repro.runtime.controller.RunController` and
@@ -517,7 +519,9 @@ class EvaluationService:
         self.telemetry.emit("probe_start", size=size, blocking=blocking)
         probe_started = time.perf_counter()
         self._count_evaluation(backend)
-        result = backend.evaluate_batch(self.graph, [dict(distribution)], self.observe)[0]
+        result = backend.evaluate_batch(
+            self.graph, [dict(distribution)], self.observe, blocking=blocking
+        )[0]
         record = self._record(distribution, result)
         duration = time.perf_counter() - probe_started
         self.telemetry.record_time("probe", duration)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.buffers.pareto import ParetoFront, ParetoPoint
-from repro.engine.executor import Executor
+from repro.engine.executor import execute
 from repro.graph.graph import SDFGraph
 from repro.reporting.tables import render_table
 
@@ -39,7 +39,7 @@ def explain_front(
     """Blocking analysis for every point of *front*."""
     explanations = []
     for point in front:
-        result = Executor(graph, point.distribution, observe, track_blocking=True).run()
+        result = execute(graph, point.distribution, observe, track_blocking=True)
         explanations.append(
             PointExplanation(
                 point=point,

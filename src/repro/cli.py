@@ -171,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         " ('reference', 'fastcore', 'batch-numpy', 'cc', or 'auto' for the"
         " best available on this host: cc with a C compiler, else"
         " batch-numpy with --batch > 0 and fastcore without); blocking-aware"
-        " probes run on the reference executor unless the backend records"
-        " blocking data; unknown names and host-unavailable backends fail up"
-        " front (default: fastcore)",
+        " probes run on the reference executor only with batch-numpy, which"
+        " records no blocking data; unknown names and host-unavailable"
+        " backends fail up front (default: fastcore)",
     )
     parser.add_argument(
         "--codegen-cache-dir",

@@ -47,12 +47,12 @@ from repro.graph.graph import SDFGraph
 #: content-addressed cache key in :mod:`repro.engine.ccore`: bump it
 #: whenever :func:`generate_kernel_c` output changes so cached shared
 #: objects from older generators can never be loaded.
-CODEGEN_VERSION = "cc-1"
+CODEGEN_VERSION = "cc-2"
 
 #: ABI stamp compiled into every kernel (``repro_kernel_abi()``); the
 #: loader refuses shared objects reporting anything else, which turns
 #: truncated or foreign files in the cache into a clean recompile.
-KERNEL_ABI = 1
+KERNEL_ABI = 2
 
 
 def generate_c(graph: SDFGraph, observe: str | None = None) -> str:
@@ -201,15 +201,20 @@ def generate_kernel_c(graph: SDFGraph, observe: str | None = None) -> str:
         Loader handshake: ABI stamp and graph shape, checked before a
         cached shared object is trusted.
     ``int32_t probe_many_exact(const int64_t *caps, int32_t lanes,
-    int64_t stall_threshold, int64_t max_firings, int64_t *out)``
+    int64_t stall_threshold, int64_t max_firings, int32_t blocking,
+    int64_t *out)``
         The exact batched entry point the backend uses.  ``caps`` is
         ``lanes * N_CHANNELS`` capacities (unbounded channels carry a
-        huge sentinel), ``out`` receives four ``int64`` per lane:
-        firings-in-cycle, cycle-duration, states-stored, deadlocked.
-        Throughput is reconstructed host-side as the exact
-        ``Fraction(firings, duration)``.  Returns 0, or 1 when the
-        per-instant firing guard trips (diverging zero-time cascade),
-        or 2 on allocation failure.
+        huge sentinel), ``out`` receives per lane four ``int64`` —
+        firings-in-cycle, cycle-duration, states-stored, deadlocked —
+        followed, when *blocking* is set, by ``N_CHANNELS`` minimal
+        space deficits (0: the channel never blocked a firing on
+        space).  Throughput is reconstructed host-side as the exact
+        ``Fraction(firings, duration)``.  Returns 0 or one of the
+        ``RC_*`` failure codes: the per-instant firing guard tripped
+        (diverging zero-time cascade), allocation failed, a completion
+        time or a cycle sum would overflow ``int64``, or the visited
+        set outgrew its ``int32`` record index.
     ``int32_t probe_many(const int64_t *caps, int32_t lanes,
     double *out)``
         Convenience lane entry point writing throughput as a double
@@ -224,7 +229,13 @@ def generate_kernel_c(graph: SDFGraph, observe: str | None = None) -> str:
     whenever the observed actor completes a firing, a revisited state
     closes the periodic phase, and ``stall_threshold`` observation-free
     instants arm a full-state recurrence check that reports starvation
-    as throughput zero.
+    as throughput zero.  In blocking mode every failed start check of
+    an idle actor without a token shortage records, per full output
+    channel, the deficit ``tokens + rate - capacity``, keeping the
+    minimum per channel — the reference executor's ``track_blocking``
+    data.  The scan visits idle actors in index order, pass by pass,
+    as the reference does, so the intermediate states of zero-time
+    cascades are seen in the same order.
     """
     if graph.num_actors == 0:
         raise GraphError("cannot generate a kernel for an empty graph")
@@ -284,8 +295,23 @@ def generate_kernel_c(graph: SDFGraph, observe: str | None = None) -> str:
 #define DEFAULT_MAX_FIRINGS {default_guard}
 
 #define RC_OK 0
-#define RC_CASCADE 1  /* per-instant firing guard tripped */
+#define RC_CASCADE 1         /* per-instant firing guard tripped */
 #define RC_NOMEM 2
+#define RC_TIME_OVERFLOW 3   /* a completion time exceeds int64 */
+#define RC_CYCLE_OVERFLOW 4  /* a cycle's firings or duration exceed int64 */
+#define RC_STATE_LIMIT 5     /* the visited set outgrew its int32 index */
+
+/* Largest record count of a visited set: its open-addressing table
+ * (at most 3/4 full) then still fits an int32 size and index. */
+#define MAX_RECORDS (1 << 29)
+
+/* Keeps the blocking-mode helper out of the scan loop: inlined, it
+ * adds about a fifth to the compile time of every kernel. */
+#if defined(__GNUC__) || defined(__clang__)
+#define NOINLINE __attribute__((noinline))
+#else
+#define NOINLINE
+#endif
 
 {_int_array("EXEC_TIME", exec_times)}
 {_int_array("INITIAL_TOKENS", initial_tokens)}
@@ -366,7 +392,8 @@ static int32_t set_rehash(StateSet *s) {
 }
 
 /* Insert *key* if absent.  Returns the existing record index (>= 0) on
- * a revisit, -1 on a fresh insert, -2 on allocation failure. */
+ * a revisit, -1 on a fresh insert, -2 on allocation failure, -3 when
+ * the set already holds MAX_RECORDS records. */
 static int64_t set_find_or_insert(StateSet *s, const int64_t *key, int64_t d, int64_t c) {
     size_t bytes = (size_t)s->words * sizeof(int64_t);
     uint64_t idx = hash_key(key, s->words) & (uint64_t)s->mask;
@@ -375,6 +402,7 @@ static int64_t set_find_or_insert(StateSet *s, const int64_t *key, int64_t d, in
         if (memcmp(s->keys + (size_t)j * s->words, key, bytes) == 0) return j;
         idx = (idx + 1) & (uint64_t)s->mask;
     }
+    if (s->count >= MAX_RECORDS) return -3;
     if (s->count == s->cap) {
         int32_t cap = s->cap * 2;
         int64_t *keys = (int64_t *)realloc(s->keys, (size_t)cap * bytes);
@@ -404,10 +432,26 @@ static int64_t set_find_or_insert(StateSet *s, const int64_t *key, int64_t d, in
 
 /* ---- one lane: simulate to the periodic phase or deadlock ----------- */
 
-/* out: {firings_in_cycle, cycle_duration, states_stored, deadlocked} */
+/* Blocking mode: idle actor a failed its start check.  Unless a token
+ * shortage blocked it, every full output channel records its deficit
+ * tokens + rate - capacity, keeping the minimum per channel (0 = never
+ * blocked on space) — the reference executor's _can_start(collect). */
+NOINLINE static void note_space_blocked(int32_t a, const int64_t *tokens,
+                                        const int64_t *caps, int64_t *deficits) {
+    for (int32_t k = IN_OFF[a]; k < IN_OFF[a + 1]; k++)
+        if (tokens[IN_CH[k]] < CONS_RATE[IN_CH[k]]) return;
+    for (int32_t k = OUT_OFF[a]; k < OUT_OFF[a + 1]; k++) {
+        int32_t c = OUT_CH[k];
+        int64_t excess = tokens[c] + PROD_RATE[c] - caps[c];
+        if (excess > 0 && (deficits[c] == 0 || excess < deficits[c])) deficits[c] = excess;
+    }
+}
+
+/* out: {firings_in_cycle, cycle_duration, states_stored, deadlocked};
+ * deficits: N_CHANNELS minimal space deficits, or NULL (plain lanes). */
 static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
                        int64_t max_firings, StateSet *seen, StateSet *stalls,
-                       int64_t *out) {
+                       int64_t *out, int64_t *deficits) {
     int64_t tokens[N_CHANNELS > 0 ? N_CHANNELS : 1];
     int64_t completion[N_ACTORS];
     int64_t key[KEY_WORDS];
@@ -417,6 +461,7 @@ static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
     set_clear(stalls);
     for (int32_t c = 0; c < N_CHANNELS; c++) tokens[c] = INITIAL_TOKENS[c];
     for (int32_t a = 0; a < N_ACTORS; a++) completion[a] = -1;
+    if (deficits) memset(deficits, 0, N_CHANNELS * sizeof(int64_t));
 
     for (;;) {
         /* 1. complete due firings: tokens are consumed AND produced at
@@ -434,8 +479,10 @@ static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
 
         /* 2. start enabled firings, as a fixpoint over zero-time
          * cascades.  Confluence (unique producer/consumer per channel)
-         * makes the scan order irrelevant: starting one enabled actor
-         * can never disable another. */
+         * makes the scan order irrelevant to the state reached:
+         * starting one enabled actor can never disable another.  The
+         * blocking records do depend on it, and this is the reference
+         * executor's order. */
         int64_t fired = 0;
         int32_t changed = 1;
         while (changed) {
@@ -447,7 +494,10 @@ static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
                     if (tokens[IN_CH[k]] < CONS_RATE[IN_CH[k]]) enabled = 0;
                 for (int32_t k = OUT_OFF[a]; enabled && k < OUT_OFF[a + 1]; k++)
                     if (tokens[OUT_CH[k]] + PROD_RATE[OUT_CH[k]] > caps[OUT_CH[k]]) enabled = 0;
-                if (!enabled) continue;
+                if (!enabled) {
+                    if (deficits) note_space_blocked(a, tokens, caps, deficits);
+                    continue;
+                }
                 if (++fired > max_firings) return RC_CASCADE;
                 if (EXEC_TIME[a] == 0) {
                     /* fire-and-finish: zero-time firings move their
@@ -459,6 +509,8 @@ static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
                     if (a == OBSERVE) observed++;
                     changed = 1;
                 } else {
+                    /* INT64_MAX stays free: it means "nothing running" */
+                    if (EXEC_TIME[a] >= INT64_MAX - time) return RC_TIME_OVERFLOW;
                     completion[a] = time + EXEC_TIME[a];
                 }
             }
@@ -477,11 +529,15 @@ static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
             key[N_ACTORS + N_CHANNELS + 1] = observed;
             int64_t repeat = set_find_or_insert(seen, key, distance, observed);
             if (repeat == -2) return RC_NOMEM;
+            if (repeat == -3) return RC_STATE_LIMIT;
             if (repeat >= 0) {
                 /* periodic phase closed: the cycle spans the records
                  * after the first visit plus the current recurrence */
                 int64_t firings = observed, duration = distance;
                 for (int32_t j = (int32_t)repeat + 1; j < seen->count; j++) {
+                    if (seen->cnt[j] > INT64_MAX - firings
+                        || seen->dist[j] > INT64_MAX - duration)
+                        return RC_CYCLE_OVERFLOW;
                     firings += seen->cnt[j];
                     duration += seen->dist[j];
                 }
@@ -502,6 +558,7 @@ static int32_t run_one(const int64_t *caps, int64_t stall_threshold,
                 for (int32_t c = 0; c < N_CHANNELS; c++) key[N_ACTORS + c] = tokens[c];
                 int64_t repeat = set_find_or_insert(stalls, key, 0, 0);
                 if (repeat == -2) return RC_NOMEM;
+                if (repeat == -3) return RC_STATE_LIMIT;
                 if (repeat >= 0) {
                     out[0] = 0;
                     out[1] = 0;
@@ -534,17 +591,20 @@ int64_t repro_kernel_actors(void) { return N_ACTORS; }
 int64_t repro_kernel_channels(void) { return N_CHANNELS; }
 
 /* Exact batched entry point: caps is lanes * N_CHANNELS capacities,
- * out receives 4 int64 per lane (firings, duration, states, dead). */
+ * out receives 4 int64 per lane (firings, duration, states, dead),
+ * followed with *blocking* by the lane's N_CHANNELS minimal deficits. */
 int32_t probe_many_exact(const int64_t *caps, int32_t lanes,
                          int64_t stall_threshold, int64_t max_firings,
-                         int64_t *out) {
+                         int32_t blocking, int64_t *out) {
+    size_t stride = 4 + (blocking ? N_CHANNELS : 0);
     StateSet seen, stalls;
     int32_t rc = set_init(&seen, KEY_WORDS, 1);
     if (rc == RC_OK) rc = set_init(&stalls, FULL_WORDS, 0);
     else memset(&stalls, 0, sizeof(StateSet));
     for (int32_t lane = 0; rc == RC_OK && lane < lanes; lane++) {
+        int64_t *row = out + (size_t)lane * stride;
         rc = run_one(caps + (size_t)lane * N_CHANNELS, stall_threshold,
-                     max_firings, &seen, &stalls, out + (size_t)lane * 4);
+                     max_firings, &seen, &stalls, row, blocking ? row + 4 : NULL);
     }
     set_release(&seen);
     set_release(&stalls);
@@ -556,7 +616,7 @@ int32_t probe_many(const int64_t *caps, int32_t lanes, double *out) {
     int64_t *raw = (int64_t *)malloc((size_t)(lanes > 0 ? lanes : 1) * 4 * sizeof(int64_t));
     if (!raw) return RC_NOMEM;
     int32_t rc = probe_many_exact(caps, lanes, DEFAULT_STALL_THRESHOLD,
-                                  DEFAULT_MAX_FIRINGS, raw);
+                                  DEFAULT_MAX_FIRINGS, 0, raw);
     if (rc == RC_OK) {
         for (int32_t lane = 0; lane < lanes; lane++) {
             const int64_t *row = raw + (size_t)lane * 4;

@@ -27,7 +27,8 @@ asymptotically faster for graphs with large execution times.
 
 On top of the reference :class:`Executor`, :mod:`repro.engine.fastcore`
 provides a compiled event-calendar kernel (:class:`FastKernel`) that
-computes bit-for-bit identical results for uninstrumented runs; the
+computes bit-for-bit identical results for plain and blocking-tracking
+runs; the
 ``engine="auto"`` knob of :func:`execute` (and of
 :func:`repro.analysis.throughput.analyze`) selects it for one
 instrumented or plain run automatically.

@@ -9,10 +9,14 @@ numpy kernel that packs the event-calendar state of *many* simulations
 into parallel arrays and steps them lock-step.  :class:`ProbeBackend`
 is the protocol all of them implement:
 
-``evaluate_batch(graph, vectors, observe) -> list[EvalResult]``
+``evaluate_batch(graph, vectors, observe, *, blocking=False) -> list[EvalResult]``
     Evaluate a wave of capacity vectors; results come back in input
     order.  Duplicates are permitted and evaluated independently, so
-    a batch is semantically exactly ``[one probe per vector]``.
+    a batch is semantically exactly ``[one probe per vector]``.  With
+    ``blocking=True`` a backend with the ``"blocking"`` capability
+    fills each result's space-blocking fields; without it, a backend
+    does no blocking work.  The reference backend collects blocking
+    data either way.
 
 ``name`` / ``capabilities``
     The registry key and a frozenset of feature tags.  The
@@ -21,11 +25,13 @@ is the protocol all of them implement:
     * ``"exact"`` — results are bit-identical to the reference
       executor (all built-in backends; a future approximate backend
       would drop this and be rejected by the config validation).
-    * ``"blocking"`` — :class:`EvalResult`\\ s carry per-channel
-      space-blocking information (only the reference executor
-      collects it).  The evaluation service runs its blocking-aware,
-      pooled and speculative probes on the selected backend when it
-      has this capability, and on ``"reference"`` otherwise.
+    * ``"blocking"`` — asked with ``blocking=True``, the backend's
+      :class:`EvalResult`\\ s carry per-channel space-blocking
+      information identical to the reference executor's
+      (``reference``, ``fastcore`` and ``cc``).  The evaluation service
+      runs its blocking-aware, pooled and speculative probes on the
+      selected backend when it has this capability, and on
+      ``"reference"`` otherwise.
     * ``"compiled"`` — probes run on a per-graph compiled kernel
       (counted as ``fast_runs``).
     * ``"lanes"`` — the backend evaluates a batch as parallel lanes
@@ -102,7 +108,8 @@ class EvalResult(NamedTuple):
 
     Exactly the payload :class:`~repro.buffers.evalcache
     .EvaluationRecord` needs; ``space_blocked`` / ``space_deficits``
-    are ``None`` unless the backend has the ``"blocking"`` capability.
+    are ``None`` unless a backend with the ``"blocking"`` capability
+    was asked for them (the reference backend always fills them).
     """
 
     throughput: Fraction
@@ -128,8 +135,11 @@ class ProbeBackend(Protocol):
         graph: SDFGraph,
         vectors: Sequence[Mapping[str, int]],
         observe: str | None = None,
+        *,
+        blocking: bool = False,
     ) -> list[EvalResult]:
-        """Exact results for *vectors*, in input order."""
+        """Exact results for *vectors*, in input order; with *blocking*,
+        including space-blocking data if the backend can collect it."""
         ...
 
 
@@ -264,11 +274,11 @@ def resolve_backend(name: str, batch: int = 0) -> str:
 class ReferenceBackend:
     """Loop over the instrumented reference executor.
 
-    The only backend collecting per-channel space-blocking data, which
-    the dependency-guided strategy consumes; it is therefore also the
-    oracle every other backend is conformance-tested against.  It is
-    also the only backend that runs CSDF graphs: given a graph that is
-    not an :class:`~repro.graph.graph.SDFGraph`, it runs the
+    The oracle every other backend is conformance-tested against, the
+    blocking data included: it collects per-channel space-blocking data
+    on every probe and ignores *blocking*.  It is also the only backend
+    that runs CSDF graphs: given a graph that is not an
+    :class:`~repro.graph.graph.SDFGraph`, it runs the
     :class:`~repro.csdf.executor.CSDFExecutor`, which takes the same
     arguments and reports the same fields.
     """
@@ -281,6 +291,8 @@ class ReferenceBackend:
         graph: SDFGraph,
         vectors: Sequence[Mapping[str, int]],
         observe: str | None = None,
+        *,
+        blocking: bool = False,
     ) -> list[EvalResult]:
         if isinstance(graph, SDFGraph):
             executor = Executor
@@ -305,19 +317,31 @@ class FastcoreBackend:
     """Loop over the compiled per-graph event-calendar kernel."""
 
     name = "fastcore"
-    capabilities = frozenset({"exact", "compiled"})
+    capabilities = frozenset({"exact", "blocking", "compiled"})
 
     def evaluate_batch(
         self,
         graph: SDFGraph,
         vectors: Sequence[Mapping[str, int]],
         observe: str | None = None,
+        *,
+        blocking: bool = False,
     ) -> list[EvalResult]:
         kernel = kernel_for(graph, observe)
         results = []
         for capacities in vectors:
-            run = kernel.run(capacities)
-            results.append(EvalResult(run.throughput, run.states_stored, run.deadlocked))
+            throughput, states, deadlocked, deficits = kernel.probe(
+                capacities, blocking=blocking
+            )
+            results.append(
+                EvalResult(
+                    throughput,
+                    states,
+                    deadlocked,
+                    None if deficits is None else frozenset(deficits),
+                    deficits,
+                )
+            )
         return results
 
 
@@ -612,6 +636,8 @@ class BatchNumpyBackend:
         graph: SDFGraph,
         vectors: Sequence[Mapping[str, int]],
         observe: str | None = None,
+        *,
+        blocking: bool = False,
     ) -> list[EvalResult]:
         if not vectors:
             return []
@@ -642,6 +668,9 @@ class CcBackend:
     ``Fraction(firings, duration)``, so results stay bit-identical to
     the reference executor.
 
+    With ``blocking=True`` the kernel also returns each lane's minimal
+    space deficits, from which the space-blocked channels follow.
+
     On hosts without a working C compiler the backend reports itself
     unavailable (:meth:`availability`): ``backend="auto"`` skips it and
     requesting it explicitly raises
@@ -649,7 +678,7 @@ class CcBackend:
     """
 
     name = "cc"
-    capabilities = frozenset({"exact", "compiled", "lanes"})
+    capabilities = frozenset({"exact", "blocking", "compiled", "lanes"})
 
     def availability(self) -> str | None:
         """``None`` when a working C compiler exists, else the reason."""
@@ -660,6 +689,8 @@ class CcBackend:
         graph: SDFGraph,
         vectors: Sequence[Mapping[str, int]],
         observe: str | None = None,
+        *,
+        blocking: bool = False,
     ) -> list[EvalResult]:
         if not vectors:
             return []
@@ -674,14 +705,17 @@ class CcBackend:
             rows,
             stall_threshold=_DEFAULT_STALL_THRESHOLD,
             max_firings=_reference._MAX_FIRINGS_PER_INSTANT,
+            blocking=blocking,
         )
         return [
             EvalResult(
                 Fraction(0) if deadlocked else Fraction(firings, duration),
                 states,
                 deadlocked,
+                None if deficits is None else frozenset(deficits),
+                deficits,
             )
-            for firings, duration, states, deadlocked in raw
+            for firings, duration, states, deadlocked, deficits in raw
         ]
 
 

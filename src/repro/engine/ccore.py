@@ -11,11 +11,16 @@ codegen version — so the service and repeated CLI runs never compile
 the same graph twice, across processes and restarts.
 
 Layering: this module owns *compilation, caching and binding* and
-returns raw ``(firings, duration, states, deadlocked)`` tuples; the
-:class:`~repro.engine.backends.CcBackend` registered in
+returns raw ``(firings, duration, states, deadlocked, deficits)``
+tuples; the :class:`~repro.engine.backends.CcBackend` registered in
 :mod:`repro.engine.backends` wraps them into exact
 :class:`~repro.engine.backends.EvalResult`\\ s (``Fraction(firings,
-duration)``) and plugs into the probe-backend seam.
+duration)``) and plugs into the probe-backend seam.  A kernel that
+cannot finish exactly — a diverging zero-time cascade, an ``int64``
+overflow of a completion time or a cycle sum, a visited set beyond its
+``int32`` index, or memory exhaustion — returns a status code that
+:meth:`CompiledKernel.run_lanes` raises as an
+:class:`~repro.exceptions.EngineError` naming the cause.
 
 Graceful degradation
 --------------------
@@ -415,6 +420,7 @@ def _bind(path: Path, graph: SDFGraph) -> ctypes.CDLL:
         ctypes.c_int32,
         ctypes.c_int64,
         ctypes.c_int64,
+        ctypes.c_int32,
         ctypes.POINTER(ctypes.c_int64),
     ]
     expected_abi = _cgen().KERNEL_ABI
@@ -430,22 +436,37 @@ def _bind(path: Path, graph: SDFGraph) -> ctypes.CDLL:
     return lib
 
 
+#: Failure statuses of ``probe_many_exact`` (the kernel's ``RC_*``
+#: codes) and what each means; see :func:`repro.codegen.cgen
+#: .generate_kernel_c`.
+_STATUS_ERRORS = {
+    2: "the compiled probe kernel ran out of memory",
+    3: "a completion time exceeds the compiled kernel's int64 range",
+    4: "a cycle's firings or duration exceed the compiled kernel's int64 range",
+    5: "the state space exceeds the compiled kernel's int32 record index",
+}
+
+
 class CompiledKernel:
     """A loaded per-``(graph, observe)`` kernel shared object.
 
     :meth:`run_lanes` is the raw exact interface: capacity rows in the
     graph's channel order (``None`` = unbounded) map to one
-    ``(firings_in_cycle, cycle_duration, states_stored, deadlocked)``
-    tuple per lane.  Throughput is the exact
+    ``(firings_in_cycle, cycle_duration, states_stored, deadlocked,
+    space_deficits)`` tuple per lane.  Throughput is the exact
     ``Fraction(firings_in_cycle, cycle_duration)`` — reconstructed by
     the backend so no precision is lost crossing the C boundary.
+    ``space_deficits`` maps every channel whose lack of space blocked
+    a firing to its minimal deficit when *blocking* is requested, and
+    is ``None`` otherwise.
     """
 
     def __init__(self, graph: SDFGraph, observe: str, lib: ctypes.CDLL, path: Path):
         self.graph = graph
         self.observe = observe
         self.path = path
-        self.channel_index = {name: j for j, name in enumerate(graph.channel_names)}
+        self.channel_names = graph.channel_names
+        self.channel_index = {name: j for j, name in enumerate(self.channel_names)}
         self.num_channels = graph.num_channels
         self._lib = lib
         self._probe = lib.probe_many_exact
@@ -456,7 +477,8 @@ class CompiledKernel:
         *,
         stall_threshold: int,
         max_firings: int,
-    ) -> list[tuple[int, int, int, bool]]:
+        blocking: bool = False,
+    ) -> list[tuple[int, int, int, bool, dict[str, int] | None]]:
         lanes = len(capacity_rows)
         if lanes == 0:
             return []
@@ -466,19 +488,32 @@ class CompiledKernel:
             for cap in row
         ]
         caps = (ctypes.c_int64 * max(1, len(flat)))(*flat)
-        out = (ctypes.c_int64 * (lanes * 4))()
-        rc = self._probe(caps, lanes, stall_threshold, max_firings, out)
+        stride = 4 + (self.num_channels if blocking else 0)
+        out = (ctypes.c_int64 * (lanes * stride))()
+        rc = self._probe(caps, lanes, stall_threshold, max_firings, int(blocking), out)
         if rc == 1:
             raise EngineError(
                 f"more than {max_firings} firings in one time instant;"
                 " a zero-execution-time cascade diverges (unbounded channel?)"
             )
         if rc != 0:
-            raise EngineError(f"compiled probe kernel failed with status {rc}")
-        return [
-            (out[4 * lane], out[4 * lane + 1], out[4 * lane + 2], bool(out[4 * lane + 3]))
-            for lane in range(lanes)
-        ]
+            raise EngineError(
+                _STATUS_ERRORS.get(rc, f"compiled probe kernel failed with status {rc}")
+            )
+        rows = []
+        for lane in range(lanes):
+            base = lane * stride
+            deficits = None
+            if blocking:
+                deficits = {
+                    name: out[base + 4 + c]
+                    for c, name in enumerate(self.channel_names)
+                    if out[base + 4 + c]
+                }
+            rows.append(
+                (out[base], out[base + 1], out[base + 2], bool(out[base + 3]), deficits)
+            )
+        return rows
 
 
 def kernel_for(graph: SDFGraph, observe: str | None = None) -> CompiledKernel:

@@ -584,14 +584,14 @@ def execute(
     """Convenience wrapper: run *graph* on the selected engine.
 
     ``engine="auto"`` (the default) uses the fast event-calendar kernel
-    of :mod:`repro.engine.fastcore` whenever no instrumentation is
-    requested (no schedule recording, blocking/occupancy tracking,
-    processor mapping or tick mode) and this reference executor
+    of :mod:`repro.engine.fastcore` whenever it supports the requested
+    options (anything but schedule recording, occupancy tracking,
+    processor mapping and tick mode) and this reference executor
     otherwise; ``"fast"`` / ``"reference"`` force one of the two.
     """
-    from repro.engine.fastcore import fast_execute, resolve_engine
+    from repro.engine.fastcore import _FAST_OPTIONS, fast_execute, resolve_engine
 
     if resolve_engine(engine, kwargs) == "fast":
-        options = {k: v for k, v in kwargs.items() if k in ("max_instants", "stall_threshold")}
+        options = {k: v for k, v in kwargs.items() if k in _FAST_OPTIONS}
         return fast_execute(graph, capacities, observe, **options)
     return Executor(graph, capacities, observe, **kwargs).run()

@@ -27,9 +27,10 @@ accelerations:
   unique producer and consumer;
 * **packed state keys** — reduced states are hashed as the ``bytes``
   of an ``array('q', clocks + tokens + (distance, firings))`` instead
-  of constructing nested dataclasses in the hot loop; the dataclass
-  form is reconstructed once, at the end, for the result's
-  ``reduced_states`` field.
+  of constructing nested dataclasses in the hot loop; :meth:`FastKernel
+  .run` reconstructs the dataclass form once, at the end, for the
+  result's ``reduced_states`` field, and :meth:`FastKernel.probe` (the
+  probe backends' entry point) never does.
 
 Why the firing order inside one instant does not matter: each channel
 has a unique producer and a unique consumer, so firing one enabled
@@ -39,12 +40,25 @@ at an instant — and hence the resulting state — is therefore confluent,
 and the kernel's worklist order yields exactly the state the reference
 executor's deterministic index-order scan reaches.
 
-The kernel deliberately implements only the *uninstrumented* semantics:
-no schedule recording, no blocking/occupancy tracking, no processor
-arbitration, no tick mode.  :func:`resolve_engine` encodes that
-contract — ``engine="auto"`` selects the kernel exactly when none of
-those features is requested and the reference executor (the oracle)
-otherwise.
+**Blocking mode** (``track_blocking`` / ``probe(blocking=True)``)
+records what the reference executor's ``track_blocking`` records: the
+channels whose lack of tokens or space kept an idle actor from
+starting, and per space-blocking channel its minimal deficit.  A check
+with a token shortage records only the short inputs; otherwise every
+full output records ``tokens + rate - capacity``.  The worklist skips
+only idle actors whose channels did not change since their last check,
+and such a check would record nothing new, so without zero-time actors
+the records are the reference's.  A zero-time firing moves tokens in
+the middle of an instant, and what a check records then depends on
+when it runs: on graphs with a zero-time actor, a blocking run scans
+the idle actors in index order, pass by pass, exactly as the reference
+does.
+
+The kernel implements neither schedule recording, occupancy tracking,
+processor arbitration nor tick mode.  :func:`resolve_engine` encodes
+that contract — ``engine="auto"`` selects the kernel exactly when none
+of those features is requested and the reference executor (the
+oracle) otherwise.
 """
 
 from __future__ import annotations
@@ -53,6 +67,7 @@ import weakref
 from array import array
 from fractions import Fraction
 from heapq import heappop, heappush
+from typing import NamedTuple
 from collections.abc import Mapping
 
 from repro.engine import executor as _reference
@@ -70,7 +85,7 @@ ENGINES = ("auto", "fast", "reference")
 
 #: Executor options the fast kernel supports natively; everything else
 #: (when truthy) forces the reference executor.
-_FAST_OPTIONS = frozenset({"max_instants", "stall_threshold"})
+_FAST_OPTIONS = frozenset({"max_instants", "stall_threshold", "track_blocking"})
 
 
 def unsupported_options(options: Mapping[str, object]) -> list[str]:
@@ -108,6 +123,24 @@ def resolve_engine(engine: str, options: Mapping[str, object] | None = None) -> 
             )
         return "reference"
     return "fast"
+
+
+class _Trace(NamedTuple):
+    """One kernel execution, before any result assembly."""
+
+    records: dict[bytes, int]  # packed reduced state -> index, in order
+    distances: list[int]  # per record, the closing recurrence included
+    firing_counts: list[int]
+    cycle_start: int | None  # None: zero throughput
+    first_firing_time: int | None
+    deadlock_time: int | None  # full deadlocks only
+    space_deficits: dict[int, int] | None  # channel index -> minimal deficit
+    token_blocked: set[int] | None
+
+    def cycle(self) -> tuple[int, int]:
+        """Observed firings and duration of the periodic phase."""
+        start = self.cycle_start + 1
+        return sum(self.firing_counts[start:]), sum(self.distances[start:])
 
 
 class FastKernel:
@@ -148,6 +181,7 @@ class FastKernel:
         self._num_actors = len(self.actor_names)
         self._num_channels = len(self.channel_names)
         self._exec_times = [graph.actors[name].execution_time for name in self.actor_names]
+        self._has_zero_time = 0 in self._exec_times
         self._inputs = tuple(
             tuple(
                 (self._channel_index[channel.name], channel.consumption)
@@ -179,13 +213,96 @@ class FastKernel:
         *,
         max_instants: int | None = None,
         stall_threshold: int = _DEFAULT_STALL_THRESHOLD,
+        track_blocking: bool = False,
     ) -> ExecutionResult:
         """Execute under *capacities* until the periodic phase or deadlock.
 
         Semantics, bookkeeping and the returned result are identical to
-        ``Executor(graph, capacities, observe).run()``; only the cost
-        per time instant differs.  The body is one deliberately flat
-        loop: every name used per firing is a local.
+        ``Executor(graph, capacities, observe,
+        track_blocking=track_blocking).run()``; only the cost per time
+        instant differs.
+        """
+        trace = self._simulate(
+            capacities, max_instants, stall_threshold, track_blocking, track_blocking
+        )
+        names = self.channel_names
+        deficits = trace.space_deficits or {}
+        blocking = {
+            "space_blocked": frozenset(names[c] for c in deficits),
+            "token_blocked": frozenset(names[c] for c in trace.token_blocked or ()),
+            "space_deficits": {names[c]: deficit for c, deficit in deficits.items()},
+        }
+        states_stored = len(trace.records)
+        if trace.cycle_start is None:
+            return ExecutionResult(
+                observe=self.observe,
+                throughput=Fraction(0),
+                deadlocked=True,
+                deadlock_time=trace.deadlock_time,
+                first_firing_time=trace.first_firing_time,
+                cycle_duration=0,
+                firings_in_cycle=0,
+                transient_states=states_stored,
+                cycle_states=0,
+                states_stored=states_stored,
+                **blocking,
+            )
+        firings, duration = trace.cycle()
+        # The closing recurrence repeats the record the cycle starts at.
+        keys = list(trace.records)
+        keys.append(keys[trace.cycle_start])
+        return ExecutionResult(
+            observe=self.observe,
+            throughput=Fraction(firings, duration),
+            deadlocked=False,
+            deadlock_time=None,
+            first_firing_time=trace.first_firing_time,
+            cycle_duration=duration,
+            firings_in_cycle=firings,
+            transient_states=trace.cycle_start + 1,
+            cycle_states=states_stored - trace.cycle_start,
+            states_stored=states_stored,
+            reduced_states=tuple(self._unpack_record(key) for key in keys),
+            **blocking,
+        )
+
+    def probe(
+        self, capacities: Mapping[str, int] | None = None, *, blocking: bool = False
+    ) -> tuple[Fraction, int, bool, dict[str, int] | None]:
+        """``(throughput, states_stored, deadlocked, space_deficits)`` of
+        one execution, without assembling an :class:`ExecutionResult`.
+
+        The probe path of the ``fastcore`` backend: the recorded states
+        are never unpacked.  With *blocking*, ``space_deficits`` maps
+        every channel whose lack of space blocked a firing to its
+        minimal deficit, exactly as the reference executor's
+        ``track_blocking`` reports it; otherwise it is ``None``.
+        """
+        trace = self._simulate(capacities, None, _DEFAULT_STALL_THRESHOLD, blocking, False)
+        deficits = trace.space_deficits
+        if deficits is not None:
+            names = self.channel_names
+            deficits = {names[c]: deficit for c, deficit in deficits.items()}
+        if trace.cycle_start is None:
+            return Fraction(0), len(trace.records), True, deficits
+        return Fraction(*trace.cycle()), len(trace.records), False, deficits
+
+    def _simulate(
+        self,
+        capacities: Mapping[str, int] | None,
+        max_instants: int | None,
+        stall_threshold: int,
+        space_blocking: bool,
+        token_blocking: bool,
+    ) -> _Trace:
+        """The event loop behind :meth:`run` and :meth:`probe`.
+
+        The body is one deliberately flat loop: every name used per
+        firing is a local.  *space_blocking* / *token_blocking* collect
+        what the reference executor's ``_can_start(collect=True)``
+        does: a token shortage records every short input; otherwise
+        every full output records its deficit ``tokens + rate -
+        capacity``, keeping the minimum per channel.
         """
         caps = validate_capacities(self.graph, capacities, self._channel_index)
         n = self._num_actors
@@ -224,18 +341,30 @@ class FastKernel:
             for i in range(n)
         ]
 
+        deficits: dict[int, int] | None = {} if space_blocking else None
+        token_blocked: set[int] | None = set() if token_blocking else None
+        # A check records what it sees, so which checks run matters.
+        # The worklist skips only idle actors whose channels did not
+        # change since their last check, and such a check records
+        # nothing new.  A zero-time firing, however, moves tokens in the
+        # middle of an instant: then every pass of a blocking run checks
+        # the idle actors in index order, as the reference executor
+        # does, and the queued flags stay set so wakeups append nothing.
+        rescan = (space_blocking or token_blocking) and self._has_zero_time
+        scan_order = range(n - 1, -1, -1)  # popped in index order
+
         tokens = list(self._initial_tokens)
         completion = [-1] * n  # absolute completion time; -1 = idle
         # Events are packed as `completion_time * n + actor`, so the
         # calendar is a heap of plain ints (cheaper than tuples).
         calendar: list[int] = []
         queued = bytearray(b"\x01") * n
-        worklist = list(range(n))
+        worklist = [] if rescan else list(range(n))
         completions: list[int] = []
 
-        record_keys: list[bytes] = []
         distances: list[int] = []
         firing_counts: list[int] = []
+        # Packed reduced state -> record index, in recording order.
         seen: dict[bytes, int] = {}
         full_seen: set[bytes] | None = None
         scratch = [0] * (n + m + 2)
@@ -269,50 +398,69 @@ class FastKernel:
 
             # -- start enabled firings (worklist fixpoint) ------------
             fired = 0
-            while worklist:
-                i = worklist.pop()
-                queued[i] = 0
-                if completion[i] >= 0:
-                    continue  # busy; re-checked when its event fires
-                enabled = True
-                for c, r in in_checks[i]:
-                    if tokens[c] < r:
-                        enabled = False
-                        break
-                if enabled:
+            cascade = True
+            while cascade:
+                # One pass; with rescan, another follows every pass
+                # that fired a zero-time actor.
+                cascade = False
+                if rescan:
+                    worklist.extend(scan_order)
+                while worklist:
+                    i = worklist.pop()
+                    queued[i] = rescan
+                    if completion[i] >= 0:
+                        continue  # busy; re-checked when its event fires
+                    starved = False
+                    for c, r in in_checks[i]:
+                        if tokens[c] < r:
+                            starved = True
+                            break
+                    if starved:
+                        if token_blocked is not None:
+                            token_blocked.update(c for c, r in in_checks[i] if tokens[c] < r)
+                        continue
+                    full = False
                     for c, limit in out_checks[i]:
                         if tokens[c] > limit:
-                            enabled = False
+                            full = True
                             break
-                if not enabled:
-                    continue
-                fired += 1
-                if fired > max_firings:
-                    raise EngineError(
-                        f"more than {max_firings} firings in one time instant;"
-                        " a zero-execution-time cascade diverges (unbounded channel?)"
-                    )
-                duration = exec_times[i]
-                if duration == 0:
-                    for c, r, j in in_updates[i]:
-                        tokens[c] -= r
-                        if j >= 0 and not queued[j]:
-                            queued[j] = 1
-                            worklist.append(j)
-                    for c, r, j in out_updates[i]:
-                        tokens[c] += r
-                        if not queued[j]:
-                            queued[j] = 1
-                            worklist.append(j)
-                    if not queued[i]:
-                        queued[i] = 1
-                        worklist.append(i)
-                    if i == observe_idx:
-                        observed += 1
-                else:
-                    until = time + duration
-                    completion[i] = until
-                    heappush(calendar, until * n + i)
+                    if full:
+                        if deficits is not None:
+                            for c, limit in out_checks[i]:
+                                excess = tokens[c] - limit
+                                if excess > 0:
+                                    known = deficits.get(c)
+                                    if known is None or excess < known:
+                                        deficits[c] = excess
+                        continue
+                    fired += 1
+                    if fired > max_firings:
+                        raise EngineError(
+                            f"more than {max_firings} firings in one time instant;"
+                            " a zero-execution-time cascade diverges (unbounded channel?)"
+                        )
+                    duration = exec_times[i]
+                    if duration == 0:
+                        for c, r, j in in_updates[i]:
+                            tokens[c] -= r
+                            if j >= 0 and not queued[j]:
+                                queued[j] = 1
+                                worklist.append(j)
+                        for c, r, j in out_updates[i]:
+                            tokens[c] += r
+                            if not queued[j]:
+                                queued[j] = 1
+                                worklist.append(j)
+                        if not queued[i]:
+                            queued[i] = 1
+                            worklist.append(i)
+                        if i == observe_idx:
+                            observed += 1
+                        cascade = rescan
+                    else:
+                        until = time + duration
+                        completion[i] = until
+                        heappush(calendar, until * n + i)
 
             # -- record / stall bookkeeping ---------------------------
             if observed:
@@ -329,18 +477,19 @@ class FastKernel:
                 scratch[n + m] = distance
                 scratch[n + m + 1] = observed
                 key = array("q", scratch).tobytes()
-                record_keys.append(key)
                 distances.append(distance)
                 firing_counts.append(observed)
                 cycle_start = seen.get(key)
                 if cycle_start is not None:
-                    return self._periodic_result(
-                        record_keys,
+                    return _Trace(
+                        seen,
                         distances,
                         firing_counts,
                         cycle_start,
                         first_firing_time,
-                        len(seen),
+                        None,
+                        deficits,
+                        token_blocked,
                     )
                 seen[key] = len(seen)
             else:
@@ -356,12 +505,30 @@ class FastKernel:
                     if full_key in full_seen:
                         # The graph loops without ever firing the
                         # observed actor again: starvation.
-                        return self._zero_result(None, first_firing_time, len(seen))
+                        return _Trace(
+                            seen,
+                            distances,
+                            firing_counts,
+                            None,
+                            first_firing_time,
+                            None,
+                            deficits,
+                            token_blocked,
+                        )
                     full_seen.add(full_key)
 
             # -- advance to the next completion event -----------------
             if not calendar:
-                return self._zero_result(time, first_firing_time, len(seen))
+                return _Trace(
+                    seen,
+                    distances,
+                    firing_counts,
+                    None,
+                    first_firing_time,
+                    time,
+                    deficits,
+                    token_blocked,
+                )
             instants += 1
             if max_instants is not None and instants > max_instants:
                 raise EngineError(f"execution exceeded {max_instants} time instants")
@@ -380,50 +547,6 @@ class FastKernel:
         n, m = self._num_actors, self._num_channels
         state = SDFState(tuple(values[:n]), tuple(values[n : n + m]))
         return ReducedState(state, values[n + m], values[n + m + 1])
-
-    def _periodic_result(
-        self,
-        record_keys: list[bytes],
-        distances: list[int],
-        firing_counts: list[int],
-        cycle_start: int,
-        first_firing_time: int | None,
-        states_stored: int,
-    ) -> ExecutionResult:
-        duration = sum(distances[cycle_start + 1 :])
-        firings = sum(firing_counts[cycle_start + 1 :])
-        return ExecutionResult(
-            observe=self.observe,
-            throughput=Fraction(firings, duration),
-            deadlocked=False,
-            deadlock_time=None,
-            first_firing_time=first_firing_time,
-            cycle_duration=duration,
-            firings_in_cycle=firings,
-            transient_states=cycle_start + 1,
-            cycle_states=len(record_keys) - cycle_start - 1,
-            states_stored=states_stored,
-            reduced_states=tuple(self._unpack_record(key) for key in record_keys),
-        )
-
-    def _zero_result(
-        self,
-        deadlock_time: int | None,
-        first_firing_time: int | None,
-        states_stored: int,
-    ) -> ExecutionResult:
-        return ExecutionResult(
-            observe=self.observe,
-            throughput=Fraction(0),
-            deadlocked=True,
-            deadlock_time=deadlock_time,
-            first_firing_time=first_firing_time,
-            cycle_duration=0,
-            firings_in_cycle=0,
-            transient_states=states_stored,
-            cycle_states=0,
-            states_stored=states_stored,
-        )
 
 
 #: Weak per-graph kernel cache: {graph: (shape, {observe: kernel})}.
@@ -464,8 +587,12 @@ def fast_execute(
     *,
     max_instants: int | None = None,
     stall_threshold: int = _DEFAULT_STALL_THRESHOLD,
+    track_blocking: bool = False,
 ) -> ExecutionResult:
     """One fast-kernel execution (kernel compiled or reused per graph)."""
     return kernel_for(graph, observe).run(
-        capacities, max_instants=max_instants, stall_threshold=stall_threshold
+        capacities,
+        max_instants=max_instants,
+        stall_threshold=stall_threshold,
+        track_blocking=track_blocking,
     )

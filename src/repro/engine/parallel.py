@@ -13,7 +13,8 @@ ProcessPoolExecutor` around this pattern:
 * the (picklable) graph, observed actor and probe backend are shipped
   **once** per worker through the pool initializer — tasks then carry
   only the capacity vector, and every task is one call of the
-  backend's ``evaluate_batch``;
+  backend's ``evaluate_batch`` asking for blocking data, so a pooled
+  record can serve the blocking-aware callers too;
 * ``workers=1`` (the default everywhere) never creates a pool and runs
   every task inline through the same backend, byte-for-byte the serial
   path;
@@ -55,10 +56,10 @@ def _init_worker(graph: SDFGraph, observe: str | None, backend: ProbeBackend) ->
 
 
 def _run_task(capacity_items: tuple[tuple[str, int], ...]) -> EvalResult:
-    """Worker entry point: one backend probe of one distribution."""
+    """Worker entry point: one blocking-aware backend probe of one distribution."""
     assert _worker_backend is not None, "worker pool used before initialisation"
     return _worker_backend.evaluate_batch(
-        _worker_graph, [dict(capacity_items)], _worker_observe
+        _worker_graph, [dict(capacity_items)], _worker_observe, blocking=True
     )[0]
 
 
@@ -70,7 +71,8 @@ class ParallelProber:
     ----------
     graph / observe / backend:
         Fixed for the prober's lifetime; shipped to workers once.  Every
-        probe, pooled or inline, is a call of ``backend.evaluate_batch``.
+        probe, pooled or inline, is a call of
+        ``backend.evaluate_batch(..., blocking=True)``.
     workers:
         Pool size.  ``1`` (or less) never spawns processes.
     probe_timeout:
@@ -220,7 +222,7 @@ class ParallelProber:
                     f"{kind}; gave up after {restarts_this_batch} pool restart(s)"
                 )
         return self.backend.evaluate_batch(
-            self.graph, [dict(item) for item in items], self.observe
+            self.graph, [dict(item) for item in items], self.observe, blocking=True
         )
 
     # -- speculative probing -------------------------------------------------

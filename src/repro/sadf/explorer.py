@@ -198,12 +198,15 @@ def explore_design_space(
                 sadf.scenario_graph(name), distribution, sadf.scenario_repetitions(name)
             )
 
-        def worst_at(distribution: StorageDistribution) -> Fraction:
+        def worst_at(
+            distribution: StorageDistribution,
+            throughputs: Callable[[str], Fraction] | None = None,
+        ) -> Fraction:
             return worst_case_throughput(
                 sadf,
                 distribution,
                 observe,
-                throughputs=lambda name: services[name](distribution),
+                throughputs=throughputs or (lambda name: services[name](distribution)),
                 makespans=lambda name: makespan(name, distribution),
             ).worst_case
 
@@ -218,6 +221,16 @@ def explore_design_space(
             return worst
 
         def probe(distribution: StorageDistribution) -> Probe:
+            # One record per scenario prices the distribution.  A
+            # memoised or pruned one will do (every value counts as
+            # reached); a miss runs once, blocking-aware, so deficits()
+            # re-runs only scenarios whose record carries no blocking
+            # data.
+            records = {
+                name: services[name].evaluate_blocking(distribution, lambda _value: True)
+                for name in reachable
+            }
+
             def deficits() -> dict[str, int]:
                 # Growth directions: every channel whose lack of space
                 # blocked a firing in any reachable scenario, in the
@@ -225,7 +238,9 @@ def explore_design_space(
                 # iteration, by its minimal observed deficit.
                 merged: dict[str, int] = {}
                 for name in reachable:
-                    record = services[name].evaluate_blocking(distribution)
+                    record = records[name]
+                    if not record.has_blocking:
+                        record = services[name].evaluate_blocking(distribution)
                     barrier = makespan(name, distribution)
                     for blocked, known in (
                         (record.space_blocked or (), record.space_deficits or {}),
@@ -236,7 +251,8 @@ def explore_design_space(
                             merged[channel] = min(merged.get(channel, step), step)
                 return merged
 
-            return Probe(worst_at(distribution), deficits)
+            worst = worst_at(distribution, lambda name: records[name].throughput)
+            return Probe(worst, deficits)
 
         try:
             # Per-scenario throughput ceilings first: they power the

@@ -1,5 +1,8 @@
 """EvaluationService backend selection: the selected backend for plain
-queries, the blocking backend for blocking-aware ones, identical answers."""
+queries, the blocking backend for blocking-aware ones, identical answers.
+
+``batch-numpy`` stands for a compiled backend without the ``blocking``
+capability: its blocking-aware queries run on the reference backend."""
 
 from fractions import Fraction
 
@@ -31,19 +34,30 @@ def test_plain_queries_use_fast_kernel_by_default(fig1):
 
 
 def test_blocking_queries_always_run_on_reference(fig1):
-    service = EvaluationService(fig1, "c")
+    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="batch-numpy"))
     record = service.evaluate_blocking(StorageDistribution({"alpha": 4, "beta": 2}))
     assert record.has_blocking
     assert service.stats.fast_runs == 0
 
 
 def test_compiled_backend_sends_blocking_queries_to_reference(fig1):
-    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="fastcore"))
+    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="batch-numpy"))
     assert service(StorageDistribution({"alpha": 4, "beta": 2})) == Fraction(1, 7)
     assert service.stats.fast_runs == 1
     record = service.evaluate_blocking(StorageDistribution({"alpha": 5, "beta": 3}))
     assert record.has_blocking and record.throughput == Fraction(1, 6)
     assert service.stats.fast_runs == 1  # the blocking probe ran on the reference backend
+
+
+def test_fastcore_serves_blocking_queries_itself(fig1):
+    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="fastcore"))
+    reference = EvaluationService(fig1, "c", config=ExplorationConfig(backend="reference"))
+    d = StorageDistribution({"alpha": 4, "beta": 2})
+    record = service.evaluate_blocking(d)
+    assert record == reference.evaluate_blocking(d)
+    assert record.space_blocked  # the tight distribution blocks on space
+    assert service.stats.fast_runs == service.stats.evaluations == 1
+    assert reference.stats.fast_runs == 0
 
 
 class _CountingBlockingBackend(ReferenceBackend):
@@ -55,9 +69,9 @@ class _CountingBlockingBackend(ReferenceBackend):
     def __init__(self):
         self.lanes = 0
 
-    def evaluate_batch(self, graph, vectors, observe=None):
+    def evaluate_batch(self, graph, vectors, observe=None, *, blocking=False):
         self.lanes += len(vectors)
-        return super().evaluate_batch(graph, vectors, observe)
+        return super().evaluate_batch(graph, vectors, observe, blocking=blocking)
 
 
 @pytest.fixture()

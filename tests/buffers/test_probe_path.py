@@ -3,7 +3,9 @@
 The service runs a simulation only as a ``ProbeBackend.evaluate_batch``
 call: the lanes the registered backends evaluate add up to the run's
 ``evaluations``, and the reference executors — SDF and CSDF — run only
-inside the reference backend, blocking-aware probes included.
+inside the reference backend, blocking-aware probes included.  On a
+backend that collects blocking data itself (``fastcore``, ``cc``), an
+SDF exploration never enters the reference executor at all.
 """
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from repro.buffers.explorer import explore_design_space
 from repro.csdf.executor import CSDFExecutor
 from repro.csdf.graph import from_sdf
-from repro.engine import backends
+from repro.engine import backends, ccore
 from repro.engine.executor import Executor
 from repro.gallery import modem_modes
 from repro.gallery.registry import gallery_graph
@@ -33,11 +35,11 @@ def _counted(log, cls):
     original = cls.evaluate_batch
     reference = cls is backends.ReferenceBackend
 
-    def evaluate_batch(self, graph, vectors, observe=None):
+    def evaluate_batch(self, graph, vectors, observe=None, **options):
         log.lanes += len(vectors)
         log.inside_reference += reference
         try:
-            return original(self, graph, vectors, observe)
+            return original(self, graph, vectors, observe, **options)
         finally:
             log.inside_reference -= reference
 
@@ -84,3 +86,45 @@ def test_every_probe_enters_through_a_backend(probes, workload):
     assert result.stats.evaluations > 0
     assert probes.lanes == result.stats.evaluations
     assert probes.stray_executor_runs == 0
+
+
+#: Default-strategy workloads whose every probe is blocking-aware or
+#: pooled; ``config`` names the backend.
+BLOCKING_WORKLOADS = {
+    "dependency": lambda config: explore_design_space(gallery_graph("modem"), config=config),
+    "sadf-modem-modes": lambda config: explore_sadf(modem_modes(), config=config),
+    "dependency-workers-2": lambda config: explore_design_space(
+        gallery_graph("modem"), config=config.replaced(workers=2)
+    ),
+}
+
+
+CC_UNAVAILABLE = ccore.availability()
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "fastcore",
+        pytest.param(
+            "cc",
+            marks=pytest.mark.skipif(CC_UNAVAILABLE is not None, reason=str(CC_UNAVAILABLE)),
+        ),
+    ],
+)
+@pytest.mark.parametrize("workload", BLOCKING_WORKLOADS)
+def test_blocking_backends_never_enter_the_reference_executor(monkeypatch, backend, workload):
+    """Pool workers fork with the patch in place, so a pooled probe on
+    the reference executor fails the run just as an inline one does."""
+
+    def refuse(self):
+        raise AssertionError("the reference executor ran")
+
+    monkeypatch.setattr(Executor, "run", refuse)
+    result = BLOCKING_WORKLOADS[workload](ExplorationConfig(backend=backend))
+    assert result.complete
+    assert result.stats.evaluations > 0
+    assert result.stats.backend == backend
+    if result.stats.workers > 1:
+        assert result.stats.parallel_batches > 0
+        assert result.stats.pool_fallback_reason is None

@@ -8,6 +8,12 @@ strict: for every capacity vector a backend must return the *same*
 executor, and explorations driven through it must produce bit-identical
 Pareto fronts, witnesses and (normalised) stats.
 
+A backend declaring the ``"blocking"`` capability is asked with
+``blocking=True`` and must also return the reference's
+``space_blocked`` and ``space_deficits`` — on every graph family,
+zero-time cascades included, where the order in which an instant's
+checks see intermediate token counts decides what they record.
+
 Everything here is parametrised over :func:`backend_names`, so a new
 backend inherits the whole suite by calling
 :func:`~repro.engine.backends.register_backend` — no test edits needed.
@@ -124,13 +130,13 @@ def reference_results():
     return resolve
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-@pytest.mark.parametrize("case", GALLERY_CASES)
-def test_eval_results_match_reference(backend_name, case, reference_results):
-    """Every backend returns the reference EvalResults, lane for lane."""
-    graph, vectors, expected = reference_results(case)
+def assert_conforms(backend_name, graph, vectors, expected, observe=None):
+    """*backend_name*'s results for *vectors* equal the reference's
+    *expected*; a blocking-capable backend is asked for blocking data
+    and must match it too."""
     backend = backend_for(backend_name)
-    results = backend.evaluate_batch(graph, vectors, None)
+    blocking = "blocking" in backend.capabilities
+    results = backend.evaluate_batch(graph, vectors, observe, blocking=blocking)
     assert len(results) == len(expected)
     for got, want in zip(results, expected):
         assert isinstance(got, EvalResult)
@@ -138,10 +144,29 @@ def test_eval_results_match_reference(backend_name, case, reference_results):
         assert got.throughput == want.throughput
         assert got.states_stored == want.states_stored
         assert got.deadlocked == want.deadlocked
-        # Blocking data is optional per backend, but never wrong.
-        if got.space_blocked is not None:
+        if blocking:
             assert got.space_blocked == want.space_blocked
             assert got.space_deficits == want.space_deficits
+        else:
+            assert got.space_blocked is None and got.space_deficits is None
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("case", GALLERY_CASES)
+def test_eval_results_match_reference(backend_name, case, reference_results):
+    """Every backend returns the reference EvalResults, lane for lane."""
+    graph, vectors, expected = reference_results(case)
+    assert_conforms(backend_name, graph, vectors, expected)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_plain_probes_collect_no_blocking_data(backend_name):
+    """Only the reference collects blocking data unasked."""
+    if backend_name == "reference":
+        pytest.skip("the reference backend always collects blocking data")
+    graph = fig1_example()
+    for result in backend_for(backend_name).evaluate_batch(graph, probe_vectors(graph), None):
+        assert result.space_blocked is None and result.space_deficits is None
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -151,10 +176,7 @@ def test_explicit_observe_matches_reference(backend_name):
     vectors = probe_vectors(graph, count=5)
     observe = graph.actor_names[0]
     expected = backend_for("reference").evaluate_batch(graph, vectors, observe)
-    results = backend_for(backend_name).evaluate_batch(graph, vectors, observe)
-    assert [(r.throughput, r.states_stored, r.deadlocked) for r in results] == [
-        (r.throughput, r.states_stored, r.deadlocked) for r in expected
-    ]
+    assert_conforms(backend_name, graph, vectors, expected, observe)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -184,10 +206,7 @@ def test_unbounded_channels(backend_name):
         {},  # everything unbounded
     ]
     expected = backend_for("reference").evaluate_batch(graph, waves, None)
-    results = backend_for(backend_name).evaluate_batch(graph, waves, None)
-    assert [(r.throughput, r.states_stored, r.deadlocked) for r in results] == [
-        (r.throughput, r.states_stored, r.deadlocked) for r in expected
-    ]
+    assert_conforms(backend_name, graph, waves, expected)
 
 
 def normalised(stats):
@@ -268,10 +287,26 @@ def test_random_graphs_match_reference(backend_name, seed):
     )
     vectors = probe_vectors(graph, count=6)
     expected = backend_for("reference").evaluate_batch(graph, vectors, None)
-    results = backend_for(backend_name).evaluate_batch(graph, vectors, None)
-    assert [(r.throughput, r.states_stored, r.deadlocked) for r in results] == [
-        (r.throughput, r.states_stored, r.deadlocked) for r in expected
-    ]
+    assert_conforms(backend_name, graph, vectors, expected)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_zero_time_cascades_match_reference(backend_name):
+    """Random graphs with zeroed execution times: zero-time firings move
+    tokens in the middle of an instant, so a check's blocking record
+    depends on when in the cascade it runs."""
+    for seed in range(24):
+        rng = random.Random(seed)
+        graph = random_consistent_graph(rng)
+        graph = graph.with_execution_times(
+            {
+                name: 0 if rng.random() < 0.4 else graph.actors[name].execution_time
+                for name in graph.actor_names
+            }
+        )
+        vectors = probe_vectors(graph, count=6)
+        expected = backend_for("reference").evaluate_batch(graph, vectors, None)
+        assert_conforms(backend_name, graph, vectors, expected)
 
 
 # -- CSDF cases ---------------------------------------------------------

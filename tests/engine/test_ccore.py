@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import ccore
 from repro.engine.backends import backend_for, resolve_backend
-from repro.exceptions import ConfigError
+from repro.exceptions import ConfigError, EngineError
 from repro.gallery import fig1_example, modem
 
 HAVE_CC = ccore.compiler_probe()[0] is not None
@@ -149,6 +149,60 @@ def test_foreign_binary_entry_recovers(isolated_cache):
     counters = ccore.telemetry.counters
     assert counters["cc_cache_corrupt"] == 1
     assert counters["cc_compiles"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Kernel limits: typed errors, never a wrapped number
+# ---------------------------------------------------------------------------
+
+
+def _self_loop(execution_time):
+    """One actor re-firing itself: completion times grow by
+    *execution_time* per firing."""
+    from repro.graph.builder import GraphBuilder
+
+    return (
+        GraphBuilder("huge-times")
+        .actors({"a": execution_time})
+        .channel("a", "a", 1, 1, initial_tokens=1, name="loop")
+        .build()
+    )
+
+
+@needs_cc
+def test_completion_time_overflow_raises_typed_error():
+    """Execution times near 2**62: the second start's completion time
+    no longer fits an int64, and the kernel says so."""
+    with pytest.raises(EngineError, match="completion time exceeds"):
+        probe(_self_loop(2**62), {"loop": 2})
+    # Half that still fits, and the kernel agrees with the reference.
+    graph = _self_loop(2**61)
+    assert probe(graph, {"loop": 2}) == backend_for("reference").evaluate_batch(
+        graph, [{"loop": 2}], None
+    )[0]._replace(space_blocked=None, space_deficits=None)
+
+
+@needs_cc
+def test_state_set_limit_raises_typed_error(isolated_cache):
+    """The visited set refuses records past its int32 index.  The limit
+    is 2**29 records; a kernel built with a limit of 4 shows the path
+    on a distribution whose periodic phase needs 17 records."""
+    from repro.buffers.bounds import lower_bound_distribution
+    from repro.codegen.cgen import generate_kernel_c
+
+    graph = modem()
+    limit = "#define MAX_RECORDS (1 << 29)"
+    source = generate_kernel_c(graph, graph.actor_names[-1])
+    assert limit in source
+    cache = ccore.KernelCache(isolated_cache, ccore.cache_limit_bytes())
+    path = cache.store(
+        "limit4", source.replace(limit, "#define MAX_RECORDS 4"), ccore.compiler_probe()[0]
+    )
+    kernel = ccore.CompiledKernel(graph, graph.actor_names[-1], ccore._bind(path, graph), path)
+    lower = lower_bound_distribution(graph)
+    row = [lower[name] for name in graph.channel_names]
+    with pytest.raises(EngineError, match="int32 record index"):
+        kernel.run_lanes([row], stall_threshold=50_000, max_firings=1_000_000)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,18 @@ def test_gallery_bitwise_equivalent_across_capacity_sweep(name):
     for caps in _capacity_sweep(graph):
         reference = Executor(graph, caps).run()
         assert kernel.run(caps) == reference
+        tracked = Executor(graph, caps, track_blocking=True).run()
+        assert kernel.run(caps, track_blocking=True) == tracked
+        assert kernel.probe(caps) == (
+            reference.throughput, reference.states_stored, reference.deadlocked, None
+        )
+        assert kernel.probe(caps, blocking=True) == (
+            tracked.throughput,
+            tracked.states_stored,
+            tracked.deadlocked,
+            dict(tracked.space_deficits),
+        )
+        assert set(tracked.space_deficits) == tracked.space_blocked
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
@@ -86,13 +98,16 @@ def test_resolve_engine_auto_picks_fast_when_uninstrumented():
     # Falsy instrumentation flags do not force the reference engine.
     assert resolve_engine("auto", {"record_schedule": False, "processors": None}) == "fast"
     assert resolve_engine("auto", {"mode": "event"}) == "fast"
+    # The kernel records blocking data itself.
+    assert resolve_engine("auto", {"track_blocking": True}) == "fast"
+    assert resolve_engine("fast", {"track_blocking": True}) == "fast"
 
 
 @pytest.mark.parametrize(
     "options",
     [
         {"record_schedule": True},
-        {"track_blocking": True},
+        {"track_blocking": True, "record_schedule": True},
         {"track_occupancy": True},
         {"processors": {"a": "p0"}},
         {"mode": "tick"},
@@ -113,15 +128,32 @@ def test_resolve_engine_rejects_unknown_name():
 
 def test_unsupported_options_lists_blockers_sorted():
     blockers = unsupported_options(
-        {"track_blocking": True, "record_schedule": True, "max_instants": 7}
+        {
+            "track_occupancy": True,
+            "track_blocking": True,
+            "record_schedule": True,
+            "max_instants": 7,
+        }
     )
-    assert blockers == ["record_schedule", "track_blocking"]
+    assert blockers == ["record_schedule", "track_occupancy"]
     assert unsupported_options({"mode": "tick"}) == ["mode='tick'"]
 
 
 def test_execute_auto_keeps_instrumentation(fig1):
     result = execute(fig1, {"alpha": 4, "beta": 2}, "c", record_schedule=True)
     assert result.schedule is not None  # reference fallback produced it
+
+
+def test_execute_tracks_blocking_on_the_fast_kernel(fig1, monkeypatch):
+    caps = {"alpha": 4, "beta": 2}
+    expected = execute(fig1, caps, "c", engine="reference", track_blocking=True)
+    assert expected.space_blocked  # the tight distribution blocks on space
+
+    def refuse(self):
+        raise AssertionError("the reference executor ran")
+
+    monkeypatch.setattr(Executor, "run", refuse)
+    assert execute(fig1, caps, "c", track_blocking=True) == expected
 
 
 def test_execute_fast_with_instrumentation_raises(fig1):

@@ -4,7 +4,8 @@ Random consistent graphs are executed through both engines and the full
 :class:`ExecutionResult` dataclasses compared — with slack above the
 lower-bound distribution, with deadlock-prone tightened capacities, and
 with randomly zeroed execution times (where both engines must also
-agree on raising the per-instant firing guard).
+agree on raising the per-instant firing guard).  Each comparison runs
+plain and with ``track_blocking``, so the blocking data agree too.
 """
 
 import random
@@ -40,18 +41,24 @@ def graph_and_caps(seed, slack_seed, tight=False):
     return graph, caps
 
 
+def assert_both_modes_match(graph, caps):
+    kernel = FastKernel(graph)
+    for track in (False, True):
+        assert kernel.run(caps, track_blocking=track) == Executor(
+            graph, caps, track_blocking=track
+        ).run()
+
+
 @given(seeds, seeds)
 @settings(max_examples=60, deadline=None)
 def test_fast_matches_reference_with_slack(seed, slack_seed):
-    graph, caps = graph_and_caps(seed, slack_seed)
-    assert FastKernel(graph).run(caps) == Executor(graph, caps).run()
+    assert_both_modes_match(*graph_and_caps(seed, slack_seed))
 
 
 @given(seeds, seeds)
 @settings(max_examples=40, deadline=None)
 def test_fast_matches_reference_on_tight_capacities(seed, slack_seed):
-    graph, caps = graph_and_caps(seed, slack_seed, tight=True)
-    assert FastKernel(graph).run(caps) == Executor(graph, caps).run()
+    assert_both_modes_match(*graph_and_caps(seed, slack_seed, tight=True))
 
 
 @given(seeds, seeds)
@@ -82,10 +89,13 @@ def test_fast_matches_reference_with_zero_execution_times(seed, slack_seed):
         except EngineError as error:
             return str(error)
 
-    with mock.patch.object(executor_module, "_MAX_FIRINGS_PER_INSTANT", 10_000):
-        reference = outcome(lambda: Executor(graph, caps).run())
-        fast = outcome(lambda: FastKernel(graph).run(caps))
-    assert fast == reference
+    # With tracking, a zero-time firing changes what later checks of
+    # the same instant see, so the scan order matters to the records.
+    for track in (False, True):
+        with mock.patch.object(executor_module, "_MAX_FIRINGS_PER_INSTANT", 10_000):
+            reference = outcome(lambda: Executor(graph, caps, track_blocking=track).run())
+            fast = outcome(lambda: FastKernel(graph).run(caps, track_blocking=track))
+        assert fast == reference
 
 
 @given(seeds, seeds)

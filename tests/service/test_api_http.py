@@ -273,7 +273,7 @@ class TestObservability:
         by_name = {row["name"]: row for row in rows}
         assert by_name["reference"]["available"] is True
         assert by_name["reference"]["reason"] is None
-        assert by_name["cc"]["capabilities"] == ["compiled", "exact", "lanes"]
+        assert by_name["cc"]["capabilities"] == ["blocking", "compiled", "exact", "lanes"]
         # cc's availability is host-dependent, but the row is coherent:
         # available XOR a human-readable reason.
         cc = by_name["cc"]
