@@ -10,25 +10,37 @@ and the maximal throughput of a node is ``1 / MCR(restricted to cycles
 that can reach the node)`` — the classical result used by the paper
 ([GG93]) as the upper bound of its throughput binary search.
 
-The implementation is an exact Lawler-style parametric search with
-rational arithmetic: the predicate "does a cycle with
-``sum(w - lam * delay) > 0`` exist" is decided by Bellman-Ford positive
-cycle detection; binary search over ``lam`` narrows the ratio to an
-interval containing a unique fraction with bounded denominator, which
-is then recovered exactly and verified.
+The engine, :func:`cycle_ratio`, works on plain integer edge lists
+``(src, dst, weight, transit)`` over node indices; an HSDF graph is one
+client (weight: execution time of the producing copy, transit: delay).
+Each strongly connected component (iterative Tarjan) gets an exact
+Lawler search: a binary search over candidates ``lam = p/q`` narrows
+the ratio to an interval holding a unique fraction with denominator at
+most the component's transit sum, which is then recovered and
+verified.  The predicate "does a cycle with ``sum(w - lam * d) > 0``
+exist" is decided by Bellman-Ford on the integer costs ``w*q - p*d``:
+for ``q > 0`` a cycle's cost sum is ``q`` times its ``sum(w - lam*d)``,
+so the sign, and with it every verdict of the search, is that of the
+rational predicate, and no :class:`~fractions.Fraction` enters the
+relaxation loop.  Cycles among delay-free or tight edges are found by
+Kahn's algorithm.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-
-import networkx as nx
 
 from repro.analysis.hsdf import HSDFGraph
 from repro.exceptions import AnalysisError
 
 Node = tuple[str, int]
+
+#: An edge of the integer engine: ``(src, dst, weight, transit)`` over
+#: node indices ``0 .. n-1``.  A cycle's ratio is the sum of its weights
+#: over the sum of its transits.
+Edge = tuple[int, int, int, int]
 
 #: Result of the parametric feasibility test.
 _ABOVE, _EQUAL, _BELOW = 1, 0, -1
@@ -63,29 +75,24 @@ def maximum_cycle_ratio(hsdf: HSDFGraph, reaching: Node | None = None) -> CycleR
         deadlocks: a firing transitively depends on itself within one
         iteration), or if no cycle constrains the requested node.
     """
-    digraph = _to_digraph(hsdf)
-    if reaching is not None and reaching not in digraph:
+    nodes = list(hsdf.nodes)
+    index = {node: position for position, node in enumerate(nodes)}
+    if reaching is not None and reaching not in index:
         raise AnalysisError(f"node {reaching!r} is not in the HSDF graph")
-
-    best: Fraction | None = None
-    best_scc: frozenset[Node] = frozenset()
-    for scc in nx.strongly_connected_components(digraph):
-        subgraph = digraph.subgraph(scc)
-        if subgraph.number_of_edges() == 0:
-            continue
-        if reaching is not None and not _scc_reaches(digraph, scc, reaching):
-            continue
-        ratio = _scc_cycle_ratio(subgraph)
-        if best is None or ratio > best:
-            best = ratio
-            best_scc = frozenset(scc)
-
-    if best is None:
+    # Edge weight: execution time of the *producing* node, so a cycle's
+    # weight sum is the sum of execution times along it.
+    edges = [
+        (index[src], index[dst], hsdf.nodes[src], delay)
+        for (src, dst), delay in hsdf.edges.items()
+    ]
+    found = cycle_ratio(len(nodes), edges, None if reaching is None else index[reaching])
+    if found is None:
         raise AnalysisError(
             "no cycle constrains the computation"
             + (f" of node {reaching!r}" if reaching is not None else "")
         )
-    return CycleRatioResult(best, best_scc)
+    ratio, component = found
+    return CycleRatioResult(ratio, frozenset(nodes[position] for position in component))
 
 
 def max_throughput_from_mcr(hsdf: HSDFGraph, node: Node) -> Fraction:
@@ -99,55 +106,122 @@ def max_throughput_from_mcr(hsdf: HSDFGraph, node: Node) -> Fraction:
     return 1 / result.ratio
 
 
-def _to_digraph(hsdf: HSDFGraph) -> "nx.DiGraph":
-    digraph = nx.DiGraph()
-    for node in hsdf.nodes:
-        digraph.add_node(node)
-    for (src, dst), delay in hsdf.edges.items():
-        # Edge weight: execution time of the *producing* node, so a
-        # cycle's weight sum is the sum of execution times along it.
-        digraph.add_edge(src, dst, weight=hsdf.nodes[src], delay=delay)
-    return digraph
+def cycle_ratio(
+    num_nodes: int, edges: Sequence[Edge], reaching: int | None = None
+) -> tuple[Fraction, list[int]] | None:
+    """Maximum cycle ratio of a digraph on nodes ``0 .. num_nodes-1``.
+
+    Returns the ratio and the nodes of the first strongly connected
+    component attaining it, in Tarjan's completion order (downstream
+    components first), or ``None`` when no cycle is considered.
+    With *reaching* given, only cycles from which that node is
+    reachable are considered.  Weights and transits are non-negative
+    integers; a considered component with a zero-transit cycle raises
+    :class:`~repro.exceptions.AnalysisError`.
+    """
+    successors: list[list[int]] = [[] for _ in range(num_nodes)]
+    for src, dst, _weight, _transit in edges:
+        successors[src].append(dst)
+    component_of = _strongly_connected_components(successors)
+    inner: dict[int, list[Edge]] = {}
+    for edge in edges:
+        component = component_of[edge[0]]
+        if component == component_of[edge[1]]:
+            inner.setdefault(component, []).append(edge)
+    reaches = None if reaching is None else _ancestors(num_nodes, edges, reaching)
+
+    best: tuple[Fraction, list[int]] | None = None
+    for component in sorted(inner):
+        component_edges = inner[component]
+        if reaches is not None and not reaches[component_edges[0][0]]:
+            continue
+        members = sorted({edge[0] for edge in component_edges})
+        local = {node: position for position, node in enumerate(members)}
+        ratio = _component_ratio(
+            len(members),
+            [(local[src], local[dst], w, t) for src, dst, w, t in component_edges],
+        )
+        if best is None or ratio > best[0]:
+            best = (ratio, members)
+    return best
 
 
-def _scc_reaches(digraph: "nx.DiGraph", scc: set[Node], target: Node) -> bool:
-    if target in scc:
-        return True
-    seen: set[Node] = set(scc)
-    stack: list[Node] = list(scc)
+def _strongly_connected_components(successors: list[list[int]]) -> list[int]:
+    """Component number of every node (Tarjan's algorithm, iterative)."""
+    order = [-1] * len(successors)  # discovery index
+    low = [0] * len(successors)
+    component_of = [-1] * len(successors)
+    stack: list[int] = []
+    discovered = components = 0
+    for root in range(len(successors)):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = discovered
+        discovered += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            node, next_edge = work[-1]
+            if next_edge < len(successors[node]):
+                work[-1] = (node, next_edge + 1)
+                successor = successors[node][next_edge]
+                if order[successor] < 0:
+                    order[successor] = low[successor] = discovered
+                    discovered += 1
+                    stack.append(successor)
+                    work.append((successor, 0))
+                elif component_of[successor] < 0:  # still on the stack
+                    low[node] = min(low[node], order[successor])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == order[node]:
+                while True:
+                    member = stack.pop()
+                    component_of[member] = components
+                    if member == node:
+                        break
+                components += 1
+    return component_of
+
+
+def _ancestors(num_nodes: int, edges: Sequence[Edge], target: int) -> list[bool]:
+    """Which nodes reach *target* (the target included)."""
+    predecessors: list[list[int]] = [[] for _ in range(num_nodes)]
+    for src, dst, _weight, _transit in edges:
+        predecessors[dst].append(src)
+    reaches = [False] * num_nodes
+    reaches[target] = True
+    stack = [target]
     while stack:
-        for successor in digraph.successors(stack.pop()):
-            if successor == target:
-                return True
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return False
+        for predecessor in predecessors[stack.pop()]:
+            if not reaches[predecessor]:
+                reaches[predecessor] = True
+                stack.append(predecessor)
+    return reaches
 
 
-def _scc_cycle_ratio(subgraph: "nx.DiGraph") -> Fraction:
+def _component_ratio(num_nodes: int, edges: list[Edge]) -> Fraction:
     """Exact MCR of one strongly connected component."""
-    edges = [
-        (src, dst, data["weight"], data["delay"])
-        for src, dst, data in subgraph.edges(data=True)
-    ]
-    if _has_zero_delay_cycle(subgraph):
+    if _has_cycle(num_nodes, [(src, dst) for src, dst, _weight, transit in edges if transit == 0]):
         raise AnalysisError(
             "HSDF graph has a delay-free dependency cycle; the graph deadlocks"
         )
 
-    total_weight = sum(weight for _src, _dst, weight, _delay in edges)
-    total_delay = sum(delay for _src, _dst, _weight, delay in edges)
-    max_denominator = max(total_delay, 1)
+    total_weight = sum(weight for _src, _dst, weight, _transit in edges)
+    total_transit = sum(transit for _src, _dst, _weight, transit in edges)
+    max_denominator = max(total_transit, 1)
 
     low = Fraction(0)
     high = Fraction(total_weight)
-    if _positive_cycle_test(subgraph, edges, high) is _EQUAL:
+    if _positive_cycle_test(num_nodes, edges, high) == _EQUAL:
         return high
-    verdict_low = _positive_cycle_test(subgraph, edges, low)
-    if verdict_low is _EQUAL:
+    verdict_low = _positive_cycle_test(num_nodes, edges, low)
+    if verdict_low == _EQUAL:
         return low
-    if verdict_low is _BELOW:
+    if verdict_low == _BELOW:
         raise AnalysisError("internal error: cycle ratio below zero")
 
     # Invariant: MCR in (low, high).
@@ -157,41 +231,28 @@ def _scc_cycle_ratio(subgraph: "nx.DiGraph") -> Fraction:
             candidate = ((low + high) / 2).limit_denominator(max_denominator)
         else:
             candidate = (low + high) / 2
-        verdict = _positive_cycle_test(subgraph, edges, candidate)
-        if verdict is _EQUAL:
+        verdict = _positive_cycle_test(num_nodes, edges, candidate)
+        if verdict == _EQUAL:
             return candidate
-        if verdict is _ABOVE:
+        if verdict == _ABOVE:
             low = candidate
         else:
             high = candidate
     raise AnalysisError("maximum cycle ratio search failed to converge")
 
 
-def _has_zero_delay_cycle(subgraph: "nx.DiGraph") -> bool:
-    zero = nx.DiGraph()
-    zero.add_nodes_from(subgraph.nodes)
-    zero.add_edges_from(
-        (src, dst) for src, dst, data in subgraph.edges(data=True) if data["delay"] == 0
-    )
-    return not nx.is_directed_acyclic_graph(zero)
+def _positive_cycle_test(num_nodes: int, edges: list[Edge], lam: Fraction) -> int:
+    """Compare the MCR with *lam* = p/q.
 
-
-def _positive_cycle_test(
-    subgraph: "nx.DiGraph",
-    edges: list[tuple[Node, Node, int, int]],
-    lam: Fraction,
-) -> int:
-    """Compare the MCR with *lam*.
-
-    Uses Bellman-Ford longest-path relaxation on edge costs
-    ``weight - lam * delay``: a relaxable edge after ``V`` rounds means
-    a positive-cost cycle (MCR > lam); otherwise a zero-cost cycle is
-    detected by checking for a cycle among tight edges (MCR == lam);
-    otherwise MCR < lam.
+    Uses Bellman-Ford longest-path relaxation on the integer edge costs
+    ``weight*q - p*transit`` (``q`` times ``weight - lam*transit``): a
+    relaxable edge after ``V`` rounds means a positive-cost cycle
+    (MCR > lam); otherwise a zero-cost cycle is detected by checking
+    for a cycle among tight edges (MCR == lam); otherwise MCR < lam.
     """
-    distance: dict[Node, Fraction] = {node: Fraction(0) for node in subgraph.nodes}
-    num_nodes = subgraph.number_of_nodes()
-    costs = [(src, dst, Fraction(weight) - lam * delay) for src, dst, weight, delay in edges]
+    p, q = lam.numerator, lam.denominator
+    costs = [(src, dst, weight * q - p * transit) for src, dst, weight, transit in edges]
+    distance = [0] * num_nodes
 
     for _ in range(num_nodes):
         changed = False
@@ -204,16 +265,27 @@ def _positive_cycle_test(
             break
     else:
         # Still relaxing after V rounds: positive cycle.
-        for src, dst, cost in costs:
-            if distance[src] + cost > distance[dst]:
-                return _ABOVE
+        if any(distance[src] + cost > distance[dst] for src, dst, cost in costs):
+            return _ABOVE
 
     # No positive cycle; look for a zero-cost ("tight") cycle.
-    tight = nx.DiGraph()
-    tight.add_nodes_from(subgraph.nodes)
-    tight.add_edges_from(
-        (src, dst) for src, dst, cost in costs if distance[src] + cost == distance[dst]
-    )
-    if not nx.is_directed_acyclic_graph(tight):
-        return _EQUAL
-    return _BELOW
+    tight = [(src, dst) for src, dst, cost in costs if distance[src] + cost == distance[dst]]
+    return _EQUAL if _has_cycle(num_nodes, tight) else _BELOW
+
+
+def _has_cycle(num_nodes: int, arcs: list[tuple[int, int]]) -> bool:
+    """Whether the arcs on nodes ``0 .. num_nodes-1`` close a cycle (Kahn)."""
+    successors: list[list[int]] = [[] for _ in range(num_nodes)]
+    indegree = [0] * num_nodes
+    for src, dst in arcs:
+        successors[src].append(dst)
+        indegree[dst] += 1
+    ready = [node for node in range(num_nodes) if indegree[node] == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for successor in successors[ready.pop()]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                ready.append(successor)
+    return removed < num_nodes

@@ -25,6 +25,7 @@ from repro.analysis.consistency import assert_consistent
 from repro.engine.executor import ExecutionResult, Executor, execute
 from repro.exceptions import AnalysisError
 from repro.graph.graph import SDFGraph
+from repro.graph.properties import weakly_connected_components
 
 
 def analyze(
@@ -76,14 +77,12 @@ def all_actor_throughputs(
     deadlocked component reports zero everywhere (a deadlock starves
     every actor of a connected consistent graph eventually).
     """
-    import networkx as nx
-
     from repro.analysis.repetitions import repetition_vector
 
     q = assert_consistent(graph)
     del q  # consistency guard; per-component vectors computed below
     throughputs: dict[str, Fraction] = {}
-    for component in nx.weakly_connected_components(graph.to_networkx()):
+    for component in weakly_connected_components(graph):
         members = [name for name in graph.actor_names if name in component]
         observe = members[-1]
         result = Executor(graph, capacities, observe, **kwargs).run()
@@ -147,18 +146,12 @@ def _max_throughput_mcm(graph: SDFGraph, observe: str) -> Fraction:
     # not only by cycles that reach the observed actor (that weaker
     # restriction describes the unbounded-buffer limit, where an
     # upstream part may outrun its consumers forever).
-    import networkx as nx
-
     from repro.analysis.hsdf import HSDFGraph, to_hsdf
     from repro.analysis.mcm import maximum_cycle_ratio
     from repro.analysis.repetitions import repetition_vector
 
     q = repetition_vector(graph)
-    component = next(
-        comp
-        for comp in nx.weakly_connected_components(graph.to_networkx())
-        if observe in comp
-    )
+    component = next(comp for comp in weakly_connected_components(graph) if observe in comp)
     hsdf = to_hsdf(graph)
     restricted = HSDFGraph(hsdf.name)
     restricted.nodes = {node: time for node, time in hsdf.nodes.items() if node[0] in component}
