@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil
 
-from repro.analysis.repetitions import repetition_vector
+from repro.analysis.consistency import assert_consistent
 from repro.exceptions import AnalysisError
 from repro.graph.graph import SDFGraph
 
@@ -97,7 +97,7 @@ def to_hsdf(
         Safety bound on the expansion size; exceeded limits raise
         :class:`~repro.exceptions.AnalysisError`.
     """
-    q = repetition_vector(graph)
+    q = assert_consistent(graph)  # memoised per graph
     total_copies = sum(q.values())
     if total_copies > node_limit:
         raise AnalysisError(

@@ -119,26 +119,24 @@ def max_throughput(
         state-space method routes its executions through, so they are
         memoised and counted alongside an exploration's other probes.
     """
-    assert_consistent(graph)
+    q = assert_consistent(graph)  # memoised per graph
     if observe is None:
         observe = graph.actor_names[-1]
     if method == "auto":
-        from repro.analysis.repetitions import repetition_vector
-
-        if sum(repetition_vector(graph).values()) <= _AUTO_MCM_NODE_LIMIT:
+        if sum(q.values()) <= _AUTO_MCM_NODE_LIMIT:
             try:
-                return _max_throughput_mcm(graph, observe)
+                return _max_throughput_mcm(graph, observe, q)
             except AnalysisError:
                 pass
         return _max_throughput_statespace(graph, observe, max(confirmations, 2), evaluator)
     if method == "mcm":
-        return _max_throughput_mcm(graph, observe)
+        return _max_throughput_mcm(graph, observe, q)
     if method == "statespace":
         return _max_throughput_statespace(graph, observe, confirmations, evaluator)
     raise AnalysisError(f"unknown max-throughput method {method!r}")
 
 
-def _max_throughput_mcm(graph: SDFGraph, observe: str) -> Fraction:
+def _max_throughput_mcm(graph: SDFGraph, observe: str, q: Mapping[str, int]) -> Fraction:
     # With *finite* storage every channel exerts backpressure, so in
     # steady state all actors of a weakly connected component fire at
     # rates proportional to the repetition vector and the iteration
@@ -148,9 +146,7 @@ def _max_throughput_mcm(graph: SDFGraph, observe: str) -> Fraction:
     # upstream part may outrun its consumers forever).
     from repro.analysis.hsdf import HSDFGraph, to_hsdf
     from repro.analysis.mcm import maximum_cycle_ratio
-    from repro.analysis.repetitions import repetition_vector
 
-    q = repetition_vector(graph)
     component = next(comp for comp in weakly_connected_components(graph) if observe in comp)
     hsdf = to_hsdf(graph)
     restricted = HSDFGraph(hsdf.name)

@@ -165,20 +165,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        default="fastcore",
+        default="auto",
         metavar="NAME",
         help="probe backend from the repro.engine.backends registry"
-        " ('reference', 'fastcore', 'batch-numpy', 'cc', or 'auto' for the"
-        " best available on this host: cc with a C compiler, else"
-        " batch-numpy with --batch > 0 and fastcore without); blocking-aware"
+        " ('reference', 'fastcore', 'batch-numpy', 'cc', 'tiered', or 'auto'"
+        " for the best available on this host: tiered with a C compiler, which"
+        " probes a graph on fastcore until its C kernel pays for its compile"
+        " and then on cc, else batch-numpy with --batch > 0 and fastcore"
+        " without); explicit cc compiles on its first probe; blocking-aware"
         " probes run on the reference executor only with batch-numpy, which"
         " records no blocking data; unknown names and host-unavailable"
-        " backends fail up front (default: fastcore)",
+        " backends fail up front (default: auto)",
     )
     parser.add_argument(
         "--codegen-cache-dir",
         metavar="DIR",
-        help="directory for compiled 'cc' probe kernels (default:"
+        help="directory for compiled C probe kernels of 'cc' and 'tiered' (default:"
         " $REPRO_CACHE_DIR/cc-kernels, else the XDG user cache)",
     )
     parser.add_argument(

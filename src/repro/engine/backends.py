@@ -28,10 +28,10 @@ is the protocol all of them implement:
     * ``"blocking"`` — asked with ``blocking=True``, the backend's
       :class:`EvalResult`\\ s carry per-channel space-blocking
       information identical to the reference executor's
-      (``reference``, ``fastcore`` and ``cc``).  The evaluation service
-      runs its blocking-aware, pooled and speculative probes on the
-      selected backend when it has this capability, and on
-      ``"reference"`` otherwise.
+      (``reference``, ``fastcore``, ``cc`` and ``tiered``).  The
+      evaluation service runs its blocking-aware, pooled and
+      speculative probes on the selected backend when it has this
+      capability, and on ``"reference"`` otherwise.
     * ``"compiled"`` — probes run on a per-graph compiled kernel
       (counted as ``fast_runs``).
     * ``"lanes"`` — the backend evaluates a batch as parallel lanes
@@ -81,6 +81,8 @@ can never disable another.
 
 from __future__ import annotations
 
+import threading
+import time
 import weakref
 from fractions import Fraction
 from typing import NamedTuple, Protocol, runtime_checkable
@@ -94,7 +96,7 @@ from repro.engine.executor import (
     validate_capacities,
 )
 from repro.engine.fastcore import kernel_for
-from repro.exceptions import ConfigError, EngineError, GraphError
+from repro.exceptions import ConfigError, EngineError, GraphError, KernelLimitError
 from repro.graph.graph import SDFGraph
 
 #: Stand-in capacity for unbounded channels in the integer arrays:
@@ -236,12 +238,13 @@ def backend_descriptions() -> list[dict]:
     return rows
 
 
-#: Preference order of ``backend="auto"``: the compiled C kernel where
-#: a compiler exists, the numpy lane kernel otherwise (only when probe
+#: Preference order of ``backend="auto"``: ``tiered`` (``fastcore``
+#: until a graph's C kernel pays for its compile, then ``cc``) where a
+#: compiler exists, the numpy lane kernel otherwise (only when probe
 #: waves form — one lane per call is far slower than ``fastcore``), and
 #: the plain compiled-Python kernel as the floor.  All exact — auto only
 #: ever trades speed.
-_AUTO_PREFERENCE = ("cc", "batch-numpy", "fastcore")
+_AUTO_PREFERENCE = ("tiered", "batch-numpy", "fastcore")
 
 
 def resolve_backend(name: str, batch: int = 0) -> str:
@@ -313,6 +316,34 @@ class ReferenceBackend:
         return results
 
 
+def _fastcore_batch(
+    graph: SDFGraph,
+    vectors: Sequence[Mapping[str, int]],
+    observe: str | None,
+    blocking: bool,
+) -> list[EvalResult]:
+    """The ``fastcore`` batch: one kernel probe per vector.
+
+    A plain function, shared by the ``fastcore`` and ``tiered``
+    backends, so that no backend calls another's ``evaluate_batch``
+    (a nested call would count its lanes twice).
+    """
+    kernel = kernel_for(graph, observe)
+    results = []
+    for capacities in vectors:
+        throughput, states, deadlocked, deficits = kernel.probe(capacities, blocking=blocking)
+        results.append(
+            EvalResult(
+                throughput,
+                states,
+                deadlocked,
+                None if deficits is None else frozenset(deficits),
+                deficits,
+            )
+        )
+    return results
+
+
 class FastcoreBackend:
     """Loop over the compiled per-graph event-calendar kernel."""
 
@@ -327,22 +358,7 @@ class FastcoreBackend:
         *,
         blocking: bool = False,
     ) -> list[EvalResult]:
-        kernel = kernel_for(graph, observe)
-        results = []
-        for capacities in vectors:
-            throughput, states, deadlocked, deficits = kernel.probe(
-                capacities, blocking=blocking
-            )
-            results.append(
-                EvalResult(
-                    throughput,
-                    states,
-                    deadlocked,
-                    None if deficits is None else frozenset(deficits),
-                    deficits,
-                )
-            )
-        return results
+        return _fastcore_batch(graph, vectors, observe, blocking)
 
 
 # ---------------------------------------------------------------------------
@@ -694,32 +710,176 @@ class CcBackend:
     ) -> list[EvalResult]:
         if not vectors:
             return []
-        kernel = ccore.kernel_for(graph, observe)
-        rows = [
-            validate_capacities(graph, capacities, kernel.channel_index)
-            for capacities in vectors
-        ]
-        # Read the guards through the reference module at call time so
-        # tests patching them cover this engine too (as fastcore does).
-        raw = kernel.run_lanes(
-            rows,
-            stall_threshold=_DEFAULT_STALL_THRESHOLD,
-            max_firings=_reference._MAX_FIRINGS_PER_INSTANT,
-            blocking=blocking,
+        return _cc_batch(ccore.kernel_for(graph, observe), graph, vectors, blocking)
+
+
+def _cc_batch(
+    kernel: ccore.CompiledKernel,
+    graph: SDFGraph,
+    vectors: Sequence[Mapping[str, int]],
+    blocking: bool,
+) -> list[EvalResult]:
+    """One ``probe_many_exact`` call of *kernel* for the whole batch
+    (shared by the ``cc`` and ``tiered`` backends)."""
+    rows = [
+        validate_capacities(graph, capacities, kernel.channel_index)
+        for capacities in vectors
+    ]
+    # Read the guards through the reference module at call time so
+    # tests patching them cover this engine too (as fastcore does).
+    raw = kernel.run_lanes(
+        rows,
+        stall_threshold=_DEFAULT_STALL_THRESHOLD,
+        max_firings=_reference._MAX_FIRINGS_PER_INSTANT,
+        blocking=blocking,
+    )
+    return [
+        EvalResult(
+            Fraction(0) if deadlocked else Fraction(firings, duration),
+            states,
+            deadlocked,
+            None if deficits is None else frozenset(deficits),
+            deficits,
         )
-        return [
-            EvalResult(
-                Fraction(0) if deadlocked else Fraction(firings, duration),
-                states,
-                deadlocked,
-                None if deficits is None else frozenset(deficits),
-                deficits,
-            )
-            for firings, duration, states, deadlocked, deficits in raw
-        ]
+        for firings, duration, states, deadlocked, deficits in raw
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Tiered: fastcore until a graph's C kernel pays for its compile, then cc
+# ---------------------------------------------------------------------------
+
+#: What one C kernel compile costs, in seconds: the samplerate, satellite
+#: and modem kernels compile in 0.2-0.4 s on a 2-core x86-64 host.  A
+#: ``(graph, observe)`` pair moves to C once ``fastcore`` has spent this
+#: long on it (docs/ALGORITHMS.md §4g).  Not a setting: a pair's actual
+#: compile time is known only once it has been paid.
+_COMPILE_COST_S = 0.25
+
+#: The tier of each ``(graph, observe)`` pair, keyed weakly like
+#: ``ccore._KERNELS``: ``{graph: (shape, {observe: tier})}``.  A tier is
+#: the seconds ``fastcore`` has spent on the pair so far (a ``float``),
+#: :data:`_ON_C` once the pair runs on its C kernel, or ``None`` once
+#: its compile failed.  Only the charge lives here; a promoted pair's
+#: kernel handle stays where :func:`~repro.engine.ccore.kernel_for`
+#: keeps it.  Module state, so the backend instance stays stateless and
+#: ships to pool workers as it is.
+_TIERS: "weakref.WeakKeyDictionary[SDFGraph, tuple[tuple[int, int], dict[str, object]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+#: Guards every read-modify-write of ``_TIERS`` (service jobs probe
+#: from several threads); never held across a probe or a compile.
+_TIERS_LOCK = threading.Lock()
+
+#: The tier of a pair before its first batch, and of a pair on C.
+_UNSEEN = object()
+_ON_C = object()
+
+
+class TieredBackend:
+    """``fastcore`` until a graph's C kernel pays for its compile, then ``cc``.
+
+    The rent-or-buy rule, per ``(graph, observe)`` pair.  A pair whose
+    kernel is already loaded or in the on-disk kernel cache
+    (:func:`~repro.engine.ccore.cached_kernel`) runs on C from its
+    first probe.  Any other pair runs on ``fastcore`` and adds up the
+    seconds its batches take; at the first batch after they reach
+    :data:`_COMPILE_COST_S`, the kernel is compiled synchronously
+    (:func:`~repro.engine.ccore.kernel_for`, counted as
+    ``cc_promotions``) and the pair stays on C.  A pair that never gets
+    hot never compiles, and none costs much more than twice the better
+    of ``fastcore`` and ``cc`` (docs/ALGORITHMS.md §4g).
+
+    Both tiers are exact and record the same blocking data, so results
+    do not depend on where the switch falls.  A compile that fails
+    keeps the pair on ``fastcore``; a batch that hits one of the C
+    kernel's resource limits (:class:`~repro.exceptions
+    .KernelLimitError`) reruns on ``fastcore``, whose Python integers
+    do not overflow.  Unavailable, like ``cc``, without a working C
+    compiler; ``backend="auto"`` then picks ``fastcore``.
+    """
+
+    name = "tiered"
+    capabilities = frozenset({"exact", "blocking", "compiled"})
+
+    def availability(self) -> str | None:
+        """``None`` when a working C compiler exists, else the reason."""
+        return ccore.availability()
+
+    def evaluate_batch(
+        self,
+        graph: SDFGraph,
+        vectors: Sequence[Mapping[str, int]],
+        observe: str | None = None,
+        *,
+        blocking: bool = False,
+    ) -> list[EvalResult]:
+        if not vectors:
+            return []
+        key = observe if observe is not None else (
+            graph.actor_names[-1] if graph.num_actors else ""
+        )
+        tiers = _tiers_of(graph)
+        kernel = _kernel_of(graph, key, tiers)
+        if kernel is not None:
+            try:
+                return _cc_batch(kernel, graph, vectors, blocking)
+            except KernelLimitError:
+                return _fastcore_batch(graph, vectors, observe, blocking)
+        started = time.perf_counter()
+        results = _fastcore_batch(graph, vectors, observe, blocking)
+        elapsed = time.perf_counter() - started
+        with _TIERS_LOCK:
+            spent = tiers.get(key)
+            if type(spent) is float:
+                tiers[key] = spent + elapsed
+        return results
+
+
+def _tiers_of(graph: SDFGraph) -> dict[str, object]:
+    """The ``{observe: tier}`` dict of *graph* (reset when its shape changes)."""
+    shape = (graph.num_actors, graph.num_channels)
+    with _TIERS_LOCK:
+        cached = _TIERS.get(graph)
+        if cached is None or cached[0] != shape:
+            cached = (shape, {})
+            _TIERS[graph] = cached
+        return cached[1]
+
+
+def _kernel_of(
+    graph: SDFGraph, observe: str, tiers: dict[str, object]
+) -> ccore.CompiledKernel | None:
+    """The C kernel the next batch of *(graph, observe)* runs on, or
+    ``None`` for ``fastcore``: looks for a cached kernel on the pair's
+    first batch and compiles once ``fastcore`` has spent
+    :data:`_COMPILE_COST_S` on it."""
+    tier = tiers.get(observe, _UNSEEN)
+    if tier is _UNSEEN:
+        found = ccore.cached_kernel(graph, observe) is not None  # validates observe
+        with _TIERS_LOCK:
+            tier = tiers.setdefault(observe, _ON_C if found else 0.0)
+    if tier is None or (tier is not _ON_C and tier < _COMPILE_COST_S):
+        return None
+    try:
+        kernel = ccore.kernel_for(graph, observe)  # a dict hit once loaded
+    except (ConfigError, EngineError):
+        kernel = None  # ccore counted the failure; stay on fastcore
+    if tier is _ON_C and kernel is not None:
+        return kernel
+    with _TIERS_LOCK:
+        spent = tiers.get(observe)
+        tiers[observe] = _ON_C if kernel is not None else None
+    if kernel is not None and type(spent) is float:  # else another thread promoted it
+        ccore.telemetry.emit(
+            "cc_promotions", graph=graph.name, observe=observe, fastcore_s=spent
+        )
+    return kernel
 
 
 register_backend(ReferenceBackend())
 register_backend(FastcoreBackend())
 register_backend(BatchNumpyBackend())
 register_backend(CcBackend())
+register_backend(TieredBackend())

@@ -20,7 +20,10 @@ cannot finish exactly — a diverging zero-time cascade, an ``int64``
 overflow of a completion time or a cycle sum, a visited set beyond its
 ``int32`` index, or memory exhaustion — returns a status code that
 :meth:`CompiledKernel.run_lanes` raises as an
-:class:`~repro.exceptions.EngineError` naming the cause.
+:class:`~repro.exceptions.EngineError` naming the cause; the four
+resource limits raise its subclass
+:class:`~repro.exceptions.KernelLimitError`, on which the ``tiered``
+backend reruns the batch in Python.
 
 Graceful degradation
 --------------------
@@ -48,8 +51,10 @@ crashing the run.
 
 Telemetry: the module-level :data:`telemetry` hub counts
 ``cc_compiles``, ``cc_cache_hits``, ``cc_compile_failures``,
-``cc_cache_corrupt`` and ``cc_cache_evictions``; the analysis service
-exposes them as Prometheus gauges on ``/metrics``.
+``cc_cache_corrupt``, ``cc_cache_evictions`` and ``cc_promotions`` (one
+per ``(graph, observe)`` the ``tiered`` backend moves to C; the event
+carries the graph name and the ``fastcore`` seconds it had spent); the
+analysis service exposes them as Prometheus gauges on ``/metrics``.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from hashlib import sha256
 from pathlib import Path
 from collections.abc import Sequence
 
-from repro.exceptions import ConfigError, EngineError, GraphError
+from repro.exceptions import ConfigError, EngineError, GraphError, KernelLimitError
 from repro.graph.graph import SDFGraph
 
 #: Stand-in capacity for unbounded channels in the int64 caps array —
@@ -77,7 +82,7 @@ _UNBOUNDED = 2**62
 
 #: Lazily constructed compile-plane telemetry (``cc_compiles``,
 #: ``cc_cache_hits``, ``cc_compile_failures``, ``cc_cache_corrupt``,
-#: ``cc_cache_evictions``), exposed as the module attribute
+#: ``cc_cache_evictions``, ``cc_promotions``), exposed as the module attribute
 #: ``ccore.telemetry``.  Module-global: kernels are shared across
 #: services and jobs, so their accounting is too.  Built on first use
 #: because this module must stay import-light — it is imported by the
@@ -306,17 +311,28 @@ class KernelCache:
         return self.directory / f"{key}.so"
 
     def lookup(self, key: str) -> Path | None:
-        """The cached shared object for *key*, LRU-touched; ``None`` on miss."""
+        """The cached shared object for *key*, LRU-touched; ``None`` on miss.
+
+        The touch is best effort: an entry in a cache this process
+        cannot write (a read-only home) is still a hit.
+        """
         path = self.so_path(key)
         try:
             os.utime(path)
-        except OSError:
+        except FileNotFoundError:
             return None
+        except OSError:
+            if not os.path.isfile(path):
+                return None
         return path
 
     def store(self, key: str, source: str, compiler: str) -> Path:
-        """Compile *source* into the cache under *key* (atomically)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Compile *source* into the cache under *key* (atomically).
+
+        Raises :class:`~repro.exceptions.EngineError`, counted as
+        ``cc_compile_failures``, when the compiler fails or the cache
+        directory cannot be written (read-only or full disk, no home).
+        """
         c_path = self.directory / f"{key}.c"
         so_path = self.so_path(key)
         # Temp names keep their real extensions (cc dispatches on them)
@@ -325,6 +341,7 @@ class KernelCache:
         c_tmp = self.directory / f"{key}.{os.getpid()}.tmp.c"
         so_tmp = self.directory / f"{key}.{os.getpid()}.tmp.so"
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             c_tmp.write_text(source, encoding="utf-8")
             try:
                 proc = subprocess.run(
@@ -347,6 +364,11 @@ class KernelCache:
                 )
             os.replace(c_tmp, c_path)
             os.replace(so_tmp, so_path)
+        except OSError as error:
+            _hub().emit("cc_compile_failures")
+            raise EngineError(
+                f"kernel cache {self.directory} cannot be written ({error})"
+            ) from error
         finally:
             for tmp in (c_tmp, so_tmp):
                 try:
@@ -436,9 +458,10 @@ def _bind(path: Path, graph: SDFGraph) -> ctypes.CDLL:
     return lib
 
 
-#: Failure statuses of ``probe_many_exact`` (the kernel's ``RC_*``
-#: codes) and what each means; see :func:`repro.codegen.cgen
-#: .generate_kernel_c`.
+#: The resource-limit statuses of ``probe_many_exact`` (the kernel's
+#: ``RC_*`` codes) and what each means, raised as
+#: :class:`~repro.exceptions.KernelLimitError`; see
+#: :func:`repro.codegen.cgen.generate_kernel_c`.
 _STATUS_ERRORS = {
     2: "the compiled probe kernel ran out of memory",
     3: "a completion time exceeds the compiled kernel's int64 range",
@@ -496,10 +519,10 @@ class CompiledKernel:
                 f"more than {max_firings} firings in one time instant;"
                 " a zero-execution-time cascade diverges (unbounded channel?)"
             )
+        if rc in _STATUS_ERRORS:
+            raise KernelLimitError(_STATUS_ERRORS[rc])
         if rc != 0:
-            raise EngineError(
-                _STATUS_ERRORS.get(rc, f"compiled probe kernel failed with status {rc}")
-            )
+            raise EngineError(f"compiled probe kernel failed with status {rc}")
         rows = []
         for lane in range(lanes):
             base = lane * stride
@@ -524,6 +547,22 @@ def kernel_for(graph: SDFGraph, observe: str | None = None) -> CompiledKernel:
     (``cc_compiles``).  Raises :class:`~repro.exceptions.ConfigError`
     when no working C compiler is available.
     """
+    return _kernel(graph, observe, compile=True)
+
+
+def cached_kernel(graph: SDFGraph, observe: str | None = None) -> CompiledKernel | None:
+    """The kernel of *graph* for *observe* if it is loaded in this
+    process or in the on-disk cache (``cc_cache_hits``), else ``None``.
+
+    Never compiles and needs no compiler: the ``tiered`` backend's
+    first look at a graph, which decides whether the graph starts on C.
+    A corrupt cache entry is dropped (``cc_cache_corrupt``) and reads as
+    a miss.
+    """
+    return _kernel(graph, observe, compile=False)
+
+
+def _kernel(graph: SDFGraph, observe: str | None, *, compile: bool) -> CompiledKernel | None:
     if graph.num_actors == 0:
         raise GraphError("cannot execute an empty graph")
     if observe is None:
@@ -537,11 +576,18 @@ def kernel_for(graph: SDFGraph, observe: str | None = None) -> CompiledKernel:
         _KERNELS[graph] = cached
     kernels = cached[1]
     kernel = kernels.get(observe)
-    if kernel is None:
-        with _COMPILE_LOCK:
-            kernel = kernels.get(observe)
-            if kernel is None:
-                kernel = _compile_or_load(graph, observe)
+    if kernel is not None:
+        return kernel
+    cache = KernelCache(cache_dir(), cache_limit_bytes())
+    key = cache_key(graph, observe)
+    if not compile and not os.path.isfile(cache.so_path(key)):
+        # A miss waits for no compile of another thread.
+        return None
+    with _COMPILE_LOCK:
+        kernel = kernels.get(observe)
+        if kernel is None:
+            kernel = _compile_or_load(graph, observe, cache, key, compile)
+            if kernel is not None:
                 kernels[observe] = kernel
     return kernel
 
@@ -570,16 +616,20 @@ def _bind_fresh(path: Path, graph: SDFGraph, key: str) -> ctypes.CDLL:
             pass
 
 
-def _compile_or_load(graph: SDFGraph, observe: str) -> CompiledKernel:
-    compiler, reason = compiler_probe()
-    if compiler is None:
-        raise ConfigError(f"probe backend 'cc' is unavailable: {reason}")
-    cache = KernelCache(cache_dir(), cache_limit_bytes())
-    key = cache_key(graph, observe)
+def _compile_or_load(
+    graph: SDFGraph, observe: str, cache: KernelCache, key: str, compile: bool
+) -> CompiledKernel | None:
+    compiler = None
+    if compile:
+        compiler, reason = compiler_probe()
+        if compiler is None:
+            raise ConfigError(f"probe backend 'cc' is unavailable: {reason}")
     last_error: Exception | None = None
     for attempt in range(2):
         path = cache.lookup(key)
         if path is None:
+            if compiler is None:
+                return None
             source = _cgen().generate_kernel_c(graph, observe)
             path = cache.store(key, source, compiler)
         else:
@@ -596,6 +646,8 @@ def _compile_or_load(graph: SDFGraph, observe: str) -> CompiledKernel:
             last_error = error
             continue
         return CompiledKernel(graph, observe, lib, path)
+    if compiler is None:
+        return None  # a lookup: an entry that will not load is a miss
     raise EngineError(
         f"freshly compiled kernel {cache.so_path(key)} failed to load:"
         f" {last_error}"

@@ -54,6 +54,17 @@ class EngineError(ReproError):
     """
 
 
+class KernelLimitError(EngineError):
+    """A compiled C probe kernel hit one of its fixed-width resource
+    limits: memory, an ``int64`` completion time or cycle sum, or the
+    ``int32`` index of its visited set.
+
+    The probe itself is well defined; only the kernel cannot finish it
+    exactly.  The Python kernels have no such limits, so the ``tiered``
+    backend reruns the batch on ``fastcore``.
+    """
+
+
 class CapacityError(ReproError):
     """A storage distribution is malformed or violates channel bounds."""
 

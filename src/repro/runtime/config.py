@@ -84,20 +84,23 @@ class ExplorationConfig:
     backend:
         Probe backend name from the :mod:`repro.engine.backends`
         registry (``"reference"``, ``"fastcore"``, ``"batch-numpy"``,
-        ``"cc"``, or any backend registered by the application;
-        default ``"fastcore"``), the only setting that picks where
-        probes run.  Plain probes run on it; blocking-aware, pooled
-        and speculative probes run on it when it has the
-        ``"blocking"`` capability and on ``"reference"`` otherwise.
-        ``"auto"`` picks the best backend *available on this host*
-        (the compiled ``cc`` kernel where a C compiler exists;
-        otherwise the numpy lane kernel when probe waves form,
-        ``batch > 0``, and ``"fastcore"`` when they do not) — all
-        exact, so auto only ever trades speed.  Unknown names and
-        backends the host cannot run (e.g. ``"cc"`` without a C
-        compiler) raise :class:`~repro.exceptions.ConfigError` here,
-        at construction — a run never silently degrades to a
-        different backend mid-flight.
+        ``"cc"``, ``"tiered"``, or any backend registered by the
+        application), the only setting that picks where probes run.
+        Plain probes run on it; blocking-aware, pooled and speculative
+        probes run on it when it has the ``"blocking"`` capability and
+        on ``"reference"`` otherwise.  The default ``"auto"`` picks
+        the best backend *available on this host*: ``"tiered"`` where
+        a C compiler works (each graph probes on ``fastcore`` until
+        its C kernel pays for its compile, then on ``cc``; a kernel
+        already in the on-disk cache is used from the first probe),
+        otherwise the numpy lane kernel when probe waves form
+        (``batch > 0``) and ``"fastcore"`` when they do not — all
+        exact, so auto only ever trades speed.  Explicit ``"cc"``
+        compiles on its first probe.  Unknown names and backends the
+        host cannot run (e.g. ``"cc"`` without a C compiler) raise
+        :class:`~repro.exceptions.ConfigError` here, at construction
+        — a run never silently degrades to a different backend
+        mid-flight.
     batch:
         Probe wave width.  ``0`` (default) keeps the classic per-probe
         evaluation path; ``batch >= 1`` makes the scan and speculation
@@ -118,7 +121,7 @@ class ExplorationConfig:
     retry_backoff: float = 0.05
     bounds: bool = False
     speculate: bool = False
-    backend: str = "fastcore"
+    backend: str = "auto"
     batch: int = 0
 
     def __post_init__(self) -> None:
@@ -166,7 +169,7 @@ class ExplorationConfig:
                 "on_event": None,
                 "bounds": False,
                 "speculate": False,
-                "backend": "fastcore",
+                "backend": "auto",
                 "batch": 0,
             }
             clashes = [

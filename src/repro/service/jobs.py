@@ -191,7 +191,7 @@ def _job_config(params: Mapping, **run) -> ExplorationConfig:
     return ExplorationConfig(
         bounds=bool(params.get("bounds", False)),
         speculate=bool(params.get("speculate", False)),
-        backend=params.get("backend") or "fastcore",
+        backend=params.get("backend") or "auto",
         batch=int(params.get("batch", 0)),
         **run,
     )

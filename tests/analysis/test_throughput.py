@@ -85,3 +85,24 @@ class TestMaxThroughput:
         # With two tokens the pipeline is limited only by b itself.
         assert max_throughput(graph, "b") == Fraction(1, 3)
         assert max_throughput(graph, "b", method="mcm") == Fraction(1, 3)
+
+    def test_one_call_computes_the_repetition_vector_at_most_once(self, monkeypatch):
+        """The size check, the MCM path and the HSDF expansion all take
+        the vector from the consistency memo; none recomputes it."""
+        from repro.analysis import consistency, repetitions
+        from repro.gallery import modem
+
+        computed = []
+        original = repetitions.repetition_vector
+
+        def counted(graph):
+            computed.append(graph.name)
+            return original(graph)
+
+        for module in (repetitions, consistency):
+            monkeypatch.setattr(module, "repetition_vector", counted)
+        graph = modem()
+        assert max_throughput(graph) == Fraction(1, 2)
+        assert len(computed) <= 1
+        assert max_throughput(graph, method="mcm") == Fraction(1, 2)
+        assert len(computed) <= 1  # memoised per graph

@@ -16,6 +16,23 @@ from repro.gallery import (
 )
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache_dir(tmp_path_factory):
+    """Point the compiled-kernel cache at a directory of this session.
+
+    Default explorations may compile C kernels (the ``tiered`` backend
+    moves a graph to C once it has spent one compile's cost on
+    ``fastcore``), and the suite must neither write to the user's cache
+    nor start warm from it.  The environment variable reaches
+    subprocesses and pool workers too, and outlives tests that
+    :func:`~repro.engine.ccore.configure` a cache of their own and then
+    restore the default resolution.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture
 def fig1():
     """The paper's running example (Fig. 1)."""

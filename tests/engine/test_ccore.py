@@ -284,9 +284,9 @@ def test_missing_compiler_reason_names_candidates(monkeypatch):
 
 
 @needs_cc
-def test_auto_prefers_cc():
-    assert resolve_backend("auto") == "cc"
-    assert resolve_backend("auto", batch=128) == "cc"
+def test_auto_prefers_tiered():
+    assert resolve_backend("auto") == "tiered"
+    assert resolve_backend("auto", batch=128) == "tiered"
     # Explicit names resolve to themselves.
     assert resolve_backend("reference") == "reference"
     assert resolve_backend("fastcore") == "fastcore"

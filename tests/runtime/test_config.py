@@ -17,7 +17,7 @@ from repro.runtime import Budget, ExplorationConfig
 class TestValidation:
     def test_defaults(self):
         config = ExplorationConfig()
-        assert config.backend == "fastcore"
+        assert config.backend == "auto"
         assert config.workers == 1
         assert config.cache is True
         assert config.budget is None

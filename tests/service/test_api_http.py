@@ -278,6 +278,11 @@ class TestObservability:
         # available XOR a human-readable reason.
         cc = by_name["cc"]
         assert cc["available"] == (cc["reason"] is None)
+        # tiered compiles with the same compiler, so it is available
+        # exactly where cc is.
+        tiered = by_name["tiered"]
+        assert tiered["capabilities"] == ["blocking", "compiled", "exact"]
+        assert (tiered["available"], tiered["reason"]) == (cc["available"], cc["reason"])
 
     def test_cc_gauges_are_exposed(self, client):
         text = client.metrics()
@@ -287,6 +292,7 @@ class TestObservability:
             "repro_cc_compile_failures",
             "repro_cc_cache_corrupt",
             "repro_cc_cache_evictions",
+            "repro_cc_promotions",
         ):
             assert f"{gauge} " in text
 

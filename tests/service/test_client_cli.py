@@ -122,6 +122,7 @@ class TestBackendsVerb:
         assert "reference: available" in out
         assert "blocking" in out
         assert "cc:" in out  # available or unavailable — but listed
+        assert "tiered:" in out
 
     def test_local_json(self, capsys):
         from repro.engine.backends import backend_names
