@@ -6,7 +6,7 @@ speedup of ``workers=4`` over the serial baseline on the BML99 graphs
 (the paper's Sec. 10 experiment set) and asserts the exactness
 contract along the way: identical fronts, and evaluation counts that
 never exceed the serial baseline (the dependency strategy's
-batch-by-size fan-out is speculation-free).
+batch-by-size fan-out evaluates nothing ahead of need).
 
 Speedup assertions only run when the machine actually has multiple
 cores available — on a single-CPU box the pool serialises and only the

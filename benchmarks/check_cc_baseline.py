@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_batched_probe import GALLERY, thin, workload_wave
+from bench_cc_probe import GALLERY, thin, workload_wave
 from repro.engine import ccore
 from repro.engine.backends import backend_for
 

@@ -101,15 +101,8 @@ def dependency_sweep(
 
     with _service(graph, observe, config) as service:
 
-        def probe_level(batch, upcoming) -> list[Probe]:
-            if service.speculate_enabled:
-                # The cheapest queued successors are very likely the next
-                # level; let idle workers warm them while this level
-                # occupies the demand path.
-                ahead = upcoming(4 * service.workers)
-                if ahead:
-                    service.speculate(ahead)
-            return [_probe(record) for record in service.evaluate_blocking_many(batch, reached)]
+        def probe_level(level) -> list[Probe]:
+            return [_probe(record) for record in service.evaluate_blocking_many(level, reached)]
 
         def frontier_update(size: int, throughput: Fraction) -> None:
             service.telemetry.emit("frontier_update", size=size, throughput=str(throughput))

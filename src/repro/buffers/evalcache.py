@@ -39,16 +39,6 @@ oracle additionally answers any query whose interval closes
 matter (``bounds_cut`` via :meth:`EvaluationService.cuts_below`) —
 still exact, still front-identical.
 
-**Speculative probing.**  With ``config.speculate`` and ``workers >
-1``, strategies wish for predicted future probes via
-:meth:`EvaluationService.speculate`; idle pool workers evaluate them
-in the background and the results are absorbed into the memo cache
-(and the oracle) before each batch resolution.  Speculative records
-are produced by the same worker entry point as demand-driven pooled
-probes, so they are bit-identical; a demand miss whose vector is still
-in flight waits on that future instead of re-executing.  Budget-wise a
-speculative probe is only charged when a demand query consumes it.
-
 **Parallel probing.**  Batch queries (``evaluate_many`` /
 ``evaluate_blocking_many``) resolve what the cache can answer and fan
 the misses out to a :class:`~repro.engine.parallel.ParallelProber`
@@ -56,14 +46,15 @@ process pool.  ``workers=1`` is exactly today's serial path; results
 are merged back in input order, so batch callers observe the same
 deterministic sequence either way.
 
-**One probe path.**  Every simulation the service runs is a
-:meth:`~repro.engine.backends.ProbeBackend.evaluate_batch` call, and
-every result becomes a memo record through one helper.  Plain probes
-(inline or in waves) run on ``config.backend`` without asking for
-blocking data; blocking-aware, pooled and speculative probes ask for it
-(``blocking=True``) on the service's *blocking backend* — the selected
-backend when it has the ``"blocking"`` capability (``reference``,
-``fastcore`` and ``cc`` do), the ``"reference"`` backend otherwise.  A
+**One probe path.**  Every simulation the service runs is one
+:meth:`~repro.engine.backends.ProbeBackend.evaluate_batch` call,
+inline or as one task of the worker pool, and every result becomes a
+memo record through one helper.  Plain inline probes run on
+``config.backend`` without asking for blocking data; blocking-aware
+and pooled probes ask for it (``blocking=True``) on the service's
+*blocking backend* — the selected backend when it has the
+``"blocking"`` capability (every built-in SDF backend does), the
+``"reference"`` backend otherwise.  A
 CSDF graph runs every probe on ``"reference"``, the one backend with a
 CSDF executor.
 
@@ -90,7 +81,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.oracle import ThroughputBoundsOracle
@@ -135,24 +126,11 @@ class EvalStats(SearchStats):
     #: they cannot beat the running best / threshold (work avoided
     #: without even a synthesized record).
     bounds_cut: int = 0
-    speculative_issued: int = 0
-    speculative_useful: int = 0
-    #: Wave-batched probe accounting (``config.batch > 0``): how many
-    #: ``evaluate_batch`` group calls were made and how many lanes they
-    #: carried in total.  ``batch_lanes / batch_calls`` is the mean
-    #: occupancy; it measures *how* probes ran, never which ones.
-    batch_calls: int = 0
-    batch_lanes: int = 0
 
     @property
     def prunes(self) -> int:
         """Total queries answered by monotonicity pruning."""
         return self.prunes_superset + self.prunes_subset + self.bounds_exact
-
-    @property
-    def speculative_wasted(self) -> int:
-        """Speculative probes issued but never consumed by a demand query."""
-        return max(0, self.speculative_issued - self.speculative_useful)
 
     def fold(self, other: "EvalStats") -> None:
         """Add *other*'s counters to these: a resumed run's earlier legs,
@@ -237,18 +215,15 @@ class EvaluationService:
         self.cache_enabled = bool(config.cache)
         self.telemetry = TelemetryHub(config.on_event)
         self.controller = RunController(config.budget, self.telemetry)
-        self.batch_size = max(0, int(config.batch))
         # Config validation already rejected unknown names and
         # unavailable explicit backends at construction; "auto" picks
         # the best one available on this host.  No compiled kernel runs
         # CSDF: every probe of a CSDF graph runs on the reference backend.
         self.backend_name = (
-            resolve_backend(config.backend, self.batch_size)
-            if isinstance(graph, SDFGraph)
-            else "reference"
+            resolve_backend(config.backend) if isinstance(graph, SDFGraph) else "reference"
         )
         self._backend: ProbeBackend = backend_for(self.backend_name)
-        # Blocking-aware, pooled and speculative probes need per-channel
+        # Blocking-aware and pooled probes need per-channel
         # space-blocking data.
         self._blocking_backend: ProbeBackend = (
             self._backend
@@ -268,15 +243,6 @@ class EvaluationService:
         # which levels queries may consult.
         self._oracle = ThroughputBoundsOracle(limit=self._prune_limit, ceiling=ceiling)
         self.bounds_enabled = bool(config.bounds) and self.cache_enabled
-        self.speculate_enabled = bool(config.speculate) and self.cache_enabled and (
-            self.workers > 1 or self.batch_size > 0
-        )
-        # Vectors whose memo entry came from a speculative probe and has
-        # not yet been consumed by a demand query (wasted-work tracking).
-        self._spec_origin: set[tuple[int, ...]] = set()
-        # Batch-mode wish list: unmemoised speculative candidates used
-        # to top up partially-filled waves ({vector: distribution}).
-        self._spec_pending: dict[tuple[int, ...], StorageDistribution] = {}
         self._prober: ParallelProber | None = None
 
     # -- canonical keys ---------------------------------------------------
@@ -292,11 +258,7 @@ class EvaluationService:
     def __call__(self, distribution: StorageDistribution) -> Fraction:
         """Exact throughput of *distribution* (0 on deadlock)."""
         vector = self._vector(distribution)
-        if self.speculate_enabled:
-            self._harvest_speculation()
         record = self._lookup(vector) or self._prune(distribution, vector)
-        if record is None:
-            record = self._claim_speculative(distribution, vector)
         if record is None:
             record = self._execute(distribution, vector, blocking=False)
         return record.throughput
@@ -308,12 +270,10 @@ class EvaluationService:
         The ascending walk peeks before deciding how to settle a
         candidate: a memoised one is a free exact answer and needs
         neither a cut check nor a promotion.  Accounting matches
-        :meth:`__call__` on a hit (cache-hit counter, speculative
-        consumption), so enabling the walk changes no hit statistics.
+        :meth:`__call__` on a hit (the cache-hit counter), so enabling
+        the walk changes no hit statistics.
         """
         vector = self._vector(distribution)
-        if self.speculate_enabled:
-            self._harvest_speculation()
         record = self._lookup(vector)
         return None if record is None else record.throughput
 
@@ -364,8 +324,6 @@ class EvaluationService:
                 return True
             return reached is not None and reached(record.throughput)
 
-        if self.speculate_enabled:
-            self._harvest_speculation()
         records: list[EvaluationRecord | None] = [None] * len(distributions)
         misses: list[tuple[int, StorageDistribution, tuple[int, ...]]] = []
         for index, distribution in enumerate(distributions):
@@ -387,32 +345,13 @@ class EvaluationService:
                     if pruned is not None and usable(pruned):
                         records[index] = pruned
                         continue
-            # A speculative future for this vector carries full blocking
-            # information (same worker entry point as pooled probes), so
-            # claiming it satisfies any caller.
-            claimed = self._claim_speculative(distribution, vector)
-            if claimed is not None and usable(claimed):
-                records[index] = claimed
-                continue
             misses.append((index, distribution, vector))
 
         if misses:
-            grouped = (
-                not blocking
-                and self.batch_size > 0
-                and len(misses) > 1
-                and self.controller.allows(len(misses))
-            )
             pooled = (
-                not grouped
-                and self.workers > 1
-                and len(misses) > 1
-                and self.controller.allows(len(misses))
+                self.workers > 1 and len(misses) > 1 and self.controller.allows(len(misses))
             )
-            if grouped:
-                for (index, _, _), record in zip(misses, self._evaluate_wave(misses)):
-                    records[index] = record
-            elif pooled:
+            if pooled:
                 # One budget charge for the whole fan-out; the
                 # controller rejected it above if it would overdraw, in
                 # which case the inline path below spends what is left
@@ -437,11 +376,6 @@ class EvaluationService:
         if record is not None:
             self.stats.cache_hits += 1
             self.telemetry.emit("cache_hit", size=sum(vector))
-            if vector in self._spec_origin:
-                # First demand consumption of a speculative result.
-                self._spec_origin.discard(vector)
-                self.stats.speculative_useful += 1
-                self.telemetry.emit("speculative_useful", size=sum(vector))
         return record
 
     def _prune(
@@ -552,51 +486,6 @@ class EvaluationService:
             dict(result.space_deficits) if result.space_deficits is not None else None,
         )
 
-    def _evaluate_wave(
-        self, misses: Sequence[tuple[int, StorageDistribution, tuple[int, ...]]]
-    ) -> list[EvaluationRecord]:
-        """One grouped ``evaluate_batch`` call for a wave of cache misses.
-
-        The controller admitted the wave as a unit, so the whole charge
-        lands before any lane runs — interruption stays on a probe
-        boundary.  Spare lanes up to the configured width are topped up
-        with pending speculative wishes; their records enter the memo
-        as speculative (charged to the budget only if a later demand
-        query consumes them, mirroring the pool's speculation
-        accounting).  Returns the demand records in miss order.
-        """
-        self.controller.before_probes(len(misses))
-        extras: list[tuple[StorageDistribution, tuple[int, ...]]] = []
-        room = self.batch_size - len(misses)
-        while room > 0 and self._spec_pending:
-            vector, distribution = self._spec_pending.popitem()
-            if vector in self._memo:
-                continue
-            extras.append((distribution, vector))
-            room -= 1
-        wave = [dict(d) for _, d, _ in misses] + [dict(d) for d, _ in extras]
-        started = time.perf_counter()
-        results = self._backend.evaluate_batch(self.graph, wave, self.observe)
-        duration = time.perf_counter() - started
-        self.stats.batch_calls += 1
-        self.stats.batch_lanes += len(wave)
-        self.telemetry.emit(
-            "batch_call", lanes=len(wave), demand=len(misses), duration_s=duration
-        )
-        for _ in wave:
-            self.telemetry.emit("batch_lanes")
-        self.telemetry.record_time("batch", duration)
-        records: list[EvaluationRecord] = []
-        for (_, distribution, vector), result in zip(misses, results):
-            self._count_evaluation(self._backend)
-            records.append(self._store(vector, self._record(distribution, result)))
-        for (distribution, vector), result in zip(extras, results[len(misses) :]):
-            self._store(vector, self._record(distribution, result))
-            self._spec_origin.add(vector)
-            self.stats.speculative_issued += 1
-            self.telemetry.emit("speculative_issued", size=sum(vector))
-        return records
-
     def _store(self, vector: tuple[int, ...], record: EvaluationRecord) -> EvaluationRecord:
         if not self.cache_enabled:
             return record
@@ -610,88 +499,6 @@ class EvaluationService:
             # the same throughput, so only first insertions are indexed.
             self._oracle.observe(vector, record.throughput)
         return record
-
-    # -- speculative probing -------------------------------------------------
-    def speculate(self, distributions: Iterable[StorageDistribution]) -> int:
-        """Wish for probes the caller predicts it will need soon.
-
-        Unmemoised distributions are submitted fire-and-forget to idle
-        pool workers, or — in batch mode — queued as spare-lane
-        candidates for the next grouped wave; returns how many were
-        actually accepted.  A no-op unless ``config.speculate`` is set,
-        the cache is on and a pool or batch plane exists — strategies
-        may call this unconditionally.
-        """
-        if not self.speculate_enabled:
-            return 0
-        if self.batch_size > 0:
-            # Batch mode: wishes wait in a bounded list and ride along
-            # as spare lanes of the next grouped wave; they are counted
-            # issued only when a wave actually runs them.
-            limit = 8 * self.batch_size
-            accepted = 0
-            for distribution in distributions:
-                vector = self._vector(distribution)
-                if vector in self._memo or vector in self._spec_pending:
-                    continue
-                if len(self._spec_pending) >= limit:
-                    break
-                self._spec_pending[vector] = distribution
-                accepted += 1
-            return accepted
-        prober = self._ensure_prober()
-        if not prober.parallel:
-            return 0
-        pending = []
-        for distribution in distributions:
-            if self._vector(distribution) not in self._memo:
-                pending.append(dict(distribution))
-        if not pending:
-            return 0
-        issued = prober.speculate(pending)
-        if issued:
-            self.stats.speculative_issued += issued
-            for _ in range(issued):
-                self.telemetry.emit("speculative_issued")
-        return issued
-
-    def _harvest_speculation(self) -> None:
-        """Absorb completed speculative probes into the memo/oracle.
-
-        Harvested records do not count as evaluations and are not
-        charged against the budget — that happens only when a demand
-        query consumes one (:meth:`_lookup` / :meth:`_claim_speculative`).
-        """
-        if not self.speculate_enabled or self._prober is None:
-            return
-        for item, result in self._prober.harvest():
-            caps = dict(item)
-            vector = self._vector(caps)
-            if vector in self._memo:
-                continue
-            self._store(vector, self._record(StorageDistribution(caps), result))
-            self._spec_origin.add(vector)
-
-    def _claim_speculative(
-        self, distribution: StorageDistribution, vector: tuple[int, ...]
-    ) -> EvaluationRecord | None:
-        """Consume an in-flight speculative probe of *vector*, if any.
-
-        The probe becomes a regular evaluation at this point: it is
-        charged against the budget and counted, exactly as if the demand
-        path had executed it (which it otherwise would — a claimed probe
-        replaces a simulation one-for-one).
-        """
-        if not self.speculate_enabled or self._prober is None:
-            return None
-        result = self._prober.claim(tuple(sorted(dict(distribution).items())))
-        if result is None:
-            return None
-        self.controller.before_probes(1)
-        self.stats.speculative_useful += 1
-        self.telemetry.emit("speculative_useful", size=sum(vector))
-        self._count_evaluation(self._prober.backend)
-        return self._store(vector, self._record(distribution, result))
 
     # -- lifecycle / introspection ------------------------------------------
     def set_ceiling(self, ceiling: Fraction) -> None:
@@ -829,14 +636,3 @@ class EvaluationService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-def batched(items: Iterable, size: int) -> Iterable[list]:
-    """Yield consecutive chunks of at most *size* items."""
-    chunk: list = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

@@ -86,12 +86,7 @@ class ExplorationStats:
     pool_fallback_reason: str | None = None
     bounds_exact: int = 0
     bounds_cut: int = 0
-    speculative_issued: int = 0
-    speculative_useful: int = 0
-    speculative_wasted: int = 0
     backend: str | None = None
-    batch_calls: int = 0
-    batch_lanes: int = 0
 
     def to_dict(self) -> dict:
         """All counters as a JSON-ready dict."""
@@ -130,12 +125,7 @@ class ExplorationStats:
             pool_fallback_reason=counters.pool_fallback_reason,
             bounds_exact=counters.bounds_exact,
             bounds_cut=counters.bounds_cut,
-            speculative_issued=counters.speculative_issued,
-            speculative_useful=counters.speculative_useful,
-            speculative_wasted=counters.speculative_wasted,
             backend=backend,
-            batch_calls=counters.batch_calls,
-            batch_lanes=counters.batch_lanes,
         )
 
 
@@ -243,20 +233,6 @@ class DesignSpaceResult:
             lines.append(
                 f"  bounds oracle: {self.stats.bounds_exact} exact answers,"
                 f" {self.stats.bounds_cut} probes cut"
-            )
-        if self.stats.speculative_issued:
-            lines.append(
-                f"  speculation: {self.stats.speculative_issued} issued,"
-                f" {self.stats.speculative_useful} useful,"
-                f" {self.stats.speculative_wasted} wasted"
-            )
-        if self.stats.batch_calls:
-            occupancy = self.stats.batch_lanes / self.stats.batch_calls
-            lines.append(
-                f"  batching: {self.stats.batch_calls} waves,"
-                f" {self.stats.batch_lanes} lanes"
-                f" ({occupancy:.1f} mean occupancy,"
-                f" backend {self.stats.backend or 'default'})"
             )
         if not self.complete:
             lines.append(

@@ -95,7 +95,7 @@ def frontier_sweep(
     token_sizes: Mapping[str, int] | None = None,
     stop_at_first: bool = False,
     known: Container[StorageDistribution] = (),
-    probe_level: Callable[..., list[Probe]] | None = None,
+    probe_level: Callable[[list[StorageDistribution]], list[Probe]] | None = None,
     on_ceiling: Callable[[int, Fraction], None] | None = None,
 ) -> DependencySweepResult:
     """Explore, in size order, every distribution the probes grow to.
@@ -108,10 +108,9 @@ def frontier_sweep(
     size; *known* distributions are never queued.  *on_ceiling(size,
     value)* reports the first distribution reaching the target.
 
-    ``probe_level(level, upcoming)`` may evaluate all distributions of
-    one size at once — every expansion strictly grows the size, so they
-    are all queued before any is probed — where ``upcoming(n)`` lists
-    the *n* cheapest queued ones.  Its results are folded in serial
+    ``probe_level(level)`` may evaluate all distributions of one size at
+    once — every expansion strictly grows the size, so they are all
+    queued before any is probed.  Its results are folded in serial
     order, so the outcome is the serial one.
 
     A :class:`~repro.exceptions.BudgetExhausted` from a probe returns
@@ -136,9 +135,6 @@ def frontier_sweep(
             heap, (cost(distribution), tuple(distribution[name] for name in order), distribution)
         )
 
-    def upcoming(count: int) -> list[StorageDistribution]:
-        return [entry[2] for entry in heapq.nsmallest(count, heap)]
-
     first_reaching: StorageDistribution | None = None
     ceiling: int | None = None
     exhausted: str | None = None
@@ -156,11 +152,7 @@ def frontier_sweep(
             while heap and heap[0][0] == size:
                 level.append(heapq.heappop(heap)[2])
             queued.difference_update(level)
-            probes = (
-                probe_level(level, upcoming)
-                if probe_level is not None and len(level) > 1
-                else None
-            )
+            probes = probe_level(level) if probe_level is not None and len(level) > 1 else None
             for done, distribution in enumerate(level):
                 result = probes[done] if probes is not None else probe(distribution)
                 stats.evaluations += 1

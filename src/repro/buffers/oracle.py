@@ -149,8 +149,8 @@ class ThroughputBoundsOracle:
         """Deterministic rendering of everything the oracle knows.
 
         Differential tests compare two runs' oracles for equality (the
-        memo and the oracle must not depend on *how* probes ran — pool,
-        batch wave or inline).  Fronts are rendered as sorted tuples:
+        memo and the oracle must not depend on *how* probes ran — pooled
+        or inline).  Fronts are rendered as sorted tuples:
         antichain membership is order-independent even though insertion
         order is not.
         """

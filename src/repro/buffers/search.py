@@ -17,8 +17,8 @@ Two cooperating searches:
 
 Both strategies take the run's
 :class:`~repro.buffers.evalcache.EvaluationService` as their evaluator,
-so a distribution is never simulated twice.  With workers or probe
-waves configured, the per-size scans fan their independent probes out
+so a distribution is never simulated twice.  With workers configured,
+the per-size scans fan their independent probes out to the worker pool
 in enumeration-ordered waves, so results (including early exits and
 witness selection) are bit-identical to the serial scan.
 """
@@ -97,7 +97,7 @@ class SizeSearch:
 
     def _serial(self) -> bool:
         """Whether the evaluator probes one distribution at a time."""
-        return self.evaluator.workers <= 1 and self.evaluator.batch_size <= 0
+        return self.evaluator.workers <= 1
 
     def _scan(
         self,
@@ -107,17 +107,17 @@ class SizeSearch:
         """Yield ``(distribution, throughput)`` in enumeration order.
 
         With a serial evaluator this is the serial loop.  With workers
-        or probe waves configured the enumeration is consumed in
-        growing waves whose members are evaluated as one batch;
-        yielding still follows enumeration order, so callers that stop
-        early (the ``stop_at`` exit, a threshold hit) make identical
-        decisions either way — at most the tail of the current wave is
-        evaluated speculatively, and those results land in the shared
-        cache rather than being lost.
+        configured the enumeration is consumed in growing waves whose
+        members are evaluated as one pooled batch; yielding still
+        follows enumeration order, so callers that stop early (the
+        ``stop_at`` exit, a threshold hit) make identical decisions
+        either way — at most the tail of the current wave is evaluated
+        ahead of need, and those results land in the shared cache
+        rather than being lost.
 
         *skip* drops candidates without evaluating (or yielding) them —
         the bounds-oracle cut.  Serially it is consulted per candidate
-        with the caller's freshest state; in wave mode at batch-build
+        with the caller's freshest state; in wave mode at wave-build
         time, which is merely conservative (fewer cuts, same results).
         """
         generator = distributions_of_size(self.channels, size, self.lower, self.upper)
@@ -127,14 +127,8 @@ class SizeSearch:
                     continue
                 yield distribution, self.evaluator(distribution)
             return
-        batch_size, workers = self.evaluator.batch_size, self.evaluator.workers
-        if batch_size > 0:
-            # Lock-step backends amortise per-call overhead over lanes:
-            # start at the configured width, cap well above it so hot
-            # slices fill wide waves.
-            wave, cap = batch_size, 16 * batch_size
-        else:
-            wave, cap = 4 * workers, 64 * workers
+        workers = self.evaluator.workers
+        wave, cap = 4 * workers, 64 * workers
         while True:
             chunk = list(islice(generator, wave))
             if not chunk:
@@ -266,7 +260,7 @@ class SizeSearch:
         else:
             # The parallel wave path keeps its existing cut semantics;
             # promotion is a serial-scan refinement (it would serialise
-            # the waves) and speculation covers the pool instead.
+            # the waves).
             for distribution, value in self._scan(size, skip):
                 if value > best:
                     best = value
@@ -337,39 +331,6 @@ class SizeSearch:
         return SizeProbe(size, best, witnesses, exact=False)
 
 
-def _wisher(
-    graph: SDFGraph,
-    lower: Mapping[str, int],
-    upper: Mapping[str, int],
-    evaluator: EvaluationService,
-    probed: Mapping[int, SizeProbe] | None = None,
-) -> Callable[[int], None]:
-    """A ``wish(size)`` hook seeding speculative probes for one slice.
-
-    Sends the head of *size*'s enumeration (one pool wave's — or, in
-    batch mode, one lane wave's — worth) to
-    :meth:`EvaluationService.speculate`.  A no-op callable when the
-    evaluator does not speculate, so strategies call it unconditionally.
-    """
-    if not evaluator.speculate_enabled:
-        return lambda size: None
-    low_size = sum(lower.values())
-    high_size = sum(upper.values())
-    batch_size = evaluator.batch_size
-    head = batch_size if batch_size > 0 else 4 * evaluator.workers
-
-    def wish(size: int) -> None:
-        if size < low_size or size > high_size:
-            return
-        if probed is not None and size in probed:
-            return
-        evaluator.speculate(
-            islice(distributions_of_size(graph.channel_names, size, lower, upper), head)
-        )
-
-    return wish
-
-
 def exhaustive_sweep(
     graph: SDFGraph,
     observe: str | None,
@@ -388,11 +349,8 @@ def exhaustive_sweep(
     search = SizeSearch(graph, observe, lower, upper, evaluator)
     low_size = sum(lower.values())
     high_size = sum(upper.values())
-    wish = _wisher(graph, lower, upper, evaluator)
     probes: dict[int, SizeProbe] = {}
     for size in range(low_size, high_size + 1):
-        if size < high_size:
-            wish(size + 1)  # warm the next slice while this one scans
         probe = search.max_throughput_for_size(
             size, stop_at=max_throughput if stop_early else None
         )
@@ -433,7 +391,6 @@ def divide_and_conquer(
     # minimal size of each throughput value carries its complete
     # witness tuple, so the resulting front is bit-identical.
     bounds_first = quantum is None and evaluator.bounds_enabled
-    wish = _wisher(graph, lower, upper, evaluator, probed=probes)
 
     def probe(size: int, known_low: Fraction) -> SizeProbe:
         if size not in probes:
@@ -444,14 +401,11 @@ def divide_and_conquer(
         return probes[size]
 
     if bounds_first:
-        wish(low_size)
         last = probe(high_size, Fraction(0))
         previous = probe(low_size, Fraction(0))
         for size in range(low_size + 1, high_size):
             if previous.throughput >= last.throughput:
                 break
-            # Warm the next slice while this one scans on the demand path.
-            wish(size + 1)
             previous = probes[size] = search.ascending_probe(
                 size, previous.throughput, stop_at=max_throughput
             )
@@ -464,9 +418,6 @@ def divide_and_conquer(
         if right.size - left.size <= 1 or left.throughput == right.throughput:
             return
         middle_size = (left.size + right.size) // 2
-        # Warm the midpoint the recursion will want next while the
-        # current one scans on the demand path.
-        wish((left.size + middle_size) // 2)
         middle = probe(middle_size, left.throughput)
         recurse(left, middle)
         recurse(middle, right)

@@ -157,40 +157,22 @@ def build_parser() -> argparse.ArgumentParser:
         " bit-identical; requires the cache)",
     )
     parser.add_argument(
-        "--speculate",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="issue predicted probe candidates to idle pool workers ahead of"
-        " demand (only effective with --workers > 1; results are bit-identical)",
-    )
-    parser.add_argument(
         "--backend",
         default="auto",
         metavar="NAME",
         help="probe backend from the repro.engine.backends registry"
-        " ('reference', 'fastcore', 'batch-numpy', 'cc', 'tiered', or 'auto'"
-        " for the best available on this host: tiered with a C compiler, which"
-        " probes a graph on fastcore until its C kernel pays for its compile"
-        " and then on cc, else batch-numpy with --batch > 0 and fastcore"
-        " without); explicit cc compiles on its first probe; blocking-aware"
-        " probes run on the reference executor only with batch-numpy, which"
-        " records no blocking data; unknown names and host-unavailable"
-        " backends fail up front (default: auto)",
+        " ('reference', 'fastcore', 'cc', 'tiered', or 'auto' for the best"
+        " available on this host: tiered with a C compiler, which probes a"
+        " graph on fastcore until its C kernel pays for its compile and then"
+        " on cc, else fastcore); explicit cc compiles on its first probe;"
+        " unknown names and host-unavailable backends fail up front"
+        " (default: auto)",
     )
     parser.add_argument(
         "--codegen-cache-dir",
         metavar="DIR",
         help="directory for compiled C probe kernels of 'cc' and 'tiered' (default:"
         " $REPRO_CACHE_DIR/cc-kernels, else the XDG user cache)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=0,
-        metavar="N",
-        help="probe wave width: collect up to N scan/speculation candidates"
-        " into one evaluate_batch call (0 disables; results are bit-identical,"
-        " best with --backend batch-numpy)",
     )
     parser.add_argument(
         "--deadline",
@@ -395,12 +377,10 @@ def _runtime_config(arguments: argparse.Namespace) -> "ExplorationConfig":
         workers=arguments.workers,
         cache=not arguments.no_cache,
         bounds=arguments.bounds_oracle,
-        speculate=arguments.speculate,
         budget=budget,
         checkpoint=arguments.checkpoint,
         probe_timeout=arguments.probe_timeout,
         backend=arguments.backend,
-        batch=arguments.batch,
     )
 
 

@@ -33,8 +33,8 @@ runs; the
 :func:`repro.analysis.throughput.analyze`) selects it for one
 instrumented or plain run automatically.
 
-:mod:`repro.engine.backends` packages both kernels (plus a lock-step
-batched numpy kernel and a compiled C kernel) behind the
+:mod:`repro.engine.backends` packages both kernels (plus a compiled C
+kernel) behind the
 :class:`ProbeBackend` registry — the one seam through which the
 exploration layers run every probe, selected by
 ``ExplorationConfig.backend``.

@@ -75,9 +75,9 @@ from collections.abc import Sequence
 from repro.exceptions import ConfigError, EngineError, GraphError, KernelLimitError
 from repro.graph.graph import SDFGraph
 
-#: Stand-in capacity for unbounded channels in the int64 caps array —
-#: the same sentinel the batch-numpy kernel uses: large enough that
-#: ``tokens + production`` cannot reach it before the firing guard.
+#: Stand-in capacity for unbounded channels in the int64 caps array:
+#: large enough that ``tokens + production`` cannot reach it before the
+#: firing guard.
 _UNBOUNDED = 2**62
 
 #: Lazily constructed compile-plane telemetry (``cc_compiles``,
@@ -485,11 +485,13 @@ class CompiledKernel:
     """
 
     def __init__(self, graph: SDFGraph, observe: str, lib: ctypes.CDLL, path: Path):
-        self.graph = graph
+        # Keeps what its probes use, never the graph itself: the graph
+        # is the key of the weak kernel table that holds this kernel.
         self.observe = observe
         self.path = path
         self.channel_names = graph.channel_names
         self.channel_index = {name: j for j, name in enumerate(self.channel_names)}
+        self.initial_tokens = [graph.channels[name].initial_tokens for name in self.channel_names]
         self.num_channels = graph.num_channels
         self._lib = lib
         self._probe = lib.probe_many_exact

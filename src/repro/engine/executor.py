@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.engine.schedule import Schedule
 from repro.engine.state import ReducedState, SDFState
@@ -116,15 +116,16 @@ class _ActorInfo:
 
 
 def validate_capacities(
-    graph: SDFGraph,
     capacities: Mapping[str, int] | None,
     channel_index: Mapping[str, int],
+    initial_tokens: Sequence[int],
 ) -> list[int | None]:
     """Index-ordered capacity vector (``None`` = unbounded), validated.
 
-    Shared by the reference :class:`Executor` and the fast kernel in
-    :mod:`repro.engine.fastcore` so both reject malformed distributions
-    with identical errors.
+    *initial_tokens* lists each channel's initial tokens in the order of
+    *channel_index*.  Shared by the reference :class:`Executor` and the
+    compiled kernels, so all of them reject malformed distributions
+    with identical errors without the kernels keeping their graph.
     """
     caps: list[int | None] = [None] * len(channel_index)
     if capacities is None:
@@ -134,12 +135,13 @@ def validate_capacities(
             raise CapacityError(f"capacity given for unknown channel {name!r}")
         if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
             raise CapacityError(f"channel {name!r}: capacity must be a non-negative int")
-        if capacity < graph.channels[name].initial_tokens:
+        index = channel_index[name]
+        if capacity < initial_tokens[index]:
             raise CapacityError(
                 f"channel {name!r}: capacity {capacity} is below its"
-                f" {graph.channels[name].initial_tokens} initial tokens"
+                f" {initial_tokens[index]} initial tokens"
             )
-        caps[channel_index[name]] = capacity
+        caps[index] = capacity
     return caps
 
 
@@ -223,7 +225,7 @@ class Executor:
 
         channel_index = {name: j for j, name in enumerate(self.channel_names)}
         self._initial_tokens = [graph.channels[name].initial_tokens for name in self.channel_names]
-        self._capacities = validate_capacities(graph, capacities, channel_index)
+        self._capacities = validate_capacities(capacities, channel_index, self._initial_tokens)
 
         self._actors: list[_ActorInfo] = []
         for name in self.actor_names:

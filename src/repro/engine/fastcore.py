@@ -163,7 +163,6 @@ class FastKernel:
     def __init__(self, graph: SDFGraph, observe: str | None = None):
         if graph.num_actors == 0:
             raise GraphError("cannot execute an empty graph")
-        self.graph = graph
         self.actor_names = graph.actor_names
         self.channel_names = graph.channel_names
         if observe is None:
@@ -304,7 +303,7 @@ class FastKernel:
         every full output records its deficit ``tokens + rate -
         capacity``, keeping the minimum per channel.
         """
-        caps = validate_capacities(self.graph, capacities, self._channel_index)
+        caps = validate_capacities(capacities, self._channel_index, self._initial_tokens)
         n = self._num_actors
         m = self._num_channels
         observe_idx = self._observe_idx
@@ -550,8 +549,9 @@ class FastKernel:
 
 
 #: Weak per-graph kernel cache: {graph: (shape, {observe: kernel})}.
-#: Keyed weakly so exploring many graphs leaks nothing; the shape pair
-#: invalidates kernels when actors/channels are added after compiling.
+#: Keyed weakly, and a kernel keeps only index data, never its graph, so
+#: exploring many graphs leaks nothing; the shape pair invalidates
+#: kernels when actors/channels are added after compiling.
 _KERNELS: "weakref.WeakKeyDictionary[SDFGraph, tuple[tuple[int, int], dict[str, FastKernel]]]" = (
     weakref.WeakKeyDictionary()
 )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.backends import EvalResult, ProbeBackend
@@ -115,8 +115,6 @@ class ParallelProber:
         self._pool: ProcessPoolExecutor | None = None
         self._pool_failed = False
         self._closed = False
-        #: In-flight speculative probes, keyed by sorted capacity items.
-        self._speculative: dict[tuple[tuple[str, int], ...], "Future[EvalResult]"] = {}
         self.batches = 0
         self.tasks = 0
         #: Pool rebuilds performed so far (across all batches).
@@ -149,9 +147,6 @@ class ParallelProber:
 
     def _discard_pool(self) -> None:
         """Tear the current pool down without waiting on its workers."""
-        for future in self._speculative.values():
-            future.cancel()
-        self._speculative.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -225,78 +220,11 @@ class ParallelProber:
             self.graph, [dict(item) for item in items], self.observe, blocking=True
         )
 
-    # -- speculative probing -------------------------------------------------
-    def speculate(self, capacities: Sequence[dict[str, int]]) -> int:
-        """Submit fire-and-forget probes that soak up idle workers.
-
-        Returns how many were actually submitted (already-in-flight
-        duplicates are skipped).  Speculation is best-effort: it never
-        creates a pool by itself beyond :meth:`_ensure_pool`'s normal
-        path, never restarts a broken one, and its failures are
-        invisible to the demand path — :meth:`harvest` / :meth:`claim`
-        silently drop futures that errored.
-        """
-        if not self.parallel:
-            return 0
-        pool = self._ensure_pool()
-        if pool is None:
-            return 0
-        issued = 0
-        for caps in capacities:
-            item = tuple(sorted(caps.items()))
-            if item in self._speculative:
-                continue
-            try:
-                self._speculative[item] = pool.submit(_run_task, item)
-            except RuntimeError:  # pool concurrently shut down; give up quietly
-                break
-            issued += 1
-        return issued
-
-    def harvest(self) -> list[tuple[tuple[tuple[str, int], ...], EvalResult]]:
-        """Completed speculative results, keyed by capacity items.
-
-        Failed speculative probes are discarded without a restart — a
-        lost speculation costs nothing but the wasted worker time.
-        """
-        ready = []
-        for item, future in list(self._speculative.items()):
-            if not future.done():
-                continue
-            del self._speculative[item]
-            try:
-                ready.append((item, future.result()))
-            except Exception:  # noqa: BLE001 - speculative losses never fail the run
-                pass
-        return ready
-
-    def claim(self, item: tuple[tuple[str, int], ...]) -> EvalResult | None:
-        """Block on an in-flight speculative probe of *item*, if any.
-
-        The demand path calls this on a cache miss so a distribution is
-        never simulated twice; ``None`` (not in flight, or the probe
-        failed) sends the caller down its normal execution path.
-        """
-        future = self._speculative.pop(item, None)
-        if future is None:
-            return None
-        try:
-            return future.result(timeout=self.probe_timeout)
-        except Exception:  # noqa: BLE001 - fall back to a demand evaluation
-            return None
-
-    @property
-    def speculative_in_flight(self) -> int:
-        return len(self._speculative)
-
     def close(self) -> None:
         """Shut the worker pool down (idempotent, safe after failures)."""
         if self._closed:
             return
         self._closed = True
-        for future in self._speculative.values():
-            future.cancel()
-        self._speculative.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None

@@ -33,10 +33,6 @@ RESULT_STAT_KEYS = (
     "prunes",
     "bounds_exact",
     "bounds_cut",
-    "speculative_issued",
-    "speculative_useful",
-    "batch_calls",
-    "batch_lanes",
     "max_states_stored",
     "wall_time_s",
 )

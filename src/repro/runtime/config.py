@@ -39,7 +39,7 @@ class ExplorationConfig:
         stays serial (bit-identical results either way).
     cache:
         Keep the exact memo/pruning cache enabled.  Budgets,
-        checkpoints, the bounds oracle and speculation require it.
+        checkpoints and the bounds oracle require it.
     bounds:
         Enable the :class:`~repro.buffers.oracle
         .ThroughputBoundsOracle`: interval queries answer probes whose
@@ -48,11 +48,6 @@ class ExplorationConfig:
         best (``bounds_cut``).  Exact either way — fronts and witnesses
         are bit-identical with the oracle on or off.  Off by default:
         the paper's algorithms are reproduced unmodified unless asked.
-    speculate:
-        With ``workers > 1``, issue predicted future probes (upcoming
-        binary-search midpoints, next-size frontier entries) to idle
-        pool workers; results land in the memo cache and are
-        bit-identical to demand-driven probes.  Inert when serial.
     evaluator:
         Bring-your-own :class:`~repro.buffers.evalcache
         .EvaluationService` (e.g. a warm cache shared across runs).
@@ -83,31 +78,22 @@ class ExplorationConfig:
         consecutive restart.
     backend:
         Probe backend name from the :mod:`repro.engine.backends`
-        registry (``"reference"``, ``"fastcore"``, ``"batch-numpy"``,
-        ``"cc"``, ``"tiered"``, or any backend registered by the
-        application), the only setting that picks where probes run.
-        Plain probes run on it; blocking-aware, pooled and speculative
-        probes run on it when it has the ``"blocking"`` capability and
-        on ``"reference"`` otherwise.  The default ``"auto"`` picks
-        the best backend *available on this host*: ``"tiered"`` where
-        a C compiler works (each graph probes on ``fastcore`` until
-        its C kernel pays for its compile, then on ``cc``; a kernel
-        already in the on-disk cache is used from the first probe),
-        otherwise the numpy lane kernel when probe waves form
-        (``batch > 0``) and ``"fastcore"`` when they do not — all
-        exact, so auto only ever trades speed.  Explicit ``"cc"``
-        compiles on its first probe.  Unknown names and backends the
-        host cannot run (e.g. ``"cc"`` without a C compiler) raise
-        :class:`~repro.exceptions.ConfigError` here, at construction
-        — a run never silently degrades to a different backend
-        mid-flight.
-    batch:
-        Probe wave width.  ``0`` (default) keeps the classic per-probe
-        evaluation path; ``batch >= 1`` makes the scan and speculation
-        layers collect candidate waves of that size and submit them as
-        one ``evaluate_batch`` call.  Results, fronts and witnesses are
-        bit-identical for every batch width; only "how probes ran"
-        counters (``batch_calls``/``batch_lanes``) differ.
+        registry (``"reference"``, ``"fastcore"``, ``"cc"``,
+        ``"tiered"``, or any backend registered by the application),
+        the only setting that picks where probes run.  Plain probes
+        run on it; blocking-aware and pooled probes run on it when it
+        has the ``"blocking"`` capability and on ``"reference"``
+        otherwise.  The default ``"auto"`` picks the best backend
+        *available on this host*: ``"tiered"`` where a C compiler
+        works (each graph probes on ``fastcore`` until its C kernel
+        pays for its compile, then on ``cc``; a kernel already in the
+        on-disk cache is used from the first probe), ``"fastcore"``
+        otherwise — both exact, so auto only ever trades speed.
+        Explicit ``"cc"`` compiles on its first probe.  Unknown names
+        and backends the host cannot run (e.g. ``"cc"`` without a C
+        compiler) raise :class:`~repro.exceptions.ConfigError` here, at
+        construction — a run never silently degrades to a different
+        backend mid-flight.
     """
 
     workers: int = 1
@@ -120,15 +106,11 @@ class ExplorationConfig:
     max_pool_restarts: int = 1
     retry_backoff: float = 0.05
     bounds: bool = False
-    speculate: bool = False
     backend: str = "auto"
-    batch: int = 0
 
     def __post_init__(self) -> None:
         if int(self.workers) < 1:
             raise ExplorationError("workers must be >= 1")
-        if int(self.batch) < 0:
-            raise ConfigError("batch must be >= 0 (0 disables wave batching)")
         if self.backend != "auto":
             # Imported here: the runtime package imports nothing from
             # the engine layer at module level.  "auto" needs no
@@ -156,11 +138,6 @@ class ExplorationConfig:
                 "the bounds oracle requires the memo cache (cache=True): it"
                 " is an index over the recorded evaluations"
             )
-        if self.speculate and not self.cache:
-            raise ExplorationError(
-                "speculative probing requires the memo cache (cache=True):"
-                " speculative results are absorbed into it"
-            )
         if self.evaluator is not None:
             owned_only = {
                 "workers": 1,
@@ -168,9 +145,7 @@ class ExplorationConfig:
                 "budget": None,
                 "on_event": None,
                 "bounds": False,
-                "speculate": False,
                 "backend": "auto",
-                "batch": 0,
             }
             clashes = [
                 name

@@ -39,10 +39,6 @@ KNOWN_EVENTS = (
     "prune",
     "bounds_exact",
     "bounds_cut",
-    "speculative_issued",
-    "speculative_useful",
-    "batch_call",
-    "batch_lanes",
     "frontier_update",
     "pool_restart",
     "pool_fallback",

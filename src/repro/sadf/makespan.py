@@ -67,12 +67,12 @@ def iteration_makespan(
     *capacities* (``None`` time on deadlock)."""
     channel_names = graph.channel_names
     channel_index = {name: i for i, name in enumerate(channel_names)}
-    validated = validate_capacities(graph, capacities, channel_index)
+    tokens = {name: graph.channels[name].initial_tokens for name in channel_names}
+    validated = validate_capacities(capacities, channel_index, list(tokens.values()))
     if repetitions is None:
         repetitions = repetition_vector(graph)
 
     actors = list(graph.actors.values())
-    tokens = {name: graph.channels[name].initial_tokens for name in channel_names}
     caps = {name: validated[channel_index[name]] for name in channel_names}
     inputs = {
         actor.name: [(c.name, c.consumption) for c in graph.incoming(actor.name)]

@@ -351,22 +351,10 @@ class AnalysisApi:
                 ("breaker_rejected", labels, float(snapshot["counters"]["rejected"]))
             )
         # Probe-avoidance counters, always present (0.0 before any job
-        # enables the oracle/speculation) so dashboards can rate() them.
+        # enables the oracle) so dashboards can rate() them.
         counters = self.manager.telemetry.counters
-        issued = float(counters.get("speculative_issued", 0))
-        useful = float(counters.get("speculative_useful", 0))
         gauges.append(("bounds_exact", {}, float(counters.get("bounds_exact", 0))))
         gauges.append(("bounds_cut", {}, float(counters.get("bounds_cut", 0))))
-        gauges.append(("speculative_issued", {}, issued))
-        gauges.append(("speculative_useful", {}, useful))
-        gauges.append(("speculative_wasted", {}, max(0.0, issued - useful)))
-        # Batched probe plane: wave count, total lanes, mean occupancy
-        # (lanes per wave; 0.0 until a job runs with batch > 0).
-        calls = float(counters.get("batch_call", 0))
-        lanes = float(counters.get("batch_lanes", 0))
-        gauges.append(("batch_calls", {}, calls))
-        gauges.append(("batch_lanes", {}, lanes))
-        gauges.append(("batch_occupancy", {}, lanes / calls if calls else 0.0))
         # Compiled-C probe plane: compile/cache activity is process-wide
         # (kernels are shared across jobs), so the gauges read the ccore
         # hub rather than the per-manager one.

@@ -190,9 +190,7 @@ def _job_config(params: Mapping, **run) -> ExplorationConfig:
     fields (budget, telemetry, checkpoint) the manager owns."""
     return ExplorationConfig(
         bounds=bool(params.get("bounds", False)),
-        speculate=bool(params.get("speculate", False)),
         backend=params.get("backend") or "auto",
-        batch=int(params.get("batch", 0)),
         **run,
     )
 

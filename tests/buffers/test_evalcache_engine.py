@@ -1,8 +1,9 @@
 """EvaluationService backend selection: the selected backend for plain
 queries, the blocking backend for blocking-aware ones, identical answers.
 
-``batch-numpy`` stands for a compiled backend without the ``blocking``
-capability: its blocking-aware queries run on the reference backend."""
+A compiled backend without the ``blocking`` capability (an application
+may register one) has its blocking-aware queries run on the reference
+backend."""
 
 from fractions import Fraction
 
@@ -33,15 +34,32 @@ def test_plain_queries_use_fast_kernel_by_default(fig1):
     assert reference.stats.fast_runs == 0
 
 
-def test_blocking_queries_always_run_on_reference(fig1):
-    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="batch-numpy"))
+class _PlainCompiledBackend:
+    """A stand-in for a compiled backend without the ``blocking`` capability."""
+
+    name = "plain-compiled"
+    capabilities = frozenset({"exact", "compiled"})
+
+    def evaluate_batch(self, graph, vectors, observe=None, *, blocking=False):
+        return backends.backend_for("fastcore").evaluate_batch(graph, vectors, observe)
+
+
+@pytest.fixture()
+def plain_backend(monkeypatch):
+    backend = _PlainCompiledBackend()
+    monkeypatch.setitem(backends._BACKENDS, backend.name, backend)
+    return backend
+
+
+def test_blocking_queries_always_run_on_reference(fig1, plain_backend):
+    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend=plain_backend.name))
     record = service.evaluate_blocking(StorageDistribution({"alpha": 4, "beta": 2}))
     assert record.has_blocking
     assert service.stats.fast_runs == 0
 
 
-def test_compiled_backend_sends_blocking_queries_to_reference(fig1):
-    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend="batch-numpy"))
+def test_compiled_backend_sends_blocking_queries_to_reference(fig1, plain_backend):
+    service = EvaluationService(fig1, "c", config=ExplorationConfig(backend=plain_backend.name))
     assert service(StorageDistribution({"alpha": 4, "beta": 2})) == Fraction(1, 7)
     assert service.stats.fast_runs == 1
     record = service.evaluate_blocking(StorageDistribution({"alpha": 5, "beta": 3}))

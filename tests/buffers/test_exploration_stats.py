@@ -63,8 +63,8 @@ def test_parallel_run_accounts_workers_and_batches(graph):
     result = explore_design_space(graph, "c", strategy="dependency", config=ExplorationConfig(workers=2))
     assert result.stats.workers == 2
     assert result.stats.parallel_batches >= 1
-    # Batch-by-size parallelism never speculates in the dependency
-    # sweep, so the evaluation count equals the serial baseline.
+    # Batch-by-size parallelism evaluates exactly the serial sweep's
+    # distributions, so the evaluation count equals the serial baseline.
     assert result.stats.evaluations == 9
     assert [(p.size, str(p.throughput)) for p in result.front] == PINNED_FRONT
 

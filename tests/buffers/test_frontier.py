@@ -101,15 +101,15 @@ class TestFrontierSweep:
         serial = sweep(Toy(y_step=2))
         levels = []
 
-        def probe_level(level, upcoming):
-            levels.append((list(level), upcoming(1)))
+        def probe_level(level):
+            levels.append(list(level))
             return [Toy(y_step=2)(distribution) for distribution in level]
 
         batched = sweep(Toy(y_step=2), probe_level=probe_level)
         assert list(batched.evaluations.items()) == list(serial.evaluations.items())
         assert batched.stats == serial.stats
-        # Only size 4 holds two distributions; size 5 is queued by then.
-        assert levels == [([dist(1, 3), dist(3, 1)], [dist(2, 3)])]
+        # Only size 4 holds two distributions.
+        assert levels == [[dist(1, 3), dist(3, 1)]]
 
     def test_budget_keeps_the_interrupted_distribution_pending(self):
         result = sweep(Toy(fail_at=2))

@@ -286,5 +286,3 @@ class TestServiceBounds:
 
         with pytest.raises(ExplorationError):
             ExplorationConfig(cache=False, bounds=True)
-        with pytest.raises(ExplorationError):
-            ExplorationConfig(cache=False, speculate=True)

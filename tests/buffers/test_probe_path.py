@@ -70,11 +70,6 @@ WORKLOADS = {
     "divide-bounds": lambda: explore_design_space(
         gallery_graph("bipartite"), strategy="divide", config=ExplorationConfig(bounds=True)
     ),
-    "divide-batch-numpy": lambda: explore_design_space(
-        gallery_graph("bipartite"),
-        strategy="divide",
-        config=ExplorationConfig(backend="batch-numpy", batch=8),
-    ),
     "sadf-modem-modes": lambda: explore_sadf(modem_modes()),
     "csdf-modem-lift": lambda: explore_design_space(from_sdf(gallery_graph("modem"))),
 }

@@ -214,7 +214,7 @@ def normalised(stats):
 
     Wall time, the backend label and pool health are allowed to differ
     between backends; every counter that feeds papers' tables (probe
-    counts, cache hits, prunes, oracle and batching behaviour) is not.
+    counts, cache hits, prunes, oracle behaviour) is not.
     """
     return replace(
         stats,
@@ -239,7 +239,7 @@ def _explore(case, strategy, backend):
     return explore_design_space(
         GALLERY[case][0](),
         strategy=strategy,
-        config=ExplorationConfig(backend=backend, batch=8, bounds=True),
+        config=ExplorationConfig(backend=backend, bounds=True),
     )
 
 
@@ -263,11 +263,10 @@ def test_exploration_matches_reference_backend(
 ):
     """Fronts, witnesses and normalised stats are backend-independent.
 
-    Batching is driven by ``config.batch`` alone (loop backends simply
-    loop within one call), so at a fixed config the wave structure —
-    and with it every exploration counter — is identical no matter
-    which backend executes the lanes.  The reference backend's own row
-    doubles as a determinism check (two independent runs must agree).
+    At a fixed config the service issues the same probes whichever
+    backend executes them, so every exploration counter is identical.
+    The reference backend's own row doubles as a determinism check (two
+    independent runs must agree).
     """
     expected = expected_exploration(case, strategy)
     result = _explore(case, strategy, backend_name)

@@ -227,20 +227,7 @@ def test_broken_cc_reports_unavailable(broken_cc):
 
 
 def test_auto_falls_back_when_cc_broken(broken_cc):
-    # The numpy lane kernel pays off only when probe waves form; one
-    # lane per call is several times slower than fastcore.
     assert resolve_backend("auto") == "fastcore"
-    assert resolve_backend("auto", batch=128) == "batch-numpy"
-
-
-def test_service_resolves_auto_by_batch_width_when_cc_broken(broken_cc):
-    from repro.buffers.evalcache import EvaluationService
-    from repro.runtime.config import ExplorationConfig
-
-    for batch, expected in ((0, "fastcore"), (8, "batch-numpy")):
-        config = ExplorationConfig(backend="auto", batch=batch)
-        with EvaluationService(fig1_example(), "c", config=config) as service:
-            assert service.backend_name == expected
 
 
 def test_explicit_cc_raises_actionable_error(broken_cc):
@@ -253,14 +240,13 @@ def test_explicit_cc_raises_actionable_error(broken_cc):
 
 
 def test_broken_cc_exploration_still_completes(broken_cc):
-    """backend='auto' explorations finish on the numpy backend with the
-    failure visible only in telemetry."""
+    """backend='auto' explorations finish on fastcore with the failure
+    visible only in telemetry."""
     from repro.buffers.explorer import explore_design_space
     from repro.runtime.config import ExplorationConfig
 
-    result = explore_design_space(
-        fig1_example(), "c", config=ExplorationConfig(backend="auto", batch=4)
-    )
+    result = explore_design_space(fig1_example(), "c", config=ExplorationConfig(backend="auto"))
+    assert result.stats.backend == "fastcore"
     assert [(p.size, str(p.throughput)) for p in result.front] == [
         (6, "1/7"),
         (8, "1/6"),
@@ -286,7 +272,6 @@ def test_missing_compiler_reason_names_candidates(monkeypatch):
 @needs_cc
 def test_auto_prefers_tiered():
     assert resolve_backend("auto") == "tiered"
-    assert resolve_backend("auto", batch=128) == "tiered"
     # Explicit names resolve to themselves.
     assert resolve_backend("reference") == "reference"
     assert resolve_backend("fastcore") == "fastcore"

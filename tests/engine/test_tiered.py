@@ -66,9 +66,9 @@ def tiers(monkeypatch):
         log.fastcore += len(vectors)
         return fastcore_batch(graph, vectors, observe, blocking)
 
-    def counted_cc(kernel, graph, vectors, blocking):
+    def counted_cc(kernel, vectors, blocking):
         log.cc += len(vectors)
-        return cc_batch(kernel, graph, vectors, blocking)
+        return cc_batch(kernel, vectors, blocking)
 
     monkeypatch.setattr(backends, "_fastcore_batch", counted_fastcore)
     monkeypatch.setattr(backends, "_cc_batch", counted_cc)

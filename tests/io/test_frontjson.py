@@ -77,6 +77,24 @@ class TestSchemaVersion:
         del data["schema"]  # documents written before the field existed
         assert result_from_dict(data).front == explore_design_space(fig1, "c").front
 
+    def test_stats_of_removed_counters_ignored(self, tmp_path, fig1):
+        """Results written before probe waves and speculation were removed
+        carry their counters in ``stats``; they still load."""
+        result = explore_design_space(fig1, "c")
+        data = result_to_dict(result)
+        data["stats"].update(
+            speculative_issued=3,
+            speculative_useful=2,
+            speculative_wasted=1,
+            batch_calls=4,
+            batch_lanes=9,
+        )
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        restored = read_result_json(path)
+        assert restored.front == result.front
+        assert restored.to_dict() == result.to_dict()
+
 
 class TestReaderErrorPaths:
     def test_truncated_file(self, tmp_path, fig1):

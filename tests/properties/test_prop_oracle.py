@@ -4,7 +4,7 @@ Invariants:
 
 * oracle intervals always bracket the simulator's exact throughput
   (monotonicity makes every derived bound sound);
-* the bounds oracle and speculative probing are pure accelerations —
+* the bounds oracle and the worker pool are pure accelerations —
   fronts, witnesses and max throughput are bit-identical whether they
   are on or off, serial or parallel;
 * checkpoint round-trips preserve that identity with the oracle on.
@@ -87,13 +87,13 @@ def test_bounds_oracle_preserves_fronts_everywhere(seed):
 
 @given(seeds)
 @settings(max_examples=8, deadline=None)
-def test_speculation_with_workers_preserves_fronts(seed):
+def test_bounds_with_workers_preserves_fronts(seed):
     graph = small_graph(seed)
     baseline = explore_design_space(graph, strategy="divide", config=ExplorationConfig())
     parallel = explore_design_space(
         graph,
         strategy="divide",
-        config=ExplorationConfig(workers=2, bounds=True, speculate=True),
+        config=ExplorationConfig(workers=2, bounds=True),
     )
     assert fingerprint(parallel) == fingerprint(baseline)
 

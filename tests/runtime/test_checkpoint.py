@@ -179,6 +179,24 @@ class TestCheckpointFiles:
         save_checkpoint(result, tmp_path / "direct.json")
         assert load_checkpoint(tmp_path / "direct.json").graph_name == "example"
 
+    def test_stats_of_removed_counters_still_resume(self, tmp_path):
+        """Checkpoints written before probe waves and speculation were
+        removed carry their counters in ``stats``; such a checkpoint
+        loads and resumes exactly like one without them."""
+        self.make_partial(tmp_path)
+        payload = json.loads((tmp_path / "ck.json").read_text())
+        payload["stats"].update(
+            speculative_issued=3, speculative_useful=2, batch_calls=4, batch_lanes=9
+        )
+        (tmp_path / "old.json").write_text(json.dumps(payload))
+        graph = gallery_graph("example")
+        old = explore_design_space(graph, "c", resume=str(tmp_path / "old.json"))
+        current = explore_design_space(graph, "c", resume=str(tmp_path / "ck.json"))
+        assert old.complete
+        assert fronts_identical(old.front, explore_design_space(graph, "c").front)
+        assert fronts_identical(old.front, current.front)
+        assert old.stats.to_dict() | {"wall_time_s": 0} == current.stats.to_dict() | {"wall_time_s": 0}
+
 
 class TestCheckpointErrors:
     def test_not_json(self, tmp_path):

@@ -51,37 +51,31 @@ class TestValidation:
     def test_unknown_backend_raises_config_error_at_construction(self):
         from repro.exceptions import ConfigError
 
-        with pytest.raises(ConfigError, match="unknown probe backend 'warp'"):
-            ExplorationConfig(backend="warp")
-        # ConfigError is an ExplorationError: one catch covers both.
-        with pytest.raises(ExplorationError):
-            ExplorationConfig(backend="warp")
+        # "batch-numpy" names a backend that no longer exists.
+        for name in ("warp", "batch-numpy"):
+            with pytest.raises(ConfigError, match=f"unknown probe backend '{name}'"):
+                ExplorationConfig(backend=name)
+            # ConfigError is an ExplorationError: one catch covers both.
+            with pytest.raises(ExplorationError):
+                ExplorationConfig(backend=name)
 
     def test_error_lists_registered_backends(self):
         from repro.exceptions import ConfigError
 
-        with pytest.raises(ConfigError, match="batch-numpy"):
-            ExplorationConfig(backend="warp")
+        for name in ("warp", "batch-numpy"):
+            with pytest.raises(ConfigError, match="cc, fastcore, reference, tiered"):
+                ExplorationConfig(backend=name)
 
     def test_valid_backends_accepted(self):
         ExplorationConfig(backend="reference")
         ExplorationConfig(backend="fastcore")
-        ExplorationConfig(backend="batch-numpy", batch=16)
         ExplorationConfig(backend="auto")
 
-    def test_negative_batch_raises_config_error(self):
-        from repro.exceptions import ConfigError
-
-        with pytest.raises(ConfigError, match="batch must be >= 0"):
-            ExplorationConfig(batch=-1)
-
-    def test_evaluator_excludes_backend_and_batch(self):
+    def test_evaluator_excludes_backend(self):
         graph = gallery_graph("example")
         with EvaluationService(graph, "c") as service:
             with pytest.raises(ExplorationError, match="backend"):
-                ExplorationConfig(evaluator=service, backend="batch-numpy")
-            with pytest.raises(ExplorationError, match="batch"):
-                ExplorationConfig(evaluator=service, batch=8)
+                ExplorationConfig(evaluator=service, backend="fastcore")
 
     def test_replaced_returns_modified_copy(self):
         config = ExplorationConfig(workers=2)

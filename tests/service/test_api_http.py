@@ -171,9 +171,6 @@ class TestObservability:
         text = client.metrics()
         assert "repro_bounds_exact 0.0" in text
         assert "repro_bounds_cut 0.0" in text
-        assert "repro_speculative_issued 0.0" in text
-        assert "repro_speculative_useful 0.0" in text
-        assert "repro_speculative_wasted 0.0" in text
 
     def test_bounds_job_counts_exact_answers_and_keeps_the_front(self, client, fig1):
         plain = client.wait(
@@ -189,7 +186,7 @@ class TestObservability:
                 graph_to_dict(fig1),
                 kind="dse",
                 observe="c",
-                params={"strategy": "divide", "bounds": True, "speculate": True},
+                params={"strategy": "divide", "bounds": True},
             )["id"]
         )
         assert boosted["state"] == plain["state"] == "done"
@@ -205,65 +202,19 @@ class TestObservability:
             )
             assert float(value) >= 0.0
 
-    def test_batch_gauges_default_to_zero(self, client):
-        text = client.metrics()
-        assert "repro_batch_calls 0.0" in text
-        assert "repro_batch_lanes 0.0" in text
-        assert "repro_batch_occupancy 0.0" in text
-
-    def test_batched_job_fills_lanes_and_keeps_the_front(self, client, fig1):
-        # Batched job first, so its probes are paid through waves rather
-        # than replayed from a previous job's shared memo bank.
-        batched = client.wait(
-            client.submit_job(
-                graph_to_dict(fig1),
-                kind="dse",
-                observe="c",
-                params={
-                    "strategy": "divide",
-                    "backend": "batch-numpy",
-                    "batch": 4,
-                },
-            )["id"]
-        )
-        plain = client.wait(
-            client.submit_job(
-                graph_to_dict(fig1),
-                kind="dse",
-                observe="c",
-                params={"strategy": "divide"},
-            )["id"]
-        )
-        assert batched["state"] == plain["state"] == "done"
-        assert batched["result"]["pareto_front"] == plain["result"]["pareto_front"]
-        assert batched["result"]["stats"]["batch_calls"] > 0
-        text = client.metrics()
-        calls = next(
-            float(line.split()[1]) for line in text.splitlines()
-            if line.startswith("repro_batch_calls ")
-        )
-        lanes = next(
-            float(line.split()[1]) for line in text.splitlines()
-            if line.startswith("repro_batch_lanes ")
-        )
-        occupancy = next(
-            float(line.split()[1]) for line in text.splitlines()
-            if line.startswith("repro_batch_occupancy ")
-        )
-        assert calls > 0 and lanes >= calls
-        assert occupancy == pytest.approx(lanes / calls)
-
     def test_unknown_backend_fails_the_job_with_a_clear_error(self, client, fig1):
-        job = client.submit_job(
-            graph_to_dict(fig1),
-            kind="dse",
-            observe="c",
-            params={"backend": "warp"},
-        )
-        failed = client.wait(job["id"])
-        assert failed["state"] == "failed"
-        assert "unknown probe backend 'warp'" in failed["error"]
-        assert "batch-numpy" in failed["error"]
+        # "batch-numpy" names a backend that no longer exists.
+        for name in ("warp", "batch-numpy"):
+            job = client.submit_job(
+                graph_to_dict(fig1),
+                kind="dse",
+                observe="c",
+                params={"backend": name},
+            )
+            failed = client.wait(job["id"])
+            assert failed["state"] == "failed"
+            assert f"unknown probe backend {name!r}" in failed["error"]
+            assert "cc, fastcore, reference, tiered" in failed["error"]
 
     def test_backends_endpoint_lists_the_registry(self, client):
         from repro.engine.backends import backend_names

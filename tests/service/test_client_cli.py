@@ -135,7 +135,7 @@ class TestBackendsVerb:
     def test_remote_listing_via_url(self, server, capsys):
         assert main(["backends", "--url", server.url, "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert any(row["name"] == "batch-numpy" and row["available"] for row in rows)
+        assert any(row["name"] == "fastcore" and row["available"] for row in rows)
 
 
 class TestServeSubprocess:

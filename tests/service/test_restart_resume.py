@@ -57,6 +57,32 @@ class TestBudgetPartialThenRestart:
             reborn.drain()
 
 
+class TestParamsOfRemovedKnobs:
+    def test_speculate_and_batch_params_are_ignored_after_restart(self, tmp_path, fig1):
+        """Job records may carry the ``speculate`` / ``batch`` params of
+        earlier releases; like any unknown param key they are ignored."""
+        registry = GraphRegistry(tmp_path)
+        fingerprint, _ = registry.add(fig1)
+        manager = JobManager(registry, tmp_path)
+        params = {"speculate": True, "batch": 128}
+        job = manager.submit(
+            JobSpec(kind="dse", fingerprint=fingerprint, observe="c", params=params, max_probes=5)
+        )
+        wait_for(lambda: job.state == "partial")
+        manager.drain()
+
+        reborn = JobManager(GraphRegistry(tmp_path), tmp_path)
+        try:
+            recovered = reborn.get(job.id)
+            assert dict(recovered.spec.params) == params
+            wait_for(lambda: recovered.state == "done")
+            direct = explore_design_space(fig1, "c")
+            assert recovered.result["stats"]["evaluations"] == direct.stats.evaluations
+            assert DesignSpaceResult.from_dict(recovered.result).front == direct.front
+        finally:
+            reborn.drain()
+
+
 class TestGracefulDrain:
     def test_drain_requeues_running_job_without_cancelling_it(self, tmp_path, fig1):
         registry = GraphRegistry(tmp_path)

@@ -122,23 +122,20 @@ class TestErrors:
 
 class TestBackendFlag:
     def test_backend_selects_probe_backend(self, capsys):
-        assert main(["gallery:example", "--observe", "c", "--backend", "batch-numpy", "--batch", "8"]) == 0
+        assert main(["gallery:example", "--observe", "c", "--backend", "fastcore"]) == 0
         assert "Pareto points: 4" in capsys.readouterr().out
 
-    def test_batched_front_matches_default(self, capsys):
-        assert main(["gallery:example", "--observe", "c"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["gallery:example", "--observe", "c", "--backend", "batch-numpy", "--batch", "4"]) == 0
-        batched = capsys.readouterr().out
-        pareto = [line for line in plain.splitlines() if "throughput=" in line]
-        assert pareto == [line for line in batched.splitlines() if "throughput=" in line]
-
     def test_unknown_backend_fails_up_front(self, capsys):
-        assert main(["gallery:example", "--backend", "warp"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown probe backend 'warp'" in err
-        assert "batch-numpy" in err  # the registry is listed
+        # "batch-numpy" names a backend that no longer exists.
+        for name in ("warp", "batch-numpy"):
+            assert main(["gallery:example", "--backend", name]) == 1
+            err = capsys.readouterr().err
+            assert f"unknown probe backend {name!r}" in err
+            assert "cc, fastcore, reference, tiered" in err  # the registry is listed
 
-    def test_negative_batch_rejected(self, capsys):
-        assert main(["gallery:example", "--batch", "-3"]) == 1
-        assert "batch must be >= 0" in capsys.readouterr().err
+    def test_probe_wave_flags_are_gone(self, capsys):
+        for flag in ("--batch=8", "--speculate"):
+            with pytest.raises(SystemExit) as exited:
+                main(["gallery:example", flag])
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
