@@ -69,10 +69,10 @@ def dependency_sweep(
         built from the config and closed before returning.  The
         sweep's probes are blocking-aware, so they run on the
         service's blocking backend: ``config.backend`` when it has
-        the ``"blocking"`` capability (``"tiered"``, which the
-        default ``"auto"`` selects with a C compiler, ``"fastcore"``,
-        which it selects without one, ``"cc"`` and ``"reference"``
-        do), ``"reference"`` otherwise.
+        the ``"blocking"`` capability (``"cc"``, which the default
+        ``"auto"`` selects wherever the C kernel loads or builds,
+        ``"fastcore"``, which it selects elsewhere, and
+        ``"reference"`` do), ``"reference"`` otherwise.
         With ``workers > 1`` each size level of the frontier is one
         parallel batch, folded in serial order: the explored set, the
         recorded throughputs and the first witness are identical.

@@ -47,16 +47,17 @@ are merged back in input order, so batch callers observe the same
 deterministic sequence either way.
 
 **One probe path.**  Every simulation the service runs is one
-:meth:`~repro.engine.backends.ProbeBackend.evaluate_batch` call,
-inline or as one task of the worker pool, and every result becomes a
-memo record through one helper.  Plain inline probes run on
-``config.backend`` without asking for blocking data; blocking-aware
-and pooled probes ask for it (``blocking=True``) on the service's
-*blocking backend* — the selected backend when it has the
+:func:`~repro.engine.backends.probe_batch` call, inline or as one task
+of the worker pool, and every result becomes a memo record through one
+helper.  Plain probes ask for no blocking data, blocking-aware probes
+ask for it (``blocking=True``), pooled or not.  Plain inline probes run
+on ``config.backend``; blocking-aware and pooled probes run on the
+service's *blocking backend* — the selected backend when it has the
 ``"blocking"`` capability (every built-in SDF backend does), the
-``"reference"`` backend otherwise.  A
-CSDF graph runs every probe on ``"reference"``, the one backend with a
-CSDF executor.
+``"reference"`` backend otherwise.  When ``backend="auto"`` selected
+``cc``, a batch that hits one of the C kernel's resource limits reruns
+on ``fastcore``.  A CSDF graph runs every probe on ``"reference"``, the
+one backend with a CSDF executor.
 
 **Run control.**  The service carries the run's
 :class:`~repro.runtime.controller.RunController` and
@@ -87,7 +88,13 @@ from repro.buffers.distribution import StorageDistribution
 from repro.buffers.oracle import ThroughputBoundsOracle
 from repro.buffers.search import SearchStats
 from repro.buffers.shared import dominates as _dominates
-from repro.engine.backends import EvalResult, ProbeBackend, backend_for, resolve_backend
+from repro.engine.backends import (
+    EvalResult,
+    ProbeBackend,
+    backend_for,
+    probe_batch,
+    resolve_backend,
+)
 from repro.engine.parallel import ParallelProber
 from repro.exceptions import CapacityError, ExplorationError
 from repro.graph.graph import SDFGraph
@@ -230,6 +237,13 @@ class EvaluationService:
             if "blocking" in self._backend.capabilities
             else backend_for("reference")
         )
+        # "auto" trades speed only: a batch past the C kernel's limits
+        # reruns on fastcore.  Explicit "cc" raises KernelLimitError.
+        self._fallback: ProbeBackend | None = (
+            backend_for("fastcore")
+            if config.backend == "auto" and self.backend_name == "cc"
+            else None
+        )
         self.ceiling = ceiling
         self.stats = stats if stats is not None else EvalStats(workers=self.workers)
         self.stats.workers = self.workers
@@ -358,7 +372,7 @@ class EvaluationService:
                 # one probe at a time.
                 self.controller.before_probes(len(misses))
                 prober = self._ensure_prober()
-                results = prober.map([dict(d) for _, d, _ in misses])
+                results = prober.map([dict(d) for _, d, _ in misses], blocking=blocking)
                 self._sync_pool_stats(prober)
                 for (index, distribution, vector), result in zip(misses, results):
                     self._count_evaluation(prober.backend)
@@ -453,8 +467,13 @@ class EvaluationService:
         self.telemetry.emit("probe_start", size=size, blocking=blocking)
         probe_started = time.perf_counter()
         self._count_evaluation(backend)
-        result = backend.evaluate_batch(
-            self.graph, [dict(distribution)], self.observe, blocking=blocking
+        result = probe_batch(
+            backend,
+            self.graph,
+            [dict(distribution)],
+            self.observe,
+            blocking=blocking,
+            fallback=self._fallback,
         )[0]
         record = self._record(distribution, result)
         duration = time.perf_counter() - probe_started
@@ -522,6 +541,7 @@ class EvaluationService:
                 probe_timeout=self.config.probe_timeout,
                 max_restarts=self.config.max_pool_restarts,
                 retry_backoff=self.config.retry_backoff,
+                fallback=self._fallback,
                 on_event=self.telemetry.emit,
             )
         return self._prober

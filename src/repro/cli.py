@@ -161,17 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         metavar="NAME",
         help="probe backend from the repro.engine.backends registry"
-        " ('reference', 'fastcore', 'cc', 'tiered', or 'auto' for the best"
-        " available on this host: tiered with a C compiler, which probes a"
-        " graph on fastcore until its C kernel pays for its compile and then"
-        " on cc, else fastcore); explicit cc compiles on its first probe;"
-        " unknown names and host-unavailable backends fail up front"
-        " (default: auto)",
+        " ('reference', 'fastcore', 'cc', or 'auto' for the best available"
+        " on this host: cc wherever its one C kernel loads from the cache or"
+        " builds, else fastcore); unknown names and host-unavailable backends"
+        " fail up front (default: auto)",
     )
     parser.add_argument(
         "--codegen-cache-dir",
         metavar="DIR",
-        help="directory for compiled C probe kernels of 'cc' and 'tiered' (default:"
+        help="directory for the compiled C probe kernel of 'cc' (default:"
         " $REPRO_CACHE_DIR/cc-kernels, else the XDG user cache)",
     )
     parser.add_argument(

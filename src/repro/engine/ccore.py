@@ -1,18 +1,20 @@
 """Compile plane of the ``"cc"`` probe backend ("buffy-native").
 
 The paper's own ``buffy`` tool reaches its throughput by generating a
-dedicated C explorer per graph (Sec. 10, Fig. 8).  This module turns
-that idea into a production backend: it takes the self-contained kernel
-source emitted by :func:`repro.codegen.cgen.generate_kernel_c`,
-compiles it with the platform C compiler via :mod:`ctypes` (no runtime
-dependencies beyond a working ``cc``), and caches the resulting shared
-objects on disk content-addressed by graph fingerprint + layout +
-codegen version — so the service and repeated CLI runs never compile
-the same graph twice, across processes and restarts.
+dedicated C explorer per graph (Sec. 10, Fig. 8).  This backend keeps
+the compiled probe loop but not the per-graph program: one fixed
+kernel source (:mod:`repro.engine.ckernel`) takes the graph as a struct
+of tables, so a host compiles it at most once, with the platform C
+compiler via :mod:`ctypes` (no runtime dependency beyond a working
+``cc``), into an on-disk cache keyed by the kernel source, the
+compiler and the flags.  The service and repeated CLI runs load that
+one shared object across processes and restarts.
 
-Layering: this module owns *compilation, caching and binding* and
-returns raw ``(firings, duration, states, deadlocked, deficits)``
-tuples; the :class:`~repro.engine.backends.CcBackend` registered in
+Layering: this module owns *building, caching and binding*.
+:func:`kernel_for` binds a graph's tables to the loaded library and
+returns a :class:`CompiledKernel`, whose :meth:`~CompiledKernel.run_lanes`
+gives raw ``(firings, duration, states, deadlocked, deficits)`` tuples;
+the :class:`~repro.engine.backends.CcBackend` registered in
 :mod:`repro.engine.backends` wraps them into exact
 :class:`~repro.engine.backends.EvalResult`\\ s (``Fraction(firings,
 duration)``) and plugs into the probe-backend seam.  A kernel that
@@ -22,20 +24,22 @@ overflow of a completion time or a cycle sum, a visited set beyond its
 :meth:`CompiledKernel.run_lanes` raises as an
 :class:`~repro.exceptions.EngineError` naming the cause; the four
 resource limits raise its subclass
-:class:`~repro.exceptions.KernelLimitError`, on which the ``tiered``
-backend reruns the batch in Python.
+:class:`~repro.exceptions.KernelLimitError`, on which the evaluation
+service reruns the batch on ``fastcore`` when ``backend="auto"``
+selected ``cc``.
 
-Graceful degradation
---------------------
-:func:`compiler_probe` discovers a compiler (``$CC``, else ``cc`` /
-``gcc`` / ``clang`` on ``PATH``) and proves it can actually build a
-shared object once, caching the verdict.  On hosts without one the
-backend stays registered but reports itself unavailable:
-``backend="auto"`` resolution skips it silently, while asking for
-``backend="cc"`` explicitly raises
-:class:`~repro.exceptions.ConfigError` carrying the probe's reason.  A
-failed trial compile counts the ``cc_compile_failures`` telemetry
-counter.
+Availability
+------------
+The backend is available when its kernel loads: from the cache (no
+compiler runs at all) or built now with ``$CC``, else the first of
+``cc`` / ``gcc`` / ``clang`` on ``PATH``.  :func:`compiler_probe`
+returns that verdict and caches it until :func:`reset`.  On hosts
+where the kernel neither loads nor builds the backend stays registered
+but reports itself unavailable, with the compiler's reason:
+``backend="auto"`` resolution then picks ``fastcore`` silently, while
+asking for ``backend="cc"`` explicitly raises
+:class:`~repro.exceptions.ConfigError`.  A failed build counts the
+``cc_compile_failures`` telemetry counter.
 
 Cache hygiene
 -------------
@@ -43,18 +47,16 @@ The on-disk cache (``$REPRO_CACHE_DIR/cc-kernels``, else
 ``$XDG_CACHE_HOME/repro/cc-kernels``, else ``~/.cache/repro/cc-kernels``;
 overridable via :func:`configure` / the CLI ``--codegen-cache-dir``)
 stores ``<key>.c`` + ``<key>.so`` pairs, written atomically
-(temp-file + rename).  It is size-bounded with LRU eviction by access
-time, and corrupt entries — truncated files, foreign binaries, stale
-ABIs — are detected at load time (missing symbols, ``dlopen`` failure,
-ABI/shape handshake mismatch), unlinked, and recompiled instead of
-crashing the run.
+(temp-file + rename): one per kernel source, compiler and flag set.
+It is size-bounded with LRU eviction by access time, and corrupt
+entries — truncated files, foreign binaries, stale ABIs — are detected
+at load time (missing symbols, ``dlopen`` failure, ABI handshake
+mismatch), unlinked, and rebuilt instead of crashing the run.
 
 Telemetry: the module-level :data:`telemetry` hub counts
 ``cc_compiles``, ``cc_cache_hits``, ``cc_compile_failures``,
-``cc_cache_corrupt``, ``cc_cache_evictions`` and ``cc_promotions`` (one
-per ``(graph, observe)`` the ``tiered`` backend moves to C; the event
-carries the graph name and the ``fastcore`` seconds it had spent); the
-analysis service exposes them as Prometheus gauges on ``/metrics``.
+``cc_cache_corrupt`` and ``cc_cache_evictions``; the analysis service
+exposes them as Prometheus gauges on ``/metrics``.
 """
 
 from __future__ import annotations
@@ -65,13 +67,13 @@ import json
 import os
 import shutil
 import subprocess
-import tempfile
 import threading
 import weakref
 from hashlib import sha256
 from pathlib import Path
 from collections.abc import Sequence
 
+from repro.engine.ckernel import KERNEL_ABI, SOURCE
 from repro.exceptions import ConfigError, EngineError, GraphError, KernelLimitError
 from repro.graph.graph import SDFGraph
 
@@ -82,9 +84,9 @@ _UNBOUNDED = 2**62
 
 #: Lazily constructed compile-plane telemetry (``cc_compiles``,
 #: ``cc_cache_hits``, ``cc_compile_failures``, ``cc_cache_corrupt``,
-#: ``cc_cache_evictions``, ``cc_promotions``), exposed as the module attribute
-#: ``ccore.telemetry``.  Module-global: kernels are shared across
-#: services and jobs, so their accounting is too.  Built on first use
+#: ``cc_cache_evictions``), exposed as the module attribute
+#: ``ccore.telemetry``.  Module-global: the kernel is shared across
+#: services and jobs, so its accounting is too.  Built on first use
 #: because this module must stay import-light — it is imported by the
 #: backend registry, which half the package imports.
 _telemetry = None
@@ -107,8 +109,10 @@ def __getattr__(name: str):
 #: Compilers tried, in order, when ``$CC`` is unset.
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 
-#: Flags for building a loadable kernel shared object.
-_CFLAGS = ("-O2", "-fPIC", "-shared")
+#: Flags for building a loadable kernel shared object.  ``-O1``: the
+#: kernel probes as fast as at ``-O2`` (x86-64, gcc 12) and builds in
+#: about half the time, which a cold ``repro serve`` start-up pays.
+_CFLAGS = ("-O1", "-fPIC", "-shared")
 
 #: Default size bound of the on-disk kernel cache (``.c`` + ``.so``).
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -117,39 +121,22 @@ _COMPILE_TIMEOUT_S = 120
 
 _UNSET = object()
 
-#: Mutable module state: the cached compiler-probe verdict and the
-#: :func:`configure` overrides.
-_state: dict = {"probe": None, "cache_dir": None, "max_bytes": None}
+#: Mutable module state: the availability verdict of :func:`compiler_probe`,
+#: the loaded kernel library and the :func:`configure` overrides.
+_state: dict = {"probe": None, "lib": None, "cache_dir": None, "max_bytes": None}
 
-#: Weak per-graph handle cache: {graph: (shape, {observe: kernel})},
-#: mirroring ``fastcore._KERNELS``.  Purely an in-process lookup
-#: accelerator — the disk cache is the durable layer.
+#: Weak per-graph binding cache: {graph: (shape, {observe: kernel})},
+#: mirroring ``fastcore._KERNELS``.
 _KERNELS: "weakref.WeakKeyDictionary[SDFGraph, tuple[tuple[int, int], dict[str, CompiledKernel]]]" = (
     weakref.WeakKeyDictionary()
 )
 
+#: Serialises the one load-or-build of the kernel library.
 _COMPILE_LOCK = threading.Lock()
 
 
 class _KernelBinaryError(Exception):
     """A cached shared object failed the load-time handshake."""
-
-
-def _cgen():
-    # Imported lazily: the codegen package's __init__ reaches back into
-    # the buffers layer, which imports the backend registry — importing
-    # it at module load would close that circle.
-    from repro.codegen import cgen
-
-    return cgen
-
-
-def _graph_fingerprint(graph: SDFGraph) -> str:
-    # Lazy for the same reason: repro.io's __init__ pulls front I/O,
-    # which imports the buffers layer.
-    from repro.io.jsonio import graph_fingerprint
-
-    return graph_fingerprint(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +149,27 @@ def configure(*, cache_dir: str | Path | None | object = _UNSET,
     """Override the kernel-cache location and/or size bound.
 
     Passing ``None`` restores the environment/default resolution for
-    that setting.  Loaded kernel handles are dropped so the new
-    location takes effect immediately.
+    that setting.  The loaded kernel and the availability verdict are
+    dropped so the new location takes effect immediately.
     """
     if cache_dir is not _UNSET:
         _state["cache_dir"] = Path(cache_dir) if cache_dir is not None else None
     if max_bytes is not _UNSET:
         _state["max_bytes"] = int(max_bytes) if max_bytes is not None else None
-    _KERNELS.clear()
+    reset()
 
 
 def reset(*, counters: bool = False) -> None:
-    """Forget the compiler-probe verdict and all loaded kernel handles.
+    """Forget the availability verdict, the loaded kernel and every
+    graph binding.
 
-    The on-disk cache is untouched — a later probe re-discovers the
-    compiler and cached shared objects are reloaded (as cache hits).
-    With ``counters=True`` the telemetry counters restart at zero.
-    Primarily a test hook (environment changes are not watched).
+    The on-disk cache is untouched — the next lookup loads the cached
+    shared object again (as a cache hit).  With ``counters=True`` the
+    telemetry counters restart at zero.  Primarily a test hook
+    (environment changes are not watched).
     """
     _state["probe"] = None
+    _state["lib"] = None
     _KERNELS.clear()
     if counters:
         _hub().counters.clear()
@@ -207,61 +196,44 @@ def cache_limit_bytes() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compiler discovery
+# Availability: the kernel loads or builds
 # ---------------------------------------------------------------------------
 
 
-def compiler_probe(*, refresh: bool = False) -> tuple[str | None, str | None]:
-    """``(compiler, None)`` when a working C compiler exists, else
-    ``(None, reason)``.
+def compiler_probe() -> tuple[str | None, str | None]:
+    """``(compiler, None)`` when the probe kernel loads from the cache or
+    builds now, else ``(None, reason)``.
 
-    The probe resolves ``$CC`` (or the first of ``cc``/``gcc``/``clang``
-    on ``PATH``) and proves it can build a trivial shared object; the
-    verdict is cached until :func:`reset`.  A compiler that resolves
-    but cannot compile counts ``cc_compile_failures`` — that is the
-    signal the broken-``cc`` fallback tests assert on.
+    The compiler is ``$CC`` or the first of ``cc``/``gcc``/``clang`` on
+    ``PATH``; it is part of the cache key, and runs only on a cache
+    miss.  The verdict, and the loaded kernel, are kept until
+    :func:`reset`.  A build that fails counts ``cc_compile_failures``.
     """
-    if not refresh and _state["probe"] is not None:
+    with _COMPILE_LOCK:
+        if _state["probe"] is None:
+            _state["probe"] = _load_or_build()
         return _state["probe"]
-    verdict = _probe_uncached()
-    _state["probe"] = verdict
-    return verdict
 
 
-def _probe_uncached() -> tuple[str | None, str | None]:
+def _find_compiler() -> tuple[str | None, str | None]:
     env = os.environ.get("CC")
-    names = [env] if env else list(_COMPILER_CANDIDATES)
-    compiler = None
-    for name in names:
+    for name in [env] if env else _COMPILER_CANDIDATES:
         path = shutil.which(name)
         if path:
-            compiler = path
-            break
+            return path, None
+    if env:
+        return None, f"$CC={env!r} is not on PATH or not executable"
+    return None, "no C compiler found (install cc/gcc/clang or point $CC at one)"
+
+
+def _load_or_build() -> tuple[str | None, str | None]:
+    compiler, reason = _find_compiler()
     if compiler is None:
-        if env:
-            return None, f"$CC={env!r} is not on PATH or not executable"
-        return None, (
-            "no C compiler found (install cc/gcc/clang or point $CC at one)"
-        )
+        return None, reason
     try:
-        with tempfile.TemporaryDirectory(prefix="repro-cc-probe-") as tmp:
-            source = Path(tmp) / "probe.c"
-            source.write_text("int repro_cc_probe(void) { return 0; }\n", encoding="utf-8")
-            target = Path(tmp) / "probe.so"
-            proc = subprocess.run(
-                [compiler, *_CFLAGS, "-o", str(target), str(source)],
-                capture_output=True,
-                text=True,
-                timeout=_COMPILE_TIMEOUT_S,
-            )
-    except (OSError, subprocess.TimeoutExpired) as error:
-        _hub().emit("cc_compile_failures")
-        return None, f"C compiler {compiler} could not be run ({error})"
-    if proc.returncode != 0:
-        _hub().emit("cc_compile_failures")
-        tail = (proc.stderr or proc.stdout).strip().splitlines()
-        detail = tail[-1] if tail else f"exit status {proc.returncode}"
-        return None, f"C compiler {compiler} cannot build shared objects ({detail})"
+        _state["lib"] = _open_library(compiler)
+    except EngineError as error:
+        return None, str(error)
     return compiler, None
 
 
@@ -277,26 +249,15 @@ def availability() -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def cache_key(graph: SDFGraph, observe: str) -> str:
-    """Content address of the ``(graph, observe)`` kernel.
+def cache_key(compiler: str) -> str:
+    """Content address of the probe kernel built by *compiler*.
 
-    Covers the canonical :func:`~repro.io.jsonio.graph_fingerprint`
-    *plus* the actor/channel declaration order — the compiled kernel's
-    caps layout and actor indices are positional, so two graphs with
-    equal fingerprints but different insertion orders must not share a
-    shared object — and the codegen version, so generator changes
-    invalidate every older entry without touching the disk.
+    Covers the kernel source, the compiler's path and the flags, so a
+    kernel change or another compiler gets an entry of its own, and
+    older entries are simply never looked up again.
     """
-    layout = json.dumps(
-        [
-            _graph_fingerprint(graph),
-            list(graph.actor_names),
-            list(graph.channel_names),
-            observe,
-            _cgen().CODEGEN_VERSION,
-        ]
-    )
-    return sha256(layout.encode("utf-8")).hexdigest()[:32]
+    recipe = json.dumps([SOURCE, compiler, list(_CFLAGS)])
+    return sha256(recipe.encode("utf-8")).hexdigest()[:32]
 
 
 class KernelCache:
@@ -360,7 +321,7 @@ class KernelCache:
                 tail = (proc.stderr or proc.stdout).strip().splitlines()
                 detail = "\n".join(tail[-5:]) or f"exit status {proc.returncode}"
                 raise EngineError(
-                    f"C compiler {compiler} failed on the generated kernel:\n{detail}"
+                    f"C compiler {compiler} cannot build the probe kernel ({detail})"
                 )
             os.replace(c_tmp, c_path)
             os.replace(so_tmp, so_path)
@@ -419,25 +380,43 @@ class KernelCache:
 
 
 # ---------------------------------------------------------------------------
-# Binding + execution
+# Loading the library
 # ---------------------------------------------------------------------------
 
 
-def _bind(path: Path, graph: SDFGraph) -> ctypes.CDLL:
+class _Graph(ctypes.Structure):
+    """The kernel's ``Graph`` struct (see :mod:`repro.engine.ckernel`)."""
+
+    _fields_ = [
+        ("actors", ctypes.c_int32),
+        ("channels", ctypes.c_int32),
+        ("observe", ctypes.c_int32),
+        ("exec_time", ctypes.POINTER(ctypes.c_int64)),
+        ("initial_tokens", ctypes.POINTER(ctypes.c_int64)),
+        ("cons_rate", ctypes.POINTER(ctypes.c_int64)),
+        ("prod_rate", ctypes.POINTER(ctypes.c_int64)),
+        ("in_off", ctypes.POINTER(ctypes.c_int32)),
+        ("in_ch", ctypes.POINTER(ctypes.c_int32)),
+        ("out_off", ctypes.POINTER(ctypes.c_int32)),
+        ("out_ch", ctypes.POINTER(ctypes.c_int32)),
+    ]
+
+
+def _bind(path: Path) -> ctypes.CDLL:
     """Load and handshake a kernel shared object.
 
     Raises ``OSError`` (dlopen failure), ``AttributeError`` (missing
-    symbol) or :class:`_KernelBinaryError` (ABI/shape mismatch) — all
-    of which the caller treats as a corrupt cache entry.
+    symbol) or :class:`_KernelBinaryError` (ABI mismatch) — all of
+    which the caller treats as a corrupt cache entry.
     """
     lib = ctypes.CDLL(str(path))
-    for name in ("repro_kernel_abi", "repro_kernel_actors", "repro_kernel_channels"):
-        fn = getattr(lib, name)
-        fn.restype = ctypes.c_int64
-        fn.argtypes = []
+    abi = lib.repro_kernel_abi
+    abi.restype = ctypes.c_int64
+    abi.argtypes = []
     probe = lib.probe_many_exact
     probe.restype = ctypes.c_int32
     probe.argtypes = [
+        ctypes.POINTER(_Graph),
         ctypes.POINTER(ctypes.c_int64),
         ctypes.c_int32,
         ctypes.c_int64,
@@ -445,23 +424,85 @@ def _bind(path: Path, graph: SDFGraph) -> ctypes.CDLL:
         ctypes.c_int32,
         ctypes.POINTER(ctypes.c_int64),
     ]
-    expected_abi = _cgen().KERNEL_ABI
-    abi = lib.repro_kernel_abi()
-    if abi != expected_abi:
-        raise _KernelBinaryError(f"kernel ABI {abi} != expected {expected_abi}")
-    shape = (lib.repro_kernel_actors(), lib.repro_kernel_channels())
-    if shape != (graph.num_actors, graph.num_channels):
-        raise _KernelBinaryError(
-            f"kernel shape {shape} != graph shape"
-            f" {(graph.num_actors, graph.num_channels)}"
-        )
+    found = abi()
+    if found != KERNEL_ABI:
+        raise _KernelBinaryError(f"kernel ABI {found} != expected {KERNEL_ABI}")
     return lib
+
+
+#: Monotonic suffix for retry-load temp copies (see ``_bind_fresh``).
+_LOAD_SERIAL = itertools.count()
+
+
+def _bind_fresh(path: Path, key: str) -> ctypes.CDLL:
+    """Bind *path* through a uniquely named temp copy.
+
+    ``dlopen`` caches handles by *pathname*: after a corrupt entry was
+    detected and rebuilt, loading the replacement from the same path
+    would hand back the stale mapping.  The copy's name is fresh, so
+    the loader maps the new file; unlinking it immediately is safe —
+    the mapping keeps the inode alive for the process's lifetime.
+    """
+    unique = path.parent / f"{key}.{os.getpid()}.{next(_LOAD_SERIAL)}.load.so"
+    shutil.copy2(path, unique)
+    try:
+        return _bind(unique)
+    finally:
+        try:
+            unique.unlink()
+        except OSError:
+            pass
+
+
+def _open_library(compiler: str) -> ctypes.CDLL:
+    """The kernel library from the cache (``cc_cache_hits``), else built
+    now with *compiler* (``cc_compiles``); raises
+    :class:`~repro.exceptions.EngineError` when it can be neither."""
+    cache = KernelCache(cache_dir(), cache_limit_bytes())
+    key = cache_key(compiler)
+    last_error: Exception | None = None
+    for attempt in range(2):
+        path = cache.lookup(key)
+        if path is None:
+            path = cache.store(key, SOURCE, compiler)
+        else:
+            _hub().emit("cc_cache_hits")
+        try:
+            # The retry must not reuse the dlopen pathname handle the
+            # corrupt first attempt may have pinned.
+            return _bind(path) if attempt == 0 else _bind_fresh(path, key)
+        except (OSError, AttributeError, _KernelBinaryError) as error:
+            # Corrupt entry (truncated file, foreign binary, stale
+            # ABI): drop it and rebuild once instead of crashing.
+            _hub().emit("cc_cache_corrupt")
+            cache.remove(key)
+            last_error = error
+    raise EngineError(
+        f"freshly compiled kernel {cache.so_path(key)} failed to load: {last_error}"
+    )
+
+
+def _library() -> ctypes.CDLL:
+    """The loaded kernel library, loaded or built on first use; raises
+    :class:`~repro.exceptions.ConfigError` when it is unavailable."""
+    lib = _state["lib"]
+    if lib is None:
+        _compiler, reason = compiler_probe()
+        lib = _state["lib"]
+        if reason is not None or lib is None:
+            raise ConfigError(f"probe backend 'cc' is unavailable: {reason}")
+    return lib
+
+
+# ---------------------------------------------------------------------------
+# Binding a graph + execution
+# ---------------------------------------------------------------------------
 
 
 #: The resource-limit statuses of ``probe_many_exact`` (the kernel's
 #: ``RC_*`` codes) and what each means, raised as
 #: :class:`~repro.exceptions.KernelLimitError`; see
-#: :func:`repro.codegen.cgen.generate_kernel_c`.
+#: :mod:`repro.engine.ckernel`.
 _STATUS_ERRORS = {
     2: "the compiled probe kernel ran out of memory",
     3: "a completion time exceeds the compiled kernel's int64 range",
@@ -470,8 +511,42 @@ _STATUS_ERRORS = {
 }
 
 
+def _array(ctype, values: list[int]):
+    return (ctype * max(1, len(values)))(*values)
+
+
+def _graph_struct(graph: SDFGraph, observe: str, channel_index: dict[str, int]) -> _Graph:
+    """*graph*'s tables as the kernel's ``Graph`` struct.
+
+    Rates live on the channel (each channel has a unique producer and a
+    unique consumer); each actor's input and output channels are
+    flattened into offset/index arrays.  The struct keeps its arrays
+    alive.
+    """
+    channels = [graph.channels[name] for name in graph.channel_names]
+    in_off, in_ch, out_off, out_ch = [0], [], [0], []
+    for name in graph.actor_names:
+        in_ch.extend(channel_index[c.name] for c in graph.incoming(name))
+        in_off.append(len(in_ch))
+        out_ch.extend(channel_index[c.name] for c in graph.outgoing(name))
+        out_off.append(len(out_ch))
+    return _Graph(
+        graph.num_actors,
+        graph.num_channels,
+        graph.actor_names.index(observe),
+        _array(ctypes.c_int64, [graph.actors[name].execution_time for name in graph.actor_names]),
+        _array(ctypes.c_int64, [c.initial_tokens for c in channels]),
+        _array(ctypes.c_int64, [c.consumption for c in channels]),
+        _array(ctypes.c_int64, [c.production for c in channels]),
+        _array(ctypes.c_int32, in_off),
+        _array(ctypes.c_int32, in_ch),
+        _array(ctypes.c_int32, out_off),
+        _array(ctypes.c_int32, out_ch),
+    )
+
+
 class CompiledKernel:
-    """A loaded per-``(graph, observe)`` kernel shared object.
+    """The kernel library bound to one ``(graph, observe)`` pair's tables.
 
     :meth:`run_lanes` is the raw exact interface: capacity rows in the
     graph's channel order (``None`` = unbounded) map to one
@@ -484,15 +559,15 @@ class CompiledKernel:
     is ``None`` otherwise.
     """
 
-    def __init__(self, graph: SDFGraph, observe: str, lib: ctypes.CDLL, path: Path):
+    def __init__(self, graph: SDFGraph, observe: str, lib: ctypes.CDLL):
         # Keeps what its probes use, never the graph itself: the graph
         # is the key of the weak kernel table that holds this kernel.
         self.observe = observe
-        self.path = path
         self.channel_names = graph.channel_names
         self.channel_index = {name: j for j, name in enumerate(self.channel_names)}
         self.initial_tokens = [graph.channels[name].initial_tokens for name in self.channel_names]
         self.num_channels = graph.num_channels
+        self._graph = _graph_struct(graph, observe, self.channel_index)
         self._lib = lib
         self._probe = lib.probe_many_exact
 
@@ -515,7 +590,10 @@ class CompiledKernel:
         caps = (ctypes.c_int64 * max(1, len(flat)))(*flat)
         stride = 4 + (self.num_channels if blocking else 0)
         out = (ctypes.c_int64 * (lanes * stride))()
-        rc = self._probe(caps, lanes, stall_threshold, max_firings, int(blocking), out)
+        rc = self._probe(
+            ctypes.byref(self._graph), caps, lanes, stall_threshold, max_firings,
+            int(blocking), out,
+        )
         if rc == 1:
             raise EngineError(
                 f"more than {max_firings} firings in one time instant;"
@@ -542,29 +620,13 @@ class CompiledKernel:
 
 
 def kernel_for(graph: SDFGraph, observe: str | None = None) -> CompiledKernel:
-    """The (cached) compiled kernel of *graph* for *observe*.
+    """The kernel library bound to *graph*'s tables for *observe*.
 
-    Resolution order: in-process weak handle cache, then the on-disk
-    shared-object cache (``cc_cache_hits``), then a fresh compile
-    (``cc_compiles``).  Raises :class:`~repro.exceptions.ConfigError`
-    when no working C compiler is available.
+    The binding is cached weakly per graph; the library itself is
+    loaded (``cc_cache_hits``) or built (``cc_compiles``) once per
+    process.  Raises :class:`~repro.exceptions.ConfigError` when the
+    kernel is unavailable on this host.
     """
-    return _kernel(graph, observe, compile=True)
-
-
-def cached_kernel(graph: SDFGraph, observe: str | None = None) -> CompiledKernel | None:
-    """The kernel of *graph* for *observe* if it is loaded in this
-    process or in the on-disk cache (``cc_cache_hits``), else ``None``.
-
-    Never compiles and needs no compiler: the ``tiered`` backend's
-    first look at a graph, which decides whether the graph starts on C.
-    A corrupt cache entry is dropped (``cc_cache_corrupt``) and reads as
-    a miss.
-    """
-    return _kernel(graph, observe, compile=False)
-
-
-def _kernel(graph: SDFGraph, observe: str | None, *, compile: bool) -> CompiledKernel | None:
     if graph.num_actors == 0:
         raise GraphError("cannot execute an empty graph")
     if observe is None:
@@ -578,79 +640,6 @@ def _kernel(graph: SDFGraph, observe: str | None, *, compile: bool) -> CompiledK
         _KERNELS[graph] = cached
     kernels = cached[1]
     kernel = kernels.get(observe)
-    if kernel is not None:
-        return kernel
-    cache = KernelCache(cache_dir(), cache_limit_bytes())
-    key = cache_key(graph, observe)
-    if not compile and not os.path.isfile(cache.so_path(key)):
-        # A miss waits for no compile of another thread.
-        return None
-    with _COMPILE_LOCK:
-        kernel = kernels.get(observe)
-        if kernel is None:
-            kernel = _compile_or_load(graph, observe, cache, key, compile)
-            if kernel is not None:
-                kernels[observe] = kernel
+    if kernel is None:
+        kernel = kernels[observe] = CompiledKernel(graph, observe, _library())
     return kernel
-
-
-#: Monotonic suffix for retry-load temp copies (see ``_bind_fresh``).
-_LOAD_SERIAL = itertools.count()
-
-
-def _bind_fresh(path: Path, graph: SDFGraph, key: str) -> ctypes.CDLL:
-    """Bind *path* through a uniquely named temp copy.
-
-    ``dlopen`` caches handles by *pathname*: after a corrupt entry was
-    detected and recompiled, loading the replacement from the same path
-    would hand back the stale mapping.  The copy's name is fresh, so
-    the loader maps the new file; unlinking it immediately is safe —
-    the mapping keeps the inode alive for the process's lifetime.
-    """
-    unique = path.parent / f"{key}.{os.getpid()}.{next(_LOAD_SERIAL)}.load.so"
-    shutil.copy2(path, unique)
-    try:
-        return _bind(unique, graph)
-    finally:
-        try:
-            unique.unlink()
-        except OSError:
-            pass
-
-
-def _compile_or_load(
-    graph: SDFGraph, observe: str, cache: KernelCache, key: str, compile: bool
-) -> CompiledKernel | None:
-    compiler = None
-    if compile:
-        compiler, reason = compiler_probe()
-        if compiler is None:
-            raise ConfigError(f"probe backend 'cc' is unavailable: {reason}")
-    last_error: Exception | None = None
-    for attempt in range(2):
-        path = cache.lookup(key)
-        if path is None:
-            if compiler is None:
-                return None
-            source = _cgen().generate_kernel_c(graph, observe)
-            path = cache.store(key, source, compiler)
-        else:
-            _hub().emit("cc_cache_hits")
-        try:
-            # The retry must not reuse the dlopen pathname handle the
-            # corrupt first attempt may have pinned.
-            lib = _bind(path, graph) if attempt == 0 else _bind_fresh(path, graph, key)
-        except (OSError, AttributeError, _KernelBinaryError) as error:
-            # Corrupt entry (truncated file, foreign binary, stale
-            # ABI): drop it and recompile once instead of crashing.
-            _hub().emit("cc_cache_corrupt")
-            cache.remove(key)
-            last_error = error
-            continue
-        return CompiledKernel(graph, observe, lib, path)
-    if compiler is None:
-        return None  # a lookup: an entry that will not load is a miss
-    raise EngineError(
-        f"freshly compiled kernel {cache.so_path(key)} failed to load:"
-        f" {last_error}"
-    )

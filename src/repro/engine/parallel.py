@@ -12,9 +12,9 @@ ProcessPoolExecutor` around this pattern:
 
 * the (picklable) graph, observed actor and probe backend are shipped
   **once** per worker through the pool initializer — tasks then carry
-  only the capacity vector, and every task is one call of the
-  backend's ``evaluate_batch`` asking for blocking data, so a pooled
-  record can serve the blocking-aware callers too;
+  only the capacity vector and whether the caller reads blocking data,
+  and every task is one :func:`~repro.engine.backends.probe_batch`
+  call, the same as an inline probe's;
 * ``workers=1`` (the default everywhere) never creates a pool and runs
   every task inline through the same backend, byte-for-byte the serial
   path;
@@ -39,27 +39,39 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.engine.backends import EvalResult, ProbeBackend
+from repro.engine.backends import EvalResult, ProbeBackend, probe_batch
 from repro.graph.graph import SDFGraph
 
 _worker_graph: SDFGraph | None = None
 _worker_observe: str | None = None
 _worker_backend: ProbeBackend | None = None
+_worker_fallback: ProbeBackend | None = None
 
 
-def _init_worker(graph: SDFGraph, observe: str | None, backend: ProbeBackend) -> None:
-    """Pool initializer: pin the graph, observed actor and backend in the worker."""
-    global _worker_graph, _worker_observe, _worker_backend
+def _init_worker(
+    graph: SDFGraph,
+    observe: str | None,
+    backend: ProbeBackend,
+    fallback: ProbeBackend | None,
+) -> None:
+    """Pool initializer: pin the graph, observed actor and backends in the worker."""
+    global _worker_graph, _worker_observe, _worker_backend, _worker_fallback
     _worker_graph = graph
     _worker_observe = observe
     _worker_backend = backend
+    _worker_fallback = fallback
 
 
-def _run_task(capacity_items: tuple[tuple[str, int], ...]) -> EvalResult:
-    """Worker entry point: one blocking-aware backend probe of one distribution."""
+def _run_task(capacity_items: tuple[tuple[str, int], ...], blocking: bool) -> EvalResult:
+    """Worker entry point: one backend probe of one distribution."""
     assert _worker_backend is not None, "worker pool used before initialisation"
-    return _worker_backend.evaluate_batch(
-        _worker_graph, [dict(capacity_items)], _worker_observe, blocking=True
+    return probe_batch(
+        _worker_backend,
+        _worker_graph,
+        [dict(capacity_items)],
+        _worker_observe,
+        blocking=blocking,
+        fallback=_worker_fallback,
     )[0]
 
 
@@ -71,8 +83,8 @@ class ParallelProber:
     ----------
     graph / observe / backend:
         Fixed for the prober's lifetime; shipped to workers once.  Every
-        probe, pooled or inline, is a call of
-        ``backend.evaluate_batch(..., blocking=True)``.
+        probe, pooled or inline, is a
+        :func:`~repro.engine.backends.probe_batch` call of *backend*.
     workers:
         Pool size.  ``1`` (or less) never spawns processes.
     probe_timeout:
@@ -86,6 +98,9 @@ class ParallelProber:
     retry_backoff:
         Base sleep in seconds before a restart; doubles per
         consecutive restart of one batch.
+    fallback:
+        The backend a batch reruns on when *backend*'s compiled kernel
+        hits a resource limit, or ``None`` to let the limit raise.
     on_event:
         Optional callback ``(name, **data)`` — typically
         :meth:`repro.runtime.telemetry.TelemetryHub.emit` — notified on
@@ -102,11 +117,13 @@ class ParallelProber:
         probe_timeout: float | None = None,
         max_restarts: int = 1,
         retry_backoff: float = 0.05,
+        fallback: ProbeBackend | None = None,
         on_event: Callable[..., None] | None = None,
     ):
         self.graph = graph
         self.observe = observe
         self.backend = backend
+        self.fallback = fallback
         self.workers = max(1, int(workers))
         self.probe_timeout = probe_timeout
         self.max_restarts = max(0, int(max_restarts))
@@ -139,7 +156,7 @@ class ParallelProber:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(self.graph, self.observe, self.backend),
+                    initargs=(self.graph, self.observe, self.backend, self.fallback),
                 )
             except (OSError, ValueError) as error:
                 self._fail(f"pool unavailable: {type(error).__name__}: {error}")
@@ -159,22 +176,27 @@ class ParallelProber:
             self._emit("pool_fallback", reason=reason)
 
     def _map_on_pool(
-        self, pool: ProcessPoolExecutor, items: Sequence[tuple]
+        self, pool: ProcessPoolExecutor, items: Sequence[tuple], blocking: bool
     ) -> list[EvalResult]:
         if self.probe_timeout is None:
             chunksize = max(1, len(items) // (self.workers * 4))
-            return list(pool.map(_run_task, items, chunksize=chunksize))
+            return list(
+                pool.map(_run_task, items, [blocking] * len(items), chunksize=chunksize)
+            )
         # With a per-probe watchdog, submit individually so each future
         # carries its own deadline; order is preserved by construction.
-        futures = [pool.submit(_run_task, item) for item in items]
+        futures = [pool.submit(_run_task, item, blocking) for item in items]
         try:
             return [future.result(timeout=self.probe_timeout) for future in futures]
         finally:
             for future in futures:
                 future.cancel()
 
-    def map(self, capacities: Sequence[dict[str, int]]) -> list[EvalResult]:
-        """Evaluate every distribution; results in input order.
+    def map(
+        self, capacities: Sequence[dict[str, int]], *, blocking: bool = False
+    ) -> list[EvalResult]:
+        """Evaluate every distribution; results in input order.  With
+        *blocking*, the results carry space-blocking data.
 
         Pure evaluations make the retry loop exact: a batch that failed
         on a dying pool is simply re-run in full, and the caller sees
@@ -189,7 +211,7 @@ class ParallelProber:
             if pool is None:
                 break
             try:
-                results = self._map_on_pool(pool, items)
+                results = self._map_on_pool(pool, items, blocking)
                 self.batches += 1
                 self.tasks += len(items)
                 return results
@@ -216,8 +238,13 @@ class ParallelProber:
                 self._fail(
                     f"{kind}; gave up after {restarts_this_batch} pool restart(s)"
                 )
-        return self.backend.evaluate_batch(
-            self.graph, [dict(item) for item in items], self.observe, blocking=True
+        return probe_batch(
+            self.backend,
+            self.graph,
+            [dict(item) for item in items],
+            self.observe,
+            blocking=blocking,
+            fallback=self.fallback,
         )
 
     def close(self) -> None:

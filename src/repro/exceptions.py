@@ -60,8 +60,9 @@ class KernelLimitError(EngineError):
     ``int32`` index of its visited set.
 
     The probe itself is well defined; only the kernel cannot finish it
-    exactly.  The Python kernels have no such limits, so the ``tiered``
-    backend reruns the batch on ``fastcore``.
+    exactly.  The Python kernels have no such limits, so where
+    ``backend="auto"`` selected ``cc`` the evaluation service reruns the
+    batch on ``fastcore``; explicit ``cc`` raises this error.
     """
 
 

@@ -78,18 +78,17 @@ class ExplorationConfig:
         consecutive restart.
     backend:
         Probe backend name from the :mod:`repro.engine.backends`
-        registry (``"reference"``, ``"fastcore"``, ``"cc"``,
-        ``"tiered"``, or any backend registered by the application),
+        registry (``"reference"``, ``"fastcore"``, ``"cc"``, or any
+        backend registered by the application),
         the only setting that picks where probes run.  Plain probes
         run on it; blocking-aware and pooled probes run on it when it
         has the ``"blocking"`` capability and on ``"reference"``
         otherwise.  The default ``"auto"`` picks the best backend
-        *available on this host*: ``"tiered"`` where a C compiler
-        works (each graph probes on ``fastcore`` until its C kernel
-        pays for its compile, then on ``cc``; a kernel already in the
-        on-disk cache is used from the first probe), ``"fastcore"``
-        otherwise — both exact, so auto only ever trades speed.
-        Explicit ``"cc"`` compiles on its first probe.  Unknown names
+        *available on this host*: ``"cc"`` wherever its one C kernel
+        loads from the on-disk cache or builds (once per host),
+        ``"fastcore"`` otherwise — both exact, so auto only ever trades
+        speed; a batch past the C kernel's resource limits then reruns
+        on ``fastcore``.  Unknown names
         and backends the host cannot run (e.g. ``"cc"`` without a C
         compiler) raise :class:`~repro.exceptions.ConfigError` here, at
         construction — a run never silently degrades to a different

@@ -367,7 +367,6 @@ class AnalysisApi:
             "cc_compile_failures",
             "cc_cache_corrupt",
             "cc_cache_evictions",
-            "cc_promotions",
         ):
             gauges.append((counter, {}, float(cc_counters.get(counter, 0))))
         return ApiResponse.text(

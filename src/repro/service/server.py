@@ -11,6 +11,8 @@ blocks ``/healthz`` or ``/metrics``.
 Lifecycle::
 
     server = AnalysisServer(data_dir="state", port=0)
+                                    # resolves backend="auto": a cold
+                                    # kernel cache builds the C kernel
     server.start()                  # background thread; .url is bound
     ...
     server.stop()                   # graceful: running jobs checkpoint
@@ -29,6 +31,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.engine.backends import resolve_backend
 from repro.runtime.telemetry import TelemetryHub, TraceLog
 from repro.service.api import AnalysisApi
 from repro.service.jobs import JobManager
@@ -98,6 +101,11 @@ class AnalysisServer:
         breakers=None,
         allow_chaos: bool = False,
     ):
+        # Resolve the default backend before any job can run (the job
+        # manager resumes persisted jobs as it starts): where the C
+        # kernel is not cached yet, the host's one build lands here,
+        # not in a job.
+        resolve_backend("auto")
         self.telemetry = TelemetryHub(traces=TraceLog())
         self.registry = GraphRegistry(data_dir)
         self.manager = JobManager(

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.buffers.bounds import lower_bound_distribution
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.evalcache import EvaluationService
 from repro.buffers.explorer import explore_design_space
@@ -23,6 +24,28 @@ def distributions():
         for i in range(3)
         for j in range(2)
     ]
+
+
+def test_pooled_plain_records_carry_no_blocking_data(modem_graph):
+    """A plain miss sent to the worker pool asks for no blocking data,
+    as on the serial path: the memo records are identical."""
+    lower = lower_bound_distribution(modem_graph)
+    batch = [
+        StorageDistribution({**lower, name: lower[name] + 1})
+        for name in modem_graph.channel_names[:6]
+    ]
+    memos = {}
+    for workers in (1, 2):
+        service = EvaluationService(modem_graph, config=ExplorationConfig(workers=workers))
+        try:
+            service.evaluate_many(batch)
+            assert service.stats.parallel_batches == (1 if workers == 2 else 0)
+            memos[workers] = dict(service._memo)
+        finally:
+            service.close()
+    assert len(memos[2]) == len(batch)
+    assert all(record.space_blocked is None for record in memos[2].values())
+    assert memos[2] == memos[1]
 
 
 def test_plain_queries_use_fast_kernel_by_default(fig1):

@@ -4,9 +4,8 @@ The service runs a simulation only as a ``ProbeBackend.evaluate_batch``
 call: the lanes the registered backends evaluate add up to the run's
 ``evaluations``, and the reference executors — SDF and CSDF — run only
 inside the reference backend, blocking-aware probes included.  On a
-backend that collects blocking data itself (``fastcore``, ``cc``,
-``tiered``), an SDF exploration never enters the reference executor at
-all.
+backend that collects blocking data itself (``fastcore``, ``cc``), an
+SDF exploration never enters the reference executor at all.
 """
 
 import pytest
@@ -102,12 +101,9 @@ CC_UNAVAILABLE = ccore.availability()
     "backend",
     [
         "fastcore",
-        *(
-            pytest.param(
-                name,
-                marks=pytest.mark.skipif(CC_UNAVAILABLE is not None, reason=str(CC_UNAVAILABLE)),
-            )
-            for name in ("cc", "tiered")
+        pytest.param(
+            "cc",
+            marks=pytest.mark.skipif(CC_UNAVAILABLE is not None, reason=str(CC_UNAVAILABLE)),
         ),
     ],
 )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
 
@@ -15,22 +18,34 @@ from repro.gallery import (
     satellite_receiver,
 )
 
+#: ``REPRO_CACHE_DIR`` as it was before the test run, and the run's own.
+_CACHE_DIRS: dict[str, str | None] = {}
 
-@pytest.fixture(scope="session", autouse=True)
-def kernel_cache_dir(tmp_path_factory):
-    """Point the compiled-kernel cache at a directory of this session.
 
-    Default explorations may compile C kernels (the ``tiered`` backend
-    moves a graph to C once it has spent one compile's cost on
-    ``fastcore``), and the suite must neither write to the user's cache
-    nor start warm from it.  The environment variable reaches
-    subprocesses and pool workers too, and outlives tests that
-    :func:`~repro.engine.ccore.configure` a cache of their own and then
-    restore the default resolution.
+def pytest_configure(config):
+    """Point the compiled-kernel cache at a directory of this test run.
+
+    Resolving the default backend loads or builds the C probe kernel,
+    and test modules do so already at import (their ``skipif``
+    conditions), so this runs before collection.  The suite must
+    neither write to the user's cache nor start warm from it.  The
+    environment variable reaches subprocesses and pool workers too, and
+    outlives tests that :func:`~repro.engine.ccore.configure` a cache of
+    their own and then restore the default resolution.
     """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
-        yield
+    _CACHE_DIRS["saved"] = os.environ.get("REPRO_CACHE_DIR")
+    _CACHE_DIRS["run"] = tempfile.mkdtemp(prefix="repro-cache-")
+    os.environ["REPRO_CACHE_DIR"] = _CACHE_DIRS["run"]
+
+
+def pytest_unconfigure(config):
+    if "run" not in _CACHE_DIRS:
+        return
+    if _CACHE_DIRS["saved"] is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = _CACHE_DIRS["saved"]
+    shutil.rmtree(_CACHE_DIRS.pop("run"), ignore_errors=True)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ class TestHelper:
         }
 
     def test_flags_cover_exactly_the_known_capabilities(self):
-        for name in ("reference", "fastcore", "cc", "tiered"):
+        for name in ("reference", "fastcore", "cc"):
             flags = capability_flags(backend_for(name))
             assert tuple(flags) == KNOWN_CAPABILITIES
             assert all(isinstance(value, bool) for value in flags.values())

@@ -1,5 +1,6 @@
-"""Compile plane of the ``cc`` backend: caching, eviction, recovery,
-compiler discovery and graceful degradation.
+"""Compile plane of the ``cc`` backend: one kernel for every graph,
+caching, eviction, recovery, compiler discovery and graceful
+degradation.
 
 Everything runs against a per-test cache directory (autouse fixture),
 so these tests never touch — or depend on — the user's real kernel
@@ -9,13 +10,22 @@ cache, and counters always start from zero.
 from __future__ import annotations
 
 import os
+import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.engine import ccore
 from repro.engine.backends import backend_for, resolve_backend
 from repro.exceptions import ConfigError, EngineError
-from repro.gallery import fig1_example, modem
+from repro.gallery import fig1_example, modem, random_consistent_graph
+from repro.gallery.registry import gallery_graph, gallery_names
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 HAVE_CC = ccore.compiler_probe()[0] is not None
 needs_cc = pytest.mark.skipif(
@@ -71,16 +81,93 @@ def test_in_process_handle_cache_skips_disk():
     assert "cc_cache_hits" not in counters  # second probe reused the handle
 
 
-@needs_cc
-def test_cache_key_covers_observe_and_version(monkeypatch):
-    graph = fig1_example()
-    base = ccore.cache_key(graph, "c")
-    assert ccore.cache_key(graph, "b") != base
-    assert ccore.cache_key(fig1_example(), "c") == base  # content-addressed
-    from repro.codegen import cgen
+def test_cache_key_covers_source_compiler_and_flags(monkeypatch):
+    base = ccore.cache_key("/usr/bin/cc")
+    assert ccore.cache_key("/usr/bin/cc") == base  # content-addressed
+    assert ccore.cache_key("/usr/bin/clang") != base
+    monkeypatch.setattr(ccore, "SOURCE", ccore.SOURCE + "/* another version */\n")
+    assert ccore.cache_key("/usr/bin/cc") != base
+    monkeypatch.undo()
+    monkeypatch.setattr(ccore, "_CFLAGS", ("-O3", "-fPIC", "-shared"))
+    assert ccore.cache_key("/usr/bin/cc") != base
 
-    monkeypatch.setattr(cgen, "CODEGEN_VERSION", "cc-test-bump")
-    assert ccore.cache_key(graph, "c") != base
+
+@needs_cc
+def test_one_compile_serves_every_graph(isolated_cache):
+    """Every gallery SDF graph and the conformance suite's random graphs
+    probe on the one kernel: one build, one shared object."""
+    graphs = [gallery_graph(name) for name in gallery_names() if name != "h263"]
+    graphs += [
+        random_consistent_graph(
+            random.Random(seed), max_actors=4, max_repetition=3, max_rate_factor=1
+        )
+        for seed in (7, 23, 2006)
+    ]
+    for graph in graphs:
+        vectors = [dict(lower_bound_distribution(graph)), dict(upper_bound_distribution(graph))]
+        assert backend_for("cc").evaluate_batch(
+            graph, vectors, blocking=True
+        ) == backend_for("fastcore").evaluate_batch(graph, vectors, blocking=True), graph.name
+    assert dict(ccore.telemetry.counters) == {"cc_compiles": 1}
+    assert len(list(isolated_cache.glob("*.so"))) == 1
+
+
+@needs_cc
+def test_default_exploration_imports_no_io_or_codegen(tmp_path):
+    """Binding a graph to the kernel needs no graph fingerprint: a
+    default exploration (fresh interpreter, cold kernel cache) loads
+    neither ``repro.io`` nor ``repro.codegen``."""
+    code = (
+        "import sys\n"
+        "from repro.buffers.explorer import explore_design_space\n"
+        "from repro.gallery import modem\n"
+        "print(explore_design_space(modem()).stats.backend)\n"
+        "print(sorted(name for name in ('repro.io', 'repro.codegen') if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_CACHE_DIR=str(tmp_path))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.split("\n")[:2] == ["cc", "[]"]
+    assert len(list((tmp_path / "cc-kernels").glob("*.so"))) == 1
+
+
+@needs_cc
+def test_threads_probe_graphs_of_different_shapes_at_once():
+    """The kernel keeps no globals: threads sharing the one library each
+    probe their own graph, and every answer matches the reference."""
+    graphs = [fig1_example(), modem(), gallery_graph("samplerate"), gallery_graph("bipartite")]
+    waves = {
+        graph.name: [dict(lower_bound_distribution(graph)), dict(upper_bound_distribution(graph))]
+        for graph in graphs
+    }
+    expected = {
+        graph.name: backend_for("reference").evaluate_batch(graph, waves[graph.name])
+        for graph in graphs
+    }
+    errors = []
+
+    def probe_often(graph):
+        try:
+            for _ in range(40):
+                got = backend_for("cc").evaluate_batch(graph, waves[graph.name], blocking=True)
+                assert got == expected[graph.name], graph.name
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    workers = [threading.Thread(target=probe_often, args=(graph,)) for graph in graphs * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors, errors
+    assert dict(ccore.telemetry.counters) == {"cc_compiles": 1}
 
 
 @needs_cc
@@ -105,14 +192,15 @@ def test_lru_eviction_is_size_bounded(isolated_cache):
     probe(fig1_example(), {"alpha": 4, "beta": 2})
     so = next(isolated_cache.glob("*.so"))
     pair_size = so.stat().st_size + so.with_suffix(".c").stat().st_size
-    # Room for roughly one pair: compiling a second graph must evict
-    # the first (LRU), never the entry just stored.
-    ccore.configure(cache_dir=isolated_cache, max_bytes=pair_size + 1024)
+    # Room for roughly one pair: building the kernel of another source
+    # or compiler must evict the oldest entry (LRU), never the entry
+    # just stored.
+    cache = ccore.KernelCache(isolated_cache, pair_size + 1024)
     os.utime(so, (1, 1))  # make the first entry unambiguously oldest
-    probe(modem(), dict.fromkeys(modem().channel_names, 4))
+    cache.store("other", ccore.SOURCE + "/* another version */\n", ccore._find_compiler()[0])
     assert ccore.telemetry.counters["cc_cache_evictions"] == 1
     assert not so.exists()
-    assert len(list(isolated_cache.glob("*.so"))) == 1
+    assert [path.name for path in isolated_cache.glob("*.so")] == ["other.so"]
 
 
 @needs_cc
@@ -120,7 +208,7 @@ def test_corrupt_cache_entry_recovers(isolated_cache):
     """A truncated/garbage shared object (as a crashed writer or disk
     fault would leave behind) is dropped and recompiled, not fatal."""
     graph = fig1_example()
-    key = ccore.cache_key(graph, "c")
+    key = ccore.cache_key(ccore._find_compiler()[0])
     isolated_cache.mkdir(parents=True)
     (isolated_cache / f"{key}.so").write_bytes(b"\x7fELF not really")
     result = probe(graph, {"alpha": 4, "beta": 2})
@@ -133,17 +221,19 @@ def test_corrupt_cache_entry_recovers(isolated_cache):
 
 @needs_cc
 def test_foreign_binary_entry_recovers(isolated_cache):
-    """A *valid* shared object for the wrong graph under the key (hash
-    collision, botched sync) fails the shape handshake and recompiles."""
-    import shutil as _shutil
-
-    other = modem()
-    probe(other, dict.fromkeys(other.channel_names, 4))  # a real kernel
-    foreign = next(isolated_cache.glob("*.so"))
-    graph = fig1_example()
-    key = ccore.cache_key(graph, "c")
-    _shutil.copy2(foreign, isolated_cache / f"{key}.so")
+    """A *valid* shared object of another kernel ABI under the key (a
+    botched sync, an edited source) fails the ABI handshake and is
+    rebuilt."""
+    compiler = ccore._find_compiler()[0]
+    stale = ccore.SOURCE.replace(
+        f"#define KERNEL_ABI {ccore.KERNEL_ABI}", f"#define KERNEL_ABI {ccore.KERNEL_ABI - 1}"
+    )
+    assert stale != ccore.SOURCE
+    ccore.KernelCache(isolated_cache, ccore.cache_limit_bytes()).store(
+        ccore.cache_key(compiler), stale, compiler
+    )
     ccore.reset(counters=True)
+    graph = fig1_example()
     result = probe(graph, {"alpha": 4, "beta": 2})
     assert str(result.throughput) == "1/7"
     counters = ccore.telemetry.counters
@@ -187,18 +277,14 @@ def test_state_set_limit_raises_typed_error(isolated_cache):
     """The visited set refuses records past its int32 index.  The limit
     is 2**29 records; a kernel built with a limit of 4 shows the path
     on a distribution whose periodic phase needs 17 records."""
-    from repro.buffers.bounds import lower_bound_distribution
-    from repro.codegen.cgen import generate_kernel_c
-
     graph = modem()
     limit = "#define MAX_RECORDS (1 << 29)"
-    source = generate_kernel_c(graph, graph.actor_names[-1])
-    assert limit in source
+    assert limit in ccore.SOURCE
     cache = ccore.KernelCache(isolated_cache, ccore.cache_limit_bytes())
     path = cache.store(
-        "limit4", source.replace(limit, "#define MAX_RECORDS 4"), ccore.compiler_probe()[0]
+        "limit4", ccore.SOURCE.replace(limit, "#define MAX_RECORDS 4"), ccore._find_compiler()[0]
     )
-    kernel = ccore.CompiledKernel(graph, graph.actor_names[-1], ccore._bind(path, graph), path)
+    kernel = ccore.CompiledKernel(graph, graph.actor_names[-1], ccore._bind(path))
     lower = lower_bound_distribution(graph)
     row = [lower[name] for name in graph.channel_names]
     with pytest.raises(EngineError, match="int32 record index"):
@@ -270,8 +356,8 @@ def test_missing_compiler_reason_names_candidates(monkeypatch):
 
 
 @needs_cc
-def test_auto_prefers_tiered():
-    assert resolve_backend("auto") == "tiered"
+def test_auto_prefers_cc():
+    assert resolve_backend("auto") == "cc"
     # Explicit names resolve to themselves.
     assert resolve_backend("reference") == "reference"
     assert resolve_backend("fastcore") == "fastcore"

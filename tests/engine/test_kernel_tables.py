@@ -1,7 +1,7 @@
 """The per-graph kernel tables free a graph once nothing else holds it.
 
-``fastcore._KERNELS``, ``ccore._KERNELS`` and ``backends._TIERS`` are
-keyed weakly by graph.  A value that kept its graph would keep its own
+``fastcore._KERNELS`` and ``ccore._KERNELS`` are keyed weakly by
+graph.  A value that kept its graph would keep its own
 key alive, and a long-running service would hold every graph it was
 ever sent; so after exploring fresh graphs and dropping them, the
 graphs must be gone and no table may have grown.
@@ -15,7 +15,7 @@ import weakref
 import pytest
 
 from repro.buffers.explorer import explore_design_space
-from repro.engine import backends, ccore, fastcore
+from repro.engine import ccore, fastcore
 from repro.gallery.registry import gallery_graph
 from repro.runtime.config import ExplorationConfig
 
@@ -23,7 +23,6 @@ from repro.runtime.config import ExplorationConfig
 TABLES = {
     "fastcore": fastcore._KERNELS,
     "ccore": ccore._KERNELS,
-    "tiers": backends._TIERS,
 }
 
 
@@ -49,16 +48,14 @@ def test_fastcore_table_frees_dropped_graphs():
 
 
 @pytest.mark.skipif(ccore.availability() is not None, reason=str(ccore.availability()))
-def test_cc_and_tier_tables_free_dropped_graphs(monkeypatch, tmp_path):
-    # Promote at the first batch: the first graph compiles its C kernel,
-    # the other four load it from the kernel cache.
-    monkeypatch.setattr(backends, "_COMPILE_COST_S", 0.0)
+def test_cc_table_frees_dropped_graphs(tmp_path):
+    # The first graph builds the kernel; every graph binds its tables
+    # to the one loaded library.
     ccore.configure(cache_dir=tmp_path / "kernels")
     ccore.reset(counters=True)
     try:
-        growth = _explore_and_drop(ExplorationConfig(backend="tiered"))
-        counters = ccore.telemetry.counters
-        assert (counters.get("cc_compiles"), counters.get("cc_cache_hits")) == (1, 4)
+        growth = _explore_and_drop(ExplorationConfig(backend="cc"))
+        assert dict(ccore.telemetry.counters) == {"cc_compiles": 1}
         assert max(growth.values()) <= 0
     finally:
         ccore.configure(cache_dir=None)

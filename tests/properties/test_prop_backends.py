@@ -102,14 +102,9 @@ def test_batch_is_order_and_duplicate_invariant(graph_seed, wave_seed, shuffle_s
 
 
 def service_fingerprint(service):
-    """What plain queries read back from a service: memo values and the
-    oracle.  Pooled probes also record blocking data, which the serial
-    plain path does not collect, so the blocking fields are left out."""
-    memo = {
-        vector: (record.throughput, record.states_stored)
-        for vector, record in service._memo.items()
-    }
-    return memo, service._oracle.snapshot()
+    """What a service holds after plain queries: its whole memo records
+    (blocking fields included) and the oracle."""
+    return dict(service._memo), service._oracle.snapshot()
 
 
 def drive(service, waves):

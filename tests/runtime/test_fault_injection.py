@@ -128,7 +128,7 @@ class TestWorkerDeath:
             service.close()
 
 
-def _slow_task(capacity_items):
+def _slow_task(capacity_items, blocking):
     time.sleep(0.8)
     return REFERENCE.evaluate_batch(gallery_graph("example"), [dict(capacity_items)], "c")[0]
 

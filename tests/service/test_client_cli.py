@@ -122,7 +122,7 @@ class TestBackendsVerb:
         assert "reference: available" in out
         assert "blocking" in out
         assert "cc:" in out  # available or unavailable — but listed
-        assert "tiered:" in out
+        assert "tiered:" not in out
 
     def test_local_json(self, capsys):
         from repro.engine.backends import backend_names

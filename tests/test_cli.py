@@ -126,12 +126,12 @@ class TestBackendFlag:
         assert "Pareto points: 4" in capsys.readouterr().out
 
     def test_unknown_backend_fails_up_front(self, capsys):
-        # "batch-numpy" names a backend that no longer exists.
-        for name in ("warp", "batch-numpy"):
+        # "batch-numpy" and "tiered" name backends that no longer exist.
+        for name in ("warp", "batch-numpy", "tiered"):
             assert main(["gallery:example", "--backend", name]) == 1
             err = capsys.readouterr().err
             assert f"unknown probe backend {name!r}" in err
-            assert "cc, fastcore, reference, tiered" in err  # the registry is listed
+            assert "registered backends: cc, fastcore, reference\n" in err  # the registry is listed
 
     def test_probe_wave_flags_are_gone(self, capsys):
         for flag in ("--batch=8", "--speculate"):
