@@ -32,20 +32,16 @@ def analyze(
     graph: SDFGraph,
     capacities: Mapping[str, int] | None = None,
     observe: str | None = None,
-    *,
-    engine: str = "auto",
     **kwargs,
 ) -> ExecutionResult:
     """Full execution result for *graph* under *capacities*.
 
-    ``engine`` selects the simulation kernel: ``"auto"`` (default) uses
-    the fast event-calendar kernel of :mod:`repro.engine.fastcore` for
-    uninstrumented runs and falls back to the reference executor when
-    any instrumentation keyword is present; ``"fast"`` and
-    ``"reference"`` force one of the two.
+    Runs :func:`~repro.engine.executor.execute`: the fast event-calendar
+    kernel of :mod:`repro.engine.fastcore`, or the reference executor
+    when an option (*kwargs*) needs it.
     """
     assert_consistent(graph)
-    return execute(graph, capacities, observe, engine=engine, **kwargs)
+    return execute(graph, capacities, observe, **kwargs)
 
 
 def throughput(

@@ -57,7 +57,7 @@ service's *blocking backend* — the selected backend when it has the
 ``"reference"`` backend otherwise.  When ``backend="auto"`` selected
 ``cc``, a batch that hits one of the C kernel's resource limits reruns
 on ``fastcore``.  A CSDF graph runs every probe on ``"reference"``, the
-one backend with a CSDF executor.
+one backend whose executor runs phase tables.
 
 **Run control.**  The service carries the run's
 :class:`~repro.runtime.controller.RunController` and

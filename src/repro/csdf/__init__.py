@@ -10,9 +10,9 @@ generalisation on top of the same machinery:
   times and port rates (rates may be zero in individual phases),
 * :mod:`repro.csdf.repetitions` — consistency and the phase-aware
   repetition vector,
-* :mod:`repro.csdf.executor` — deterministic self-timed execution with
-  the same claim-at-start storage semantics, tick/event modes, reduced
-  state space and blocking tracking,
+* :mod:`repro.csdf.executor` — deterministic self-timed execution: the
+  reference executor of :mod:`repro.engine`, whose actors are phase
+  tables, under the name :class:`CSDFExecutor`,
 * :mod:`repro.csdf.bounds` — sound (conservative) storage bounds,
 * :mod:`repro.csdf.explorer` — the maximal throughput and a shorthand
   for the exploration.
@@ -26,12 +26,12 @@ budgets, checkpoints, telemetry, workers, the bounds oracle and all
 three strategies apply unchanged.
 
 An SDF graph is exactly a CSDF graph whose actors all have one phase;
-the test suite checks behavioural equivalence of the two engines on
-such graphs.
+the test suite checks that a one-phase lift runs exactly as the SDF
+graph does.
 """
 
 from repro.csdf.bounds import csdf_lower_bound_distribution, csdf_upper_bound_distribution
-from repro.csdf.executor import CSDFExecutor, CSDFExecutionResult
+from repro.csdf.executor import CSDFExecutor
 from repro.csdf.explorer import csdf_max_throughput, explore_csdf_design_space
 from repro.csdf.graph import CSDFActor, CSDFChannel, CSDFGraph, from_sdf
 from repro.csdf.repetitions import (
@@ -43,7 +43,6 @@ from repro.csdf.repetitions import (
 __all__ = [
     "CSDFActor",
     "CSDFChannel",
-    "CSDFExecutionResult",
     "CSDFExecutor",
     "CSDFGraph",
     "csdf_firings_per_iteration",

@@ -1,15 +1,15 @@
 """Deterministic self-timed execution of CSDF graphs.
 
-The execution model extends the SDF engine of :mod:`repro.engine`
-phase-wise: a *firing* executes the actor's current phase — it may
-start when the phase's input rates are available and the phase's
-output space can be claimed — and advances the phase counter on
-completion.  Phases with zero rates simply skip the corresponding
-condition.  Everything else (claim-at-start semantics, ASAP firing,
-determinism, the reduced state space with the ``d`` dimension, cycle
-detection, deadlock and starvation handling, tick/event equivalence,
-blocking tracking with minimal deficits) carries over unchanged; see
-:mod:`repro.engine.executor` for the shared reasoning.
+The reference :class:`~repro.engine.executor.Executor` runs CSDF graphs
+itself: a *firing* executes the actor's current phase — it may start
+when the phase's input rates are available and the phase's output
+space can be claimed — and advances the phase counter on completion.
+Phases with zero rates simply skip the corresponding condition.
+Everything else (claim-at-start semantics, ASAP firing, determinism,
+the reduced state space with the ``d`` dimension, cycle detection,
+deadlock and starvation handling, tick/event equivalence, blocking
+tracking with minimal deficits) is the SDF engine's; the state adds
+each actor's phase counter.
 
 Throughput is counted in *phase executions* of the observed actor per
 time step, which coincides with the SDF notion for single-phase
@@ -18,323 +18,17 @@ actors.  Divide by ``num_phases`` for full phase-cycles per time step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from collections.abc import Mapping
-
-from repro.csdf.graph import CSDFGraph
-from repro.engine.schedule import Schedule
-from repro.engine.statestore import StateStore
-from repro.exceptions import CapacityError, EngineError, GraphError
-
-_MAX_FIRINGS_PER_INSTANT = 1_000_000
-_DEFAULT_STALL_THRESHOLD = 50_000
+from repro.engine.executor import ExecutionResult, Executor
 
 
-@dataclass(frozen=True)
-class CSDFState:
-    """A CSDF execution state: clocks, phase counters, token counts."""
+class CSDFExecutor(Executor):
+    """The reference executor on a CSDF graph.
 
-    clocks: tuple[int, ...]
-    phases: tuple[int, ...]
-    tokens: tuple[int, ...]
-
-    def as_tuple(self) -> tuple[int, ...]:
-        """Flat tuple representation (clocks, phases, tokens)."""
-        return self.clocks + self.phases + self.tokens
-
-
-@dataclass(frozen=True)
-class CSDFExecutionResult:
-    """Outcome of one CSDF execution (mirrors the SDF result)."""
-
-    observe: str
-    throughput: Fraction
-    deadlocked: bool
-    deadlock_time: int | None
-    first_firing_time: int | None
-    cycle_duration: int
-    firings_in_cycle: int
-    states_stored: int
-    schedule: Schedule | None = None
-    space_blocked: frozenset[str] = frozenset()
-    token_blocked: frozenset[str] = frozenset()
-    space_deficits: Mapping[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _PhaseInfo:
-    name: str
-    execution_times: tuple[int, ...]
-    # Per phase: list of (channel index, rate), zero rates omitted.
-    inputs: list[list[tuple[int, int]]] = field(default_factory=list)
-    outputs: list[list[tuple[int, int]]] = field(default_factory=list)
-
-
-class CSDFExecutor:
-    """Runs one CSDF graph under one storage distribution."""
-
-    def __init__(
-        self,
-        graph: CSDFGraph,
-        capacities: Mapping[str, int] | None = None,
-        observe: str | None = None,
-        *,
-        mode: str = "event",
-        record_schedule: bool = False,
-        track_blocking: bool = False,
-        max_instants: int | None = None,
-        stall_threshold: int = _DEFAULT_STALL_THRESHOLD,
-    ):
-        if graph.num_actors == 0:
-            raise GraphError("cannot execute an empty graph")
-        if mode not in ("event", "tick"):
-            raise EngineError(f"unknown execution mode {mode!r}")
-        self.graph = graph
-        self.mode = mode
-        self.record_schedule = record_schedule
-        self.track_blocking = track_blocking
-        self.max_instants = max_instants
-        self.stall_threshold = stall_threshold
-
-        self.actor_names = graph.actor_names
-        self.channel_names = graph.channel_names
-        if observe is None:
-            observe = self.actor_names[-1]
-        if observe not in graph.actors:
-            raise GraphError(f"unknown observed actor {observe!r}")
-        self.observe = observe
-        self._observe_idx = self.actor_names.index(observe)
-
-        channel_index = {name: j for j, name in enumerate(self.channel_names)}
-        self._initial_tokens = [graph.channels[name].initial_tokens for name in self.channel_names]
-        self._capacities: list[int | None] = [None] * len(self.channel_names)
-        if capacities is not None:
-            for name, capacity in dict(capacities).items():
-                if name not in channel_index:
-                    raise CapacityError(f"capacity given for unknown channel {name!r}")
-                if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
-                    raise CapacityError(f"channel {name!r}: capacity must be a non-negative int")
-                if capacity < graph.channels[name].initial_tokens:
-                    raise CapacityError(
-                        f"channel {name!r}: capacity {capacity} is below its initial tokens"
-                    )
-                self._capacities[channel_index[name]] = capacity
-
-        self._actors: list[_PhaseInfo] = []
-        for name in self.actor_names:
-            actor = graph.actor(name)
-            info = _PhaseInfo(name, actor.execution_times)
-            for phase in range(actor.num_phases):
-                inputs = [
-                    (channel_index[channel.name], channel.consumptions[phase])
-                    for channel in graph.incoming(name)
-                    if channel.consumptions[phase] > 0
-                ]
-                outputs = [
-                    (channel_index[channel.name], channel.productions[phase])
-                    for channel in graph.outgoing(name)
-                    if channel.productions[phase] > 0
-                ]
-                info.inputs.append(inputs)
-                info.outputs.append(outputs)
-            self._actors.append(info)
-
-        self._reset()
-
-    # ------------------------------------------------------------------
-    def _reset(self) -> None:
-        self.time = 0
-        self.clocks = [0] * len(self._actors)
-        self.phases = [0] * len(self._actors)
-        self.tokens = list(self._initial_tokens)
-        self.schedule = Schedule_shim(self.graph) if self.record_schedule else None
-        self._space_blocked: set[int] = set()
-        self._token_blocked: set[int] = set()
-        self._space_deficits: dict[int, int] = {}
-
-    def state(self) -> CSDFState:
-        """The current execution state."""
-        return CSDFState(tuple(self.clocks), tuple(self.phases), tuple(self.tokens))
-
-    def _finish_firing(self, idx: int, info: _PhaseInfo) -> None:
-        phase = self.phases[idx]
-        for channel, rate in info.inputs[phase]:
-            self.tokens[channel] -= rate
-        for channel, rate in info.outputs[phase]:
-            self.tokens[channel] += rate
-        self.phases[idx] = (phase + 1) % len(info.execution_times)
-
-    def _complete_due_firings(self) -> int:
-        observed = 0
-        for idx, info in enumerate(self._actors):
-            if self.clocks[idx] == -1:
-                self.clocks[idx] = 0
-                self._finish_firing(idx, info)
-                if idx == self._observe_idx:
-                    observed += 1
-        return observed
-
-    def _can_start(self, idx: int, info: _PhaseInfo) -> bool:
-        phase = self.phases[idx]
-        collect = self.track_blocking
-        token_failures: list[int] = []
-        for channel, rate in info.inputs[phase]:
-            if self.tokens[channel] < rate:
-                if not collect:
-                    return False
-                token_failures.append(channel)
-        space_failures: list[tuple[int, int]] = []
-        for channel, rate in info.outputs[phase]:
-            capacity = self._capacities[channel]
-            if capacity is not None and self.tokens[channel] + rate > capacity:
-                if not collect:
-                    return False
-                space_failures.append((channel, self.tokens[channel] + rate - capacity))
-        if token_failures:
-            self._token_blocked.update(token_failures)
-            return False
-        if space_failures:
-            for channel, deficit in space_failures:
-                self._space_blocked.add(channel)
-                known = self._space_deficits.get(channel)
-                if known is None or deficit < known:
-                    self._space_deficits[channel] = deficit
-            return False
-        return True
-
-    def _start_enabled_firings(self) -> int:
-        observed = 0
-        fired = 0
-        progress = True
-        while progress:
-            progress = False
-            for idx, info in enumerate(self._actors):
-                if self.clocks[idx] != 0:
-                    continue
-                if not self._can_start(idx, info):
-                    continue
-                fired += 1
-                if fired > _MAX_FIRINGS_PER_INSTANT:
-                    raise EngineError("zero-execution-time cascade diverges")
-                execution_time = info.execution_times[self.phases[idx]]
-                if self.schedule is not None:
-                    self.schedule.record(info.name, self.time, self.time + execution_time)
-                if execution_time == 0:
-                    self._finish_firing(idx, info)
-                    if idx == self._observe_idx:
-                        observed += 1
-                    progress = True
-                else:
-                    self.clocks[idx] = execution_time
-        return observed
-
-    def _process_instant(self) -> int:
-        observed = self._complete_due_firings()
-        observed += self._start_enabled_firings()
-        return observed
-
-    def _advance_time(self) -> bool:
-        busy = [clock for clock in self.clocks if clock > 0]
-        if not busy:
-            return False
-        delta = 1 if self.mode == "tick" else min(busy)
-        self.time += delta
-        for idx, clock in enumerate(self.clocks):
-            if clock > 0:
-                remaining = clock - delta
-                self.clocks[idx] = remaining if remaining > 0 else -1
-        return True
-
-    def run(self) -> CSDFExecutionResult:
-        """Execute until the periodic phase closes or a deadlock occurs."""
-        self._reset()
-        store: StateStore[tuple] = StateStore()
-        records: list[tuple[CSDFState, int, int]] = []
-        full_store: StateStore[CSDFState] | None = None
-        instants_since_firing = 0
-        last_firing_time: int | None = None
-        first_firing_time: int | None = None
-        instants = 0
-
-        observed = self._process_instant()
-        while True:
-            if observed:
-                if first_firing_time is None:
-                    first_firing_time = self.time
-                distance = self.time - (last_firing_time if last_firing_time is not None else 0)
-                last_firing_time = self.time
-                instants_since_firing = 0
-                full_store = None
-                record = (self.state(), distance, observed)
-                records.append(record)
-                cycle_start = store.add(record)
-                if cycle_start is not None:
-                    cycle = records[cycle_start + 1 :]
-                    duration = sum(d for _state, d, _n in cycle)
-                    firings = sum(n for _state, _d, n in cycle)
-                    return CSDFExecutionResult(
-                        observe=self.observe,
-                        throughput=Fraction(firings, duration),
-                        deadlocked=False,
-                        deadlock_time=None,
-                        first_firing_time=first_firing_time,
-                        cycle_duration=duration,
-                        firings_in_cycle=firings,
-                        states_stored=len(store),
-                        schedule=self.schedule,
-                        space_blocked=self._blocked_names(self._space_blocked),
-                        token_blocked=self._blocked_names(self._token_blocked),
-                        space_deficits=self._deficit_names(),
-                    )
-            else:
-                instants_since_firing += 1
-                if instants_since_firing >= self.stall_threshold:
-                    if full_store is None:
-                        full_store = StateStore()
-                    if full_store.add(self.state()) is not None:
-                        return self._stopped_result(first_firing_time, len(store), None)
-
-            if not self._advance_time():
-                return self._stopped_result(first_firing_time, len(store), self.time)
-            instants += 1
-            if self.max_instants is not None and instants > self.max_instants:
-                raise EngineError(f"execution exceeded {self.max_instants} time instants")
-            observed = self._process_instant()
-
-    def _stopped_result(
-        self, first_firing_time: int | None, states_stored: int, deadlock_time: int | None
-    ) -> CSDFExecutionResult:
-        return CSDFExecutionResult(
-            observe=self.observe,
-            throughput=Fraction(0),
-            deadlocked=True,
-            deadlock_time=deadlock_time,
-            first_firing_time=first_firing_time,
-            cycle_duration=0,
-            firings_in_cycle=0,
-            states_stored=states_stored,
-            schedule=self.schedule,
-            space_blocked=self._blocked_names(self._space_blocked),
-            token_blocked=self._blocked_names(self._token_blocked),
-            space_deficits=self._deficit_names(),
-        )
-
-    def _blocked_names(self, indices: set[int]) -> frozenset[str]:
-        return frozenset(self.channel_names[index] for index in indices)
-
-    def _deficit_names(self) -> dict[str, int]:
-        return {self.channel_names[index]: deficit for index, deficit in self._space_deficits.items()}
-
-
-class Schedule_shim(Schedule):
-    """Schedule recorder accepting a CSDF graph.
-
-    :class:`~repro.engine.schedule.Schedule` only needs the actor-name
-    list from its graph, which CSDF graphs also provide.
+    The same engine as :class:`~repro.engine.executor.Executor`, with
+    the same options and results; its :meth:`run` is a name of its own,
+    so a CSDF probe can be told apart from an SDF one.
     """
 
-    def __init__(self, graph: CSDFGraph):
-        self.graph = graph
-        self._events = []
-        self._by_actor = {name: [] for name in graph.actor_names}
+    def run(self) -> ExecutionResult:
+        """Execute until the periodic phase closes or a deadlock occurs."""
+        return self._run()

@@ -25,13 +25,14 @@ Two equivalent drivers are provided: a paper-faithful tick-driven loop
 an event-driven loop that jumps to the next firing completion, which is
 asymptotically faster for graphs with large execution times.
 
-On top of the reference :class:`Executor`, :mod:`repro.engine.fastcore`
-provides a compiled event-calendar kernel (:class:`FastKernel`) that
-computes bit-for-bit identical results for plain and blocking-tracking
-runs; the
-``engine="auto"`` knob of :func:`execute` (and of
-:func:`repro.analysis.throughput.analyze`) selects it for one
-instrumented or plain run automatically.
+The reference :class:`Executor` is the one Python simulator of this
+model: it also runs CSDF graphs (each actor a table of phases) and one
+quota'd iteration per call, the SADF makespan.  On top of it,
+:mod:`repro.engine.fastcore` provides a compiled event-calendar kernel
+(:class:`FastKernel`) that computes bit-for-bit identical results for
+plain and blocking-tracking SDF runs; :func:`execute` (and
+:func:`repro.analysis.throughput.analyze`) runs one execution on it
+unless an option needs the reference executor.
 
 :mod:`repro.engine.backends` packages both kernels (plus a compiled C
 kernel) behind the
@@ -49,7 +50,7 @@ from repro.engine.backends import (
 )
 from repro.engine.concurrent import ConcurrentExecutor
 from repro.engine.executor import ExecutionResult, Executor, execute
-from repro.engine.fastcore import FastKernel, fast_execute, resolve_engine
+from repro.engine.fastcore import FastKernel, fast_execute
 from repro.engine.schedule import Schedule
 from repro.engine.state import SDFState
 from repro.engine.statestore import StateStore
@@ -69,5 +70,4 @@ __all__ = [
     "execute",
     "fast_execute",
     "register_backend",
-    "resolve_engine",
 ]

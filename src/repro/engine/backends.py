@@ -167,7 +167,7 @@ def capability_flags(backend: ProbeBackend) -> dict[str, bool]:
     """``{capability: bool}`` over :data:`KNOWN_CAPABILITIES`.
 
     The one place the capability set is flattened to flags, so the CLI
-    (``repro backends --json``) and the service (``GET /backends``)
+    (``repro backends --json``) and the service (``GET /v1/backends``)
     can never drift apart on which tags exist or how they are spelled.
     """
     return {tag: tag in backend.capabilities for tag in KNOWN_CAPABILITIES}
@@ -176,7 +176,7 @@ def capability_flags(backend: ProbeBackend) -> dict[str, bool]:
 def backend_descriptions() -> list[dict]:
     """One JSON-friendly row per registered backend, registration order.
 
-    The shared rendering behind ``GET /backends`` and the ``repro
+    The shared rendering behind ``GET /v1/backends`` and the ``repro
     backends`` CLI verb: name, sorted capabilities (plus the same set
     as :func:`capability_flags` booleans), availability on *this* host
     and — when unavailable — the human-readable reason.
@@ -235,8 +235,8 @@ class ReferenceBackend:
     on every probe and ignores *blocking*.  It is also the only backend
     that runs CSDF graphs: given a graph that is not an
     :class:`~repro.graph.graph.SDFGraph`, it runs the
-    :class:`~repro.csdf.executor.CSDFExecutor`, which takes the same
-    arguments and reports the same fields.
+    :class:`~repro.csdf.executor.CSDFExecutor` — the same executor
+    under its CSDF name, so traces count CSDF probes apart.
     """
 
     name = "reference"

@@ -26,7 +26,9 @@ overflow of a completion time or a cycle sum, a visited set beyond its
 resource limits raise its subclass
 :class:`~repro.exceptions.KernelLimitError`, on which the evaluation
 service reruns the batch on ``fastcore`` when ``backend="auto"``
-selected ``cc``.
+selected ``cc``.  A graph whose tables do not fit ``int64`` raises the
+same error from :func:`kernel_for`; capacities beyond the unbounded
+stand-in are packed as unbounded.
 
 Availability
 ------------
@@ -56,7 +58,7 @@ mismatch), unlinked, and rebuilt instead of crashing the run.
 Telemetry: the module-level :data:`telemetry` hub counts
 ``cc_compiles``, ``cc_cache_hits``, ``cc_compile_failures``,
 ``cc_cache_corrupt`` and ``cc_cache_evictions``; the analysis service
-exposes them as Prometheus gauges on ``/metrics``.
+exposes them as Prometheus gauges on ``/v1/metrics``.
 """
 
 from __future__ import annotations
@@ -79,8 +81,12 @@ from repro.graph.graph import SDFGraph
 
 #: Stand-in capacity for unbounded channels in the int64 caps array:
 #: large enough that ``tokens + production`` cannot reach it before the
-#: firing guard.
+#: firing guard.  Larger capacities are packed as this value too: a
+#: channel bounded that high already behaves as unbounded.
 _UNBOUNDED = 2**62
+
+#: The largest value of the kernel's ``int64`` tables.
+_INT64_MAX = 2**63 - 1
 
 #: Lazily constructed compile-plane telemetry (``cc_compiles``,
 #: ``cc_cache_hits``, ``cc_compile_failures``, ``cc_cache_corrupt``,
@@ -515,6 +521,13 @@ def _array(ctype, values: list[int]):
     return (ctype * max(1, len(values)))(*values)
 
 
+def _int64_array(values: list[int]):
+    """*values* as a ``c_int64`` array; ctypes would wrap larger ones."""
+    if any(value > _INT64_MAX for value in values):
+        raise KernelLimitError("a graph table value exceeds the compiled kernel's int64 range")
+    return _array(ctypes.c_int64, values)
+
+
 def _graph_struct(graph: SDFGraph, observe: str, channel_index: dict[str, int]) -> _Graph:
     """*graph*'s tables as the kernel's ``Graph`` struct.
 
@@ -534,10 +547,10 @@ def _graph_struct(graph: SDFGraph, observe: str, channel_index: dict[str, int]) 
         graph.num_actors,
         graph.num_channels,
         graph.actor_names.index(observe),
-        _array(ctypes.c_int64, [graph.actors[name].execution_time for name in graph.actor_names]),
-        _array(ctypes.c_int64, [c.initial_tokens for c in channels]),
-        _array(ctypes.c_int64, [c.consumption for c in channels]),
-        _array(ctypes.c_int64, [c.production for c in channels]),
+        _int64_array([graph.actors[name].execution_time for name in graph.actor_names]),
+        _int64_array([c.initial_tokens for c in channels]),
+        _int64_array([c.consumption for c in channels]),
+        _int64_array([c.production for c in channels]),
         _array(ctypes.c_int32, in_off),
         _array(ctypes.c_int32, in_ch),
         _array(ctypes.c_int32, out_off),
@@ -583,7 +596,7 @@ class CompiledKernel:
         if lanes == 0:
             return []
         flat = [
-            _UNBOUNDED if cap is None else cap
+            _UNBOUNDED if cap is None or cap > _UNBOUNDED else cap
             for row in capacity_rows
             for cap in row
         ]
@@ -625,7 +638,9 @@ def kernel_for(graph: SDFGraph, observe: str | None = None) -> CompiledKernel:
     The binding is cached weakly per graph; the library itself is
     loaded (``cc_cache_hits``) or built (``cc_compiles``) once per
     process.  Raises :class:`~repro.exceptions.ConfigError` when the
-    kernel is unavailable on this host.
+    kernel is unavailable on this host, and
+    :class:`~repro.exceptions.KernelLimitError` when a table value
+    (execution time, initial tokens, rate) is beyond ``int64``.
     """
     if graph.num_actors == 0:
         raise GraphError("cannot execute an empty graph")

@@ -30,10 +30,11 @@ is the "processor"); this is property-tested.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from collections.abc import Mapping
 
-from repro.engine.executor import ExecutionResult, _ActorInfo, _MAX_FIRINGS_PER_INSTANT
+from repro.engine.executor import ExecutionResult, _MAX_FIRINGS_PER_INSTANT
 from repro.engine.schedule import Schedule
 from repro.engine.state import ReducedState, SDFState
 from repro.engine.statestore import StateStore
@@ -41,6 +42,16 @@ from repro.exceptions import CapacityError, EngineError, GraphError
 from repro.graph.graph import SDFGraph
 
 _DEFAULT_STALL_THRESHOLD = 50_000
+
+
+@dataclass(slots=True)
+class _ActorInfo:
+    """Precomputed per-actor firing data (index-based, engine internal)."""
+
+    name: str
+    execution_time: int
+    inputs: list[tuple[int, int]] = field(default_factory=list)
+    outputs: list[tuple[int, int]] = field(default_factory=list)
 
 
 class ConcurrentExecutor:

@@ -10,19 +10,37 @@ See :mod:`repro.engine` for the semantics; the key simplification —
 the start-time capacity check ``tokens + production <= capacity``
 subsumes explicit space claiming because every channel has a unique
 producer — is documented there.
+
+:class:`Executor` is the one Python simulator of that model, for SDF
+and CSDF graphs alike.  Every actor has a table of *phases* — an
+execution time and per-channel rates each, zero rates omitted; an SDF
+actor is the one-phase case.  A firing executes the actor's current
+phase: it may start when the phase's input rates are available and
+its output space can be claimed, and the phase counter advances when
+it completes.  The phase vector joins the state for a
+:class:`~repro.csdf.graph.CSDFGraph` only.  Besides running to the
+periodic phase (:meth:`Executor.run`), the executor runs one *quota'd
+iteration* (:meth:`Executor.run_iteration`), in which every actor fires
+exactly its quota — the per-scenario cost of the scenario-aware
+analysis (:mod:`repro.sadf.makespan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, NamedTuple
 from collections.abc import Mapping, Sequence
 
 from repro.engine.schedule import Schedule
-from repro.engine.state import ReducedState, SDFState
+from repro.engine.state import CSDFState, ReducedState, SDFState
 from repro.engine.statestore import StateStore
 from repro.exceptions import CapacityError, DeadlockError, EngineError, GraphError
 from repro.graph.graph import SDFGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.csdf.graph import CSDFGraph
 
 #: Safety bound on firings processed within one time instant; only
 #: reachable through diverging zero-execution-time cascades.
@@ -45,7 +63,8 @@ class ExecutionResult:
     throughput:
         Average firings of *observe* per time step, as an exact
         fraction; zero iff the execution deadlocked or starves the
-        observed actor forever.
+        observed actor forever.  For a CSDF graph a firing is one
+        phase execution.
     deadlocked:
         Whether a (full or observed-actor-starving) deadlock occurred.
     deadlock_time:
@@ -105,14 +124,34 @@ class ExecutionResult:
         return sum(record.distance for record in self.reduced_states[: self.transient_states])
 
 
-@dataclass(slots=True)
-class _ActorInfo:
-    """Precomputed per-actor firing data (index-based, engine internal)."""
+class MakespanResult(NamedTuple):
+    """Outcome of one quota'd iteration (:meth:`Executor.run_iteration`).
 
-    name: str
+    ``time`` is the completion time of the iteration's last firing, or
+    ``None`` when the iteration deadlocks under the storage
+    distribution.  ``space_blocked`` / ``space_deficits`` record every
+    channel whose lack of space delayed an otherwise-enabled firing,
+    with the minimal shortfall observed.
+    """
+
+    time: int | None
+    deadlocked: bool
+    space_blocked: frozenset[str]
+    space_deficits: Mapping[str, int]
+
+
+class _Phase(NamedTuple):
+    """One phase of an actor, folded with the run's capacities."""
+
     execution_time: int
-    inputs: list[tuple[int, int]] = field(default_factory=list)
-    outputs: list[tuple[int, int]] = field(default_factory=list)
+    #: ``(channel, consumption)`` pairs, zero rates omitted.
+    inputs: tuple[tuple[int, int], ...]
+    #: ``(channel, production)`` pairs, zero rates omitted.
+    outputs: tuple[tuple[int, int], ...]
+    #: ``(channel, capacity - production)`` for the bounded outputs: the
+    #: most tokens the channel may hold when the phase starts (negative
+    #: limits block the phase forever).
+    limits: tuple[tuple[int, int], ...]
 
 
 def validate_capacities(
@@ -145,13 +184,47 @@ def validate_capacities(
     return caps
 
 
+def _phase_tables(
+    graph: SDFGraph | CSDFGraph, phased: bool, caps: list[int | None]
+) -> list[tuple[_Phase, ...]]:
+    """Every actor's phases, in actor order (one phase per SDF actor)."""
+    actor_index = {name: i for i, name in enumerate(graph.actor_names)}
+    # Per actor, its channels with their per-phase rates, channel order.
+    incoming: list[list] = [[] for _ in actor_index]
+    outgoing: list[list] = [[] for _ in actor_index]
+    for j, channel in enumerate(graph.channels.values()):
+        if phased:
+            consumptions, productions = channel.consumptions, channel.productions
+        else:
+            consumptions, productions = (channel.consumption,), (channel.production,)
+        incoming[actor_index[channel.destination]].append((j, consumptions))
+        outgoing[actor_index[channel.source]].append((j, productions))
+    tables = []
+    for i, actor in enumerate(graph.actors.values()):
+        times = actor.execution_times if phased else (actor.execution_time,)
+        phases = []
+        for k, execution_time in enumerate(times):
+            outputs = tuple([(j, rates[k]) for j, rates in outgoing[i] if rates[k]])
+            phases.append(
+                _Phase(
+                    execution_time,
+                    tuple([(j, rates[k]) for j, rates in incoming[i] if rates[k]]),
+                    outputs,
+                    tuple([(j, caps[j] - rate) for j, rate in outputs if caps[j] is not None]),
+                )
+            )
+        tables.append(tuple(phases))
+    return tables
+
+
 class Executor:
-    """Runs one graph under one storage distribution.
+    """Runs one SDF or CSDF graph under one storage distribution.
 
     Parameters
     ----------
     graph:
-        The SDF graph to execute.
+        The graph to execute: an :class:`~repro.graph.graph.SDFGraph`
+        or a :class:`~repro.csdf.graph.CSDFGraph`.
     capacities:
         ``{channel name: capacity}``; channels absent from the mapping
         (or the whole argument being ``None``) are unbounded.  A
@@ -190,7 +263,7 @@ class Executor:
 
     def __init__(
         self,
-        graph: SDFGraph,
+        graph: SDFGraph | CSDFGraph,
         capacities: Mapping[str, int] | None = None,
         observe: str | None = None,
         *,
@@ -225,156 +298,187 @@ class Executor:
 
         channel_index = {name: j for j, name in enumerate(self.channel_names)}
         self._initial_tokens = [graph.channels[name].initial_tokens for name in self.channel_names]
-        self._capacities = validate_capacities(capacities, channel_index, self._initial_tokens)
+        caps = validate_capacities(capacities, channel_index, self._initial_tokens)
+        self._phased = not isinstance(graph, SDFGraph)
+        self._tables = _phase_tables(graph, self._phased, caps)
 
-        self._actors: list[_ActorInfo] = []
-        for name in self.actor_names:
-            actor = graph.actors[name]
-            info = _ActorInfo(name, actor.execution_time)
-            for channel in graph.incoming(name):
-                info.inputs.append((channel_index[channel.name], channel.consumption))
-            for channel in graph.outgoing(name):
-                info.outputs.append((channel_index[channel.name], channel.production))
-            self._actors.append(info)
-
-        self._processor_of: list[str | None] = [None] * len(self._actors)
+        self._processor_of: list[str | None] = [None] * len(self._tables)
         if processors is not None:
             for actor_name, processor in dict(processors).items():
                 if actor_name not in graph.actors:
                     raise GraphError(f"processor assignment for unknown actor {actor_name!r}")
                 self._processor_of[self.actor_names.index(actor_name)] = processor
+        self._mapped = any(processor is not None for processor in self._processor_of)
 
         self._reset()
 
     # ------------------------------------------------------------------
     # Run state
     # ------------------------------------------------------------------
-    def _reset(self) -> None:
+    def _reset(self, quotas: Mapping[str, int] | None = None) -> None:
+        count = len(self._tables)
         self.time = 0
-        self.clocks = [0] * len(self._actors)
         self.tokens = list(self._initial_tokens)
+        self.phases = [0] * count
+        self._current = [table[0] for table in self._tables]
+        # Completion time of each actor's running firing (0 while idle;
+        # a running firing always ends after the current instant), and
+        # the running firings as a heap of (completion time, actor).
+        self._ends = [0] * count
+        self._calendar: list[tuple[int, int]] = []
         self.schedule = Schedule(self.graph) if self.record_schedule else None
-        self._space_blocked: set[int] = set()
+        self._track_tokens = self._track_space = self.track_blocking
         self._token_blocked: set[int] = set()
         # Minimal capacity shortfall seen per space-blocking channel;
         # increasing a channel by less than this cannot change the
         # execution (see repro.buffers.dependencies).
         self._space_deficits: dict[int, int] = {}
         self._peak_occupancy = sum(self.tokens) if self.track_occupancy else 0
+        # Firings left per actor in a quota'd iteration (None: no
+        # quotas), and the actors that may still fire.
+        self._remaining: list[int] | None = None
+        self._eligible = list(range(count))
+        if quotas is not None:
+            self._remaining = [int(quotas[name]) for name in self.actor_names]
+            self._eligible = [idx for idx, left in enumerate(self._remaining) if left > 0]
 
-    def state(self) -> SDFState:
-        """The current state (Definition 5)."""
-        return SDFState(tuple(self.clocks), tuple(self.tokens))
+    def state(self) -> SDFState | CSDFState:
+        """The current state (Definition 5), with the phase counters for a
+        CSDF graph."""
+        time = self.time
+        clocks = tuple([end - time if end else 0 for end in self._ends])
+        if self._phased:
+            return CSDFState(clocks, tuple(self.phases), tuple(self.tokens))
+        return SDFState(clocks, tuple(self.tokens))
 
     # ------------------------------------------------------------------
     # One time instant
     # ------------------------------------------------------------------
-    def _complete_due_firings(self) -> int:
-        """Finish firings whose clock reached zero; return completions of the observed actor."""
-        observed = 0
-        for idx, info in enumerate(self._actors):
-            if self.clocks[idx] == -1:
-                # Sentinel: a firing scheduled to complete now.
-                self.clocks[idx] = 0
-                self._finish_firing(idx, info)
-                if idx == self._observe_idx:
-                    observed += 1
-        return observed
+    def _finish_firing(self, idx: int) -> None:
+        """Move the tokens of *idx*'s current phase; advance its phase."""
+        _time, inputs, outputs, _limits = self._current[idx]
+        tokens = self.tokens
+        for channel, rate in inputs:
+            tokens[channel] -= rate
+        for channel, rate in outputs:
+            tokens[channel] += rate
+        if self._phased:
+            table = self._tables[idx]
+            phase = self.phases[idx] = (self.phases[idx] + 1) % len(table)
+            self._current[idx] = table[phase]
 
-    def _finish_firing(self, idx: int, info: _ActorInfo) -> None:
-        for channel, rate in info.inputs:
-            self.tokens[channel] -= rate
-        for channel, rate in info.outputs:
-            self.tokens[channel] += rate
+    def _can_start(self, phase: _Phase) -> bool:
+        """Start condition of *phase*; records what blocks it when tracking.
 
-    def _can_start(self, info: _ActorInfo, collect: bool) -> bool:
-        """Start condition; optionally record blocking channels."""
-        token_failures: list[int] | None = [] if collect else None
-        for channel, rate in info.inputs:
-            if self.tokens[channel] < rate:
-                if token_failures is None:
-                    return False
-                token_failures.append(channel)
-        space_failures: list[tuple[int, int]] = []
-        for channel, rate in info.outputs:
-            capacity = self._capacities[channel]
-            if capacity is not None and self.tokens[channel] + rate > capacity:
-                if not collect:
-                    return False
-                space_failures.append((channel, self.tokens[channel] + rate - capacity))
-        if token_failures:
-            self._token_blocked.update(token_failures)
-            return False
-        if space_failures:
-            # Only space stands between this actor and a firing.
-            for channel, deficit in space_failures:
-                self._space_blocked.add(channel)
-                known = self._space_deficits.get(channel)
-                if known is None or deficit < known:
-                    self._space_deficits[channel] = deficit
-            return False
+        A token shortage records every short input and nothing else;
+        otherwise every full output records its deficit ``tokens + rate
+        - capacity``, keeping the minimum per channel.
+        """
+        tokens = self.tokens
+        _time, inputs, _outputs, limits = phase
+        for channel, rate in inputs:
+            if tokens[channel] < rate:
+                if self._track_tokens:
+                    blocked = self._token_blocked
+                    for short, needed in inputs:
+                        if tokens[short] < needed:
+                            blocked.add(short)
+                return False
+        for channel, limit in limits:
+            if tokens[channel] > limit:
+                if self._track_space:
+                    # Only space stands between this phase and a firing.
+                    deficits = self._space_deficits
+                    for full, most in limits:
+                        excess = tokens[full] - most
+                        if excess > 0:
+                            known = deficits.get(full)
+                            if known is None or excess < known:
+                                deficits[full] = excess
+                return False
         return True
 
     def _start_enabled_firings(self) -> int:
         """Start every enabled actor (fixpoint over zero-time cascades).
 
         Returns the number of observed-actor completions caused by
-        zero-execution-time firings at this instant.
+        zero-execution-time firings at this instant.  In a quota'd
+        iteration an actor stops firing once its quota is used up.
         """
+        time = self.time
+        ends = self._ends
+        current = self._current
+        remaining = self._remaining
+        schedule = self.schedule
+        processor_of = self._processor_of
+        busy = None
+        if self._mapped:
+            busy = {processor_of[idx] for idx, end in enumerate(ends) if end}
+            busy.discard(None)
         observed = 0
-        fired_this_instant = 0
-        busy_processors = {
-            self._processor_of[idx]
-            for idx, clock in enumerate(self.clocks)
-            if clock > 0 and self._processor_of[idx] is not None
-        }
+        fired = 0
         progress = True
         while progress:
             progress = False
-            for idx, info in enumerate(self._actors):
-                if self.clocks[idx] != 0:
+            for idx in self._eligible:
+                if ends[idx]:
                     continue
-                processor = self._processor_of[idx]
-                if processor is not None and processor in busy_processors:
+                if busy is not None and processor_of[idx] in busy:
                     # Shared-processor arbitration: earlier actors in the
                     # graph's insertion order have priority (deterministic).
                     continue
-                if not self._can_start(info, self.track_blocking):
+                phase = current[idx]
+                if not self._can_start(phase):
                     continue
-                fired_this_instant += 1
-                if fired_this_instant > _MAX_FIRINGS_PER_INSTANT:
+                fired += 1
+                if fired > _MAX_FIRINGS_PER_INSTANT:
                     raise EngineError(
                         f"more than {_MAX_FIRINGS_PER_INSTANT} firings in one time instant;"
                         " a zero-execution-time cascade diverges (unbounded channel?)"
                     )
-                if self.schedule is not None:
-                    self.schedule.record(info.name, self.time, self.time + info.execution_time)
-                if info.execution_time == 0:
-                    self._finish_firing(idx, info)
+                if remaining is not None:
+                    remaining[idx] -= 1
+                    if not remaining[idx]:
+                        self._eligible = [other for other in self._eligible if other != idx]
+                duration = phase.execution_time
+                if schedule is not None:
+                    schedule.record(self.actor_names[idx], time, time + duration)
+                if duration == 0:
+                    self._finish_firing(idx)
                     if idx == self._observe_idx:
                         observed += 1
                     progress = True
                 else:
-                    self.clocks[idx] = info.execution_time
-                    if self._processor_of[idx] is not None:
-                        busy_processors.add(self._processor_of[idx])
+                    ends[idx] = time + duration
+                    heappush(self._calendar, (time + duration, idx))
+                    if busy is not None and processor_of[idx] is not None:
+                        busy.add(processor_of[idx])
         return observed
 
-    def _process_instant(self) -> int:
-        """Complete due firings then start enabled ones; return observed completions."""
-        observed = self._complete_due_firings()
+    def _process_instant(self, due: Sequence[int]) -> int:
+        """Complete the *due* firings, then start enabled ones; return
+        observed completions."""
+        observed = 0
+        ends = self._ends
+        for idx in due:
+            ends[idx] = 0
+            self._finish_firing(idx)
+            if idx == self._observe_idx:
+                observed += 1
         observed += self._start_enabled_firings()
         if self.track_occupancy:
             occupancy = sum(self.tokens)
-            for idx, info in enumerate(self._actors):
-                if self.clocks[idx] > 0:
-                    occupancy += sum(rate for _channel, rate in info.outputs)
+            for idx, end in enumerate(ends):
+                if end:
+                    occupancy += sum(rate for _channel, rate in self._current[idx].outputs)
             if occupancy > self._peak_occupancy:
                 self._peak_occupancy = occupancy
         return observed
 
-    def _advance_time(self, mode: str | None = None) -> bool:
-        """Move to the next time instant; ``False`` when nothing is running.
+    def _advance_time(self, mode: str | None = None) -> list[int] | None:
+        """Move to the next time instant and return the actors whose
+        firings complete there, in index order; ``None`` (and no move)
+        when nothing is running.
 
         *mode* selects the time-advance semantics for this call only
         (defaulting to the executor's configured mode), so callers that
@@ -382,45 +486,56 @@ class Executor:
         always walks tick-by-tick — do not have to mutate ``self.mode``
         and stay re-entrant with a concurrent :meth:`run`.
         """
-        busy = [clock for clock in self.clocks if clock > 0]
-        if not busy:
-            return False
-        delta = 1 if (mode or self.mode) == "tick" else min(busy)
-        self.time += delta
-        for idx, clock in enumerate(self.clocks):
-            if clock > 0:
-                remaining = clock - delta
-                # -1 marks "completes at the new current instant".
-                self.clocks[idx] = remaining if remaining > 0 else -1
-        return True
+        calendar = self._calendar
+        if not calendar:
+            return None
+        if (mode or self.mode) == "tick":
+            self.time += 1
+        else:
+            self.time = calendar[0][0]
+        due = []
+        while calendar and calendar[0][0] == self.time:
+            due.append(heappop(calendar)[1])
+        return due
+
+    def _next_instant(self, instants: int) -> list[int] | None:
+        """:meth:`_advance_time` under the ``max_instants`` guard;
+        *instants* counts the instants already processed."""
+        due = self._advance_time()
+        if due is not None and self.max_instants is not None and instants >= self.max_instants:
+            raise EngineError(f"execution exceeded {self.max_instants} time instants")
+        return due
 
     # ------------------------------------------------------------------
     # Main loops
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
         """Execute until the periodic phase closes or a deadlock occurs."""
+        return self._run()
+
+    def _run(self) -> ExecutionResult:
+        """The loop behind :meth:`run`, shared with
+        :meth:`repro.csdf.executor.CSDFExecutor.run`."""
         self._reset()
         store: StateStore[tuple] = StateStore()
         records: list[ReducedState] = []
-        full_store: StateStore[SDFState] | None = None
+        full_store: StateStore[SDFState | CSDFState] | None = None
         instants_since_firing = 0
-        last_firing_time: int | None = None
+        last_firing_time = 0
         first_firing_time: int | None = None
         instants = 0
 
-        observed = self._process_instant()
+        observed = self._process_instant(())
         while True:
             if observed:
                 if first_firing_time is None:
                     first_firing_time = self.time
-                distance = self.time - (last_firing_time if last_firing_time is not None else 0)
+                record = ReducedState(self.state(), self.time - last_firing_time, observed)
                 last_firing_time = self.time
                 instants_since_firing = 0
                 full_store = None
-                record = ReducedState(self.state(), distance, observed)
                 records.append(record)
-                key = (record.state, record.distance, record.firings)
-                cycle_start = store.add(key)
+                cycle_start = store.add((record.state, record.distance, record.firings))
                 if cycle_start is not None:
                     return self._periodic_result(records, cycle_start, first_firing_time, len(store))
             else:
@@ -431,14 +546,40 @@ class Executor:
                     if full_store.add(self.state()) is not None:
                         # The graph loops without ever firing the
                         # observed actor again: starvation.
-                        return self._starvation_result(first_firing_time, len(store))
+                        return self._stopped_result(first_firing_time, len(store), None)
 
-            if not self._advance_time():
-                return self._deadlock_result(first_firing_time, len(store))
+            due = self._next_instant(instants)
+            if due is None:
+                return self._stopped_result(first_firing_time, len(store), self.time)
             instants += 1
-            if self.max_instants is not None and instants > self.max_instants:
-                raise EngineError(f"execution exceeded {self.max_instants} time instants")
-            observed = self._process_instant()
+            observed = self._process_instant(due)
+
+    def run_iteration(self, quotas: Mapping[str, int]) -> MakespanResult:
+        """Execute one quota'd iteration from the initial marking.
+
+        Every actor fires exactly ``quotas[actor]`` times (an actor
+        whose quota is met stops firing) under the ordinary self-timed
+        semantics.  Returns the completion time of the last firing, or
+        ``None`` on deadlock, with the space deficits seen on the way;
+        they are recorded whatever ``track_blocking`` says, and token
+        shortages are not.
+        """
+        self._reset(quotas)
+        self._track_tokens, self._track_space = False, True
+        due: list[int] | None = []
+        instants = 0
+        while due is not None:
+            self._process_instant(due)
+            if not self._eligible and not self._calendar:
+                break
+            due = self._next_instant(instants)
+            instants += 1
+        return MakespanResult(
+            None if due is None else self.time,
+            due is None,
+            self._blocked_names(self._space_deficits),
+            self._deficit_names(),
+        )
 
     def _periodic_result(
         self,
@@ -465,54 +606,39 @@ class Executor:
             cycle_states=len(cycle),
             states_stored=states_stored,
             reduced_states=tuple(records),
-            schedule=self.schedule,
-            space_blocked=self._blocked_names(self._space_blocked),
-            token_blocked=self._blocked_names(self._token_blocked),
-            space_deficits=self._deficit_names(),
-            peak_shared_tokens=self._peak_occupancy if self.track_occupancy else None,
+            **self._observations(),
         )
 
-    def _deadlock_result(self, first_firing_time: int | None, states_stored: int) -> ExecutionResult:
+    def _stopped_result(
+        self, first_firing_time: int | None, states_stored: int, deadlock_time: int | None
+    ) -> ExecutionResult:
+        """Throughput zero: a full deadlock at *deadlock_time*, or (``None``)
+        the observed actor starving."""
         return ExecutionResult(
             observe=self.observe,
             throughput=Fraction(0),
             deadlocked=True,
-            deadlock_time=self.time,
+            deadlock_time=deadlock_time,
             first_firing_time=first_firing_time,
             cycle_duration=0,
             firings_in_cycle=0,
             transient_states=states_stored,
             cycle_states=0,
             states_stored=states_stored,
-            reduced_states=(),
-            schedule=self.schedule,
-            space_blocked=self._blocked_names(self._space_blocked),
-            token_blocked=self._blocked_names(self._token_blocked),
-            space_deficits=self._deficit_names(),
-            peak_shared_tokens=self._peak_occupancy if self.track_occupancy else None,
+            **self._observations(),
         )
 
-    def _starvation_result(self, first_firing_time: int | None, states_stored: int) -> ExecutionResult:
-        return ExecutionResult(
-            observe=self.observe,
-            throughput=Fraction(0),
-            deadlocked=True,
-            deadlock_time=None,
-            first_firing_time=first_firing_time,
-            cycle_duration=0,
-            firings_in_cycle=0,
-            transient_states=states_stored,
-            cycle_states=0,
-            states_stored=states_stored,
-            reduced_states=(),
-            schedule=self.schedule,
-            space_blocked=self._blocked_names(self._space_blocked),
-            token_blocked=self._blocked_names(self._token_blocked),
-            space_deficits=self._deficit_names(),
-            peak_shared_tokens=self._peak_occupancy if self.track_occupancy else None,
-        )
+    def _observations(self) -> dict:
+        """The result fields every run reports alike."""
+        return {
+            "schedule": self.schedule,
+            "space_blocked": self._blocked_names(self._space_deficits),
+            "token_blocked": self._blocked_names(self._token_blocked),
+            "space_deficits": self._deficit_names(),
+            "peak_shared_tokens": self._peak_occupancy if self.track_occupancy else None,
+        }
 
-    def _blocked_names(self, indices: set[int]) -> frozenset[str]:
+    def _blocked_names(self, indices) -> frozenset[str]:
         return frozenset(self.channel_names[index] for index in indices)
 
     def _deficit_names(self) -> dict[str, int]:
@@ -530,17 +656,16 @@ class Executor:
         if count < 1:
             raise EngineError("count must be positive")
         self._reset()
-        completed = self._process_instant()
+        completed = self._process_instant(())
         instants = 0
         while completed < count:
-            if not self._advance_time():
+            due = self._next_instant(instants)
+            if due is None:
                 raise DeadlockError(
                     f"deadlock after {completed} firings of {self.observe!r}", self.time
                 )
             instants += 1
-            if self.max_instants is not None and instants > self.max_instants:
-                raise EngineError(f"execution exceeded {self.max_instants} time instants")
-            completed += self._process_instant()
+            completed += self._process_instant(due)
         assert self.schedule is not None
         return self.schedule
 
@@ -556,7 +681,7 @@ class Executor:
         """
         self._reset()
         store: StateStore[SDFState] = StateStore()
-        self._process_instant()
+        self._process_instant(())
         while True:
             state = self.state()
             cycle_start = store.add(state)
@@ -564,7 +689,8 @@ class Executor:
                 return list(store), cycle_start
             if len(store) > max_states:
                 raise EngineError(f"full state space exceeds {max_states} states")
-            if not self._advance_time("tick"):
+            due = self._advance_time("tick")
+            if due is None:
                 # Deadlock: time still advances in the timed model,
                 # but the state no longer changes — Property 1's
                 # self-loop.  Re-adding the same state closes it.
@@ -572,28 +698,26 @@ class Executor:
                 if cycle_start is None:  # pragma: no cover - defensive
                     raise EngineError("deadlock state failed to close the state space")
                 return list(store), cycle_start
-            self._process_instant()
+            self._process_instant(due)
 
 
 def execute(
     graph: SDFGraph,
     capacities: Mapping[str, int] | None = None,
     observe: str | None = None,
-    *,
-    engine: str = "auto",
     **kwargs,
 ) -> ExecutionResult:
-    """Convenience wrapper: run *graph* on the selected engine.
+    """Convenience wrapper: run *graph* once.
 
-    ``engine="auto"`` (the default) uses the fast event-calendar kernel
-    of :mod:`repro.engine.fastcore` whenever it supports the requested
+    Runs on the fast event-calendar kernel of
+    :mod:`repro.engine.fastcore` whenever it supports the requested
     options (anything but schedule recording, occupancy tracking,
-    processor mapping and tick mode) and this reference executor
-    otherwise; ``"fast"`` / ``"reference"`` force one of the two.
+    processor mapping and tick mode) and on this reference executor
+    otherwise; both give identical results.
     """
-    from repro.engine.fastcore import _FAST_OPTIONS, fast_execute, resolve_engine
+    from repro.engine.fastcore import _FAST_OPTIONS, fast_execute, unsupported_options
 
-    if resolve_engine(engine, kwargs) == "fast":
-        options = {k: v for k, v in kwargs.items() if k in _FAST_OPTIONS}
-        return fast_execute(graph, capacities, observe, **options)
-    return Executor(graph, capacities, observe, **kwargs).run()
+    if unsupported_options(kwargs):
+        return Executor(graph, capacities, observe, **kwargs).run()
+    options = {k: v for k, v in kwargs.items() if k in _FAST_OPTIONS}
+    return fast_execute(graph, capacities, observe, **options)

@@ -55,10 +55,15 @@ the idle actors in index order, pass by pass, exactly as the reference
 does.
 
 The kernel implements neither schedule recording, occupancy tracking,
-processor arbitration nor tick mode.  :func:`resolve_engine` encodes
-that contract — ``engine="auto"`` selects the kernel exactly when none
-of those features is requested and the reference executor (the
-oracle) otherwise.
+processor arbitration nor tick mode.  :func:`unsupported_options`
+encodes that contract — :func:`~repro.engine.executor.execute` runs the
+kernel exactly when none of those features is requested and the
+reference executor (the oracle) otherwise.
+
+State keys are packed as ``int64`` words; a state component beyond that
+range (an execution time or token count of ``2**63`` or more) raises
+:class:`~repro.exceptions.KernelLimitError`, like the C kernel's
+resource limits.
 """
 
 from __future__ import annotations
@@ -77,15 +82,16 @@ from repro.engine.executor import (
     validate_capacities,
 )
 from repro.engine.state import ReducedState, SDFState
-from repro.exceptions import EngineError, GraphError
+from repro.exceptions import EngineError, GraphError, KernelLimitError
 from repro.graph.graph import SDFGraph
-
-#: Valid values of the ``engine`` knob.
-ENGINES = ("auto", "fast", "reference")
 
 #: Executor options the fast kernel supports natively; everything else
 #: (when truthy) forces the reference executor.
 _FAST_OPTIONS = frozenset({"max_instants", "stall_threshold", "track_blocking"})
+
+#: The :class:`~repro.exceptions.KernelLimitError` message of a state
+#: that does not pack into ``int64`` words.
+_KEY_OVERFLOW = "a state component exceeds fastcore's int64 state key"
 
 
 def unsupported_options(options: Mapping[str, object]) -> list[str]:
@@ -100,29 +106,6 @@ def unsupported_options(options: Mapping[str, object]) -> list[str]:
         elif value:  # record_schedule / track_* flags, processors mapping
             blockers.append(key)
     return sorted(blockers)
-
-
-def resolve_engine(engine: str, options: Mapping[str, object] | None = None) -> str:
-    """Resolve the ``engine`` knob to ``"fast"`` or ``"reference"``.
-
-    *options* are the keyword arguments that would be passed to
-    :class:`~repro.engine.executor.Executor`.  ``"auto"`` picks the
-    fast kernel whenever they request no instrumentation; ``"fast"``
-    raises :class:`~repro.exceptions.EngineError` if they do.
-    """
-    if engine not in ENGINES:
-        raise EngineError(f"unknown engine {engine!r}; pick one of {ENGINES}")
-    if engine == "reference":
-        return "reference"
-    blockers = unsupported_options(options or {})
-    if blockers:
-        if engine == "fast":
-            raise EngineError(
-                "fast engine does not support " + ", ".join(blockers)
-                + "; use engine='reference' (or 'auto' to fall back automatically)"
-            )
-        return "reference"
-    return "fast"
 
 
 class _Trace(NamedTuple):
@@ -298,8 +281,8 @@ class FastKernel:
 
         The body is one deliberately flat loop: every name used per
         firing is a local.  *space_blocking* / *token_blocking* collect
-        what the reference executor's ``_can_start(collect=True)``
-        does: a token shortage records every short input; otherwise
+        what the reference executor's ``_can_start`` records under
+        ``track_blocking``: a token shortage records every short input; otherwise
         every full output records its deficit ``tokens + rate -
         capacity``, keeping the minimum per channel.
         """
@@ -475,7 +458,10 @@ class FastKernel:
                 scratch[n : n + m] = tokens
                 scratch[n + m] = distance
                 scratch[n + m + 1] = observed
-                key = array("q", scratch).tobytes()
+                try:
+                    key = array("q", scratch).tobytes()
+                except OverflowError:
+                    raise KernelLimitError(_KEY_OVERFLOW) from None
                 distances.append(distance)
                 firing_counts.append(observed)
                 cycle_start = seen.get(key)
@@ -500,7 +486,10 @@ class FastKernel:
                         c = completion[i]
                         scratch[i] = c - time if c >= 0 else 0
                     scratch[n : n + m] = tokens
-                    full_key = array("q", scratch[: n + m]).tobytes()
+                    try:
+                        full_key = array("q", scratch[: n + m]).tobytes()
+                    except OverflowError:
+                        raise KernelLimitError(_KEY_OVERFLOW) from None
                     if full_key in full_seen:
                         # The graph loops without ever firing the
                         # observed actor again: starvation.

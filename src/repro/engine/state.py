@@ -3,8 +3,9 @@
 The state of an SDF graph ``(A, C)`` at a time instant is the tuple
 ``(t_1 .. t_n, s_1 .. s_m)`` where ``t_i`` is the remaining execution
 time of actor ``a_i`` (0 when idle) and ``s_j`` the number of tokens
-stored in channel ``c_j``.  States are hashable so they can be stored
-in the visited-state hash table used for cycle detection (Sec. 7).
+stored in channel ``c_j``; a CSDF state adds each actor's phase
+counter.  States are hashable so they can be stored in the
+visited-state hash table used for cycle detection (Sec. 7).
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ class SDFState:
 
 
 @dataclass(frozen=True, slots=True)
+class CSDFState:
+    """A CSDF execution state: actor clocks, phase counters, token counts."""
+
+    clocks: tuple[int, ...]
+    phases: tuple[int, ...]
+    tokens: tuple[int, ...]
+
+    def as_tuple(self) -> tuple[int, ...]:
+        """Flat tuple representation (clocks, phases, tokens)."""
+        return self.clocks + self.phases + self.tokens
+
+
+@dataclass(frozen=True, slots=True)
 class ReducedState:
     """A state of the reduced space of Sec. 7.
 
@@ -47,7 +61,7 @@ class ReducedState:
     for zero-execution-time actors).
     """
 
-    state: SDFState
+    state: SDFState | CSDFState
     distance: int
     firings: int = 1
 

@@ -10,9 +10,8 @@ Turns one-shot explorations into *dimensioning as a service*:
   :class:`CircuitBreaker`, :class:`Bulkhead` worker partitioning and
   the client-side :class:`RetryPolicy`;
 * :mod:`repro.service.server` / :mod:`repro.service.api` — stdlib
-  HTTP/JSON endpoints (versioned under ``/v1``, legacy aliases kept
-  deprecated), per-request trace ids, a Prometheus ``/metrics``
-  exposition;
+  HTTP/JSON endpoints (all under ``/v1``), per-request trace ids, a
+  Prometheus ``/v1/metrics`` exposition;
 * :mod:`repro.service.client` — blocking client SDK with
   retry/backoff and idempotent submission replay;
 * :mod:`repro.service.cli` — the ``repro serve|submit|jobs|report|diff``

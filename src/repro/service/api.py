@@ -3,22 +3,17 @@
 The routing table lives here, decoupled from the socket layer
 (:mod:`repro.service.server`) so every endpoint is unit-testable
 without binding a port.  All endpoints speak JSON except
-``GET /metrics``, which serves the Prometheus text exposition format.
+``GET /v1/metrics``, which serves the Prometheus text exposition format.
 
 Versioning
 ----------
-The stable surface lives under ``/v1/...``.  Legacy unversioned routes
-(``/jobs``, ``/graphs``, ...) remain as aliases for existing clients
-but answer with a ``Deprecation: true`` header; new integrations should
-use ``/v1``.  The two differ in their *failure* shape only:
+The surface lives under ``/v1/...``; any other path answers 404.
+Errors use the typed envelope ``{"error": {"code", "message",
+"trace_id"}}`` and JSON object responses carry a top-level
+``"trace_id"``.
 
-* ``/v1`` errors use the typed envelope ``{"error": {"code",
-  "message", "trace_id"}}`` and ``/v1`` JSON object responses carry a
-  top-level ``"trace_id"``;
-* legacy errors keep the historical ``{"error": "<message>"}`` body.
-
-Every response (both surfaces) carries an ``X-Trace-Id`` header.  The
-trace id is minted per request (or adopted from a well-formed client
+Every response carries an ``X-Trace-Id`` header.  The trace id is
+minted per request (or adopted from a well-formed client
 ``X-Trace-Id`` header), threaded through the job table and the
 telemetry span log, and queryable back via ``GET /v1/traces/<id>``.
 
@@ -142,20 +137,22 @@ class AnalysisApi:
         trace_id = supplied if _TRACE_ID.match(supplied) else mint_trace_id()
         clean = path.rstrip("/") or "/"
         versioned = clean == "/v1" or clean.startswith("/v1/")
-        if versioned:
-            clean = clean[len("/v1"):] or "/"
         route = self.route_label(method, path)
         hub = self.manager.telemetry
         started = time.monotonic()
         try:
             with hub.timed(f"http {route}"):
-                response = self._dispatch(method, clean, body, lowered, trace_id)
+                if not versioned:
+                    raise ServiceError(f"no route for {method.upper()} {path}", status=404)
+                response = self._dispatch(
+                    method, clean[len("/v1"):] or "/", body, lowered, trace_id
+                )
         except ServiceError as error:
-            response = self._error_response(error, error.status, versioned, trace_id)
+            response = self._error_response(error, error.status, trace_id)
         except ReproError as error:
-            response = self._error_response(error, 400, versioned, trace_id)
+            response = self._error_response(error, 400, trace_id)
         hub.emit("http_request", route=route, status=response.status, trace_id=trace_id)
-        self._decorate(response, versioned, trace_id)
+        self._decorate(response, trace_id)
         self.traces.record(
             trace_id,
             route,
@@ -165,31 +162,18 @@ class AnalysisApi:
         )
         return response
 
-    def _error_response(
-        self, error: Exception, status: int, versioned: bool, trace_id: str
-    ) -> ApiResponse:
+    def _error_response(self, error: Exception, status: int, trace_id: str) -> ApiResponse:
         headers: dict[str, str] = {}
         retry_after = getattr(error, "retry_after_s", None)
         if retry_after:
             headers["Retry-After"] = f"{max(0.0, float(retry_after)):.3f}"
-        if versioned:
-            code = getattr(error, "code", None) or ServiceError.STATUS_CODES.get(
-                status, "error"
-            )
-            payload = {
-                "error": {"code": code, "message": str(error), "trace_id": trace_id}
-            }
-        else:
-            payload = {"error": str(error)}
+        code = getattr(error, "code", None) or ServiceError.STATUS_CODES.get(status, "error")
+        payload = {"error": {"code": code, "message": str(error), "trace_id": trace_id}}
         return ApiResponse.json(payload, status=status, headers=headers)
 
-    def _decorate(self, response: ApiResponse, versioned: bool, trace_id: str) -> None:
-        """Stamp the trace id (header always, body on v1 JSON objects)
-        and mark legacy routes deprecated."""
+    def _decorate(self, response: ApiResponse, trace_id: str) -> None:
+        """Stamp the trace id: header always, body on JSON objects."""
         response.headers.setdefault("X-Trace-Id", trace_id)
-        if not versioned:
-            response.headers.setdefault("Deprecation", "true")
-            return
         if (
             isinstance(response.payload, dict)
             and response.content_type.startswith("application/json")

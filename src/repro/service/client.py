@@ -59,9 +59,13 @@ SETTLED_STATES = frozenset({"done", "partial", "failed", "cancelled"})
 RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
 
 
+#: Prefix of every route the client requests.
+_API_PREFIX = "/v1"
+
+
 def _error_from_response(status: int, raw: bytes, fallback: str) -> ServiceError:
-    """Decode an error body (v1 envelope or legacy string) into the
-    matching exception class."""
+    """Decode an error body (the v1 envelope) into the matching
+    exception class."""
     message, code, trace_id = fallback, None, None
     try:
         payload = json.loads(raw.decode("utf-8"))
@@ -70,8 +74,6 @@ def _error_from_response(status: int, raw: bytes, fallback: str) -> ServiceError
             message = str(error.get("message", fallback))
             code = error.get("code")
             trace_id = error.get("trace_id")
-        elif isinstance(error, str):
-            message = error
     except (json.JSONDecodeError, UnicodeDecodeError):
         message = raw.decode("utf-8", "replace") or fallback
     if status == 503:
@@ -95,10 +97,6 @@ class ServiceClient:
     retry_seed:
         Seed for the jitter RNG — tests pin it for deterministic
         backoff schedules.
-    api_prefix:
-        Route prefix, ``"/v1"`` by default.  ``""`` targets the legacy
-        unversioned aliases (which answer with a ``Deprecation``
-        header).
     """
 
     def __init__(
@@ -108,12 +106,10 @@ class ServiceClient:
         *,
         retry: RetryPolicy | None = None,
         retry_seed: int | None = None,
-        api_prefix: str = "/v1",
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        self.api_prefix = api_prefix
         self._rng = random.Random(retry_seed)
         #: Trace id of the most recent response (the ``X-Trace-Id``
         #: header) — thread it into logs or ``GET /v1/traces/<id>``.
@@ -138,7 +134,7 @@ class ServiceClient:
             send_headers["Content-Type"] = "application/json"
         if idempotent is None:
             idempotent = method in ("GET", "DELETE") or "Idempotency-Key" in send_headers
-        url = f"{self.base_url}{self.api_prefix}{path}"
+        url = f"{self.base_url}{_API_PREFIX}{path}"
         slept = 0.0
         for attempt in range(self.retry.attempts):
             request = urllib.request.Request(
@@ -287,6 +283,6 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """The raw Prometheus text exposition of ``GET /v1/metrics``."""
-        request = urllib.request.Request(f"{self.base_url}{self.api_prefix}/metrics")
+        request = urllib.request.Request(f"{self.base_url}{_API_PREFIX}/metrics")
         with urllib.request.urlopen(request, timeout=self.timeout) as response:
             return response.read().decode("utf-8")

@@ -135,7 +135,7 @@ class Job:
         return self.spec.resolved_class
 
     def to_dict(self) -> dict:
-        """The job as served by ``GET /jobs/<id>`` and stored as JSONL."""
+        """The job as served by ``GET /v1/jobs/<id>`` and stored as JSONL."""
         return {
             "id": self.id,
             "kind": self.spec.kind,
@@ -215,7 +215,7 @@ class JobManager:
         unbounded work.
     telemetry:
         Server-wide :class:`~repro.runtime.telemetry.TelemetryHub`;
-        every finished job's hub is merged into it (``/metrics``).
+        every finished job's hub is merged into it (``/v1/metrics``).
     bulkhead:
         Worker-slot partition between job classes
         (:class:`~repro.service.resilience.Bulkhead`).  ``None`` lets
@@ -559,7 +559,7 @@ class JobManager:
         raise ServiceError(f"unknown chaos directive {directive!r}")
 
     def breaker_snapshots(self) -> list[dict]:
-        """Per-class breaker state for ``/healthz`` and ``/metrics``."""
+        """Per-class breaker state for ``/v1/healthz`` and ``/v1/metrics``."""
         return [self.breakers[cls].snapshot() for cls in JOB_CLASSES if cls in self.breakers]
 
     def _run_dse(self, job: Job, graph, service: EvaluationService) -> None:

@@ -54,7 +54,7 @@ KIND_CLASSES = {
     "dse-sadf": "batch",
 }
 
-#: Breaker states, also exported as a numeric gauge on ``/metrics``
+#: Breaker states, also exported as a numeric gauge on ``/v1/metrics``
 #: (closed=0, half-open=1, open=2).
 BREAKER_STATES = ("closed", "half-open", "open")
 
@@ -150,7 +150,7 @@ class CircuitBreaker:
             return 1.0 - sum(self._outcomes) / len(self._outcomes)
 
     def snapshot(self) -> dict:
-        """JSON-friendly state for ``/healthz`` and debugging."""
+        """JSON-friendly state for ``/v1/healthz`` and debugging."""
         return {
             "name": self.name,
             "state": self.state,

@@ -6,7 +6,7 @@
 :class:`~repro.service.api.AnalysisApi` routing table — behind one
 HTTP socket.  HTTP handling threads only enqueue and observe; the
 analyses themselves run on the manager's workers, so a slow DSE never
-blocks ``/healthz`` or ``/metrics``.
+blocks ``/v1/healthz`` or ``/v1/metrics``.
 
 Lifecycle::
 

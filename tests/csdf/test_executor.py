@@ -103,3 +103,114 @@ class TestSDFEquivalence:
         csdf = CSDFExecutor(from_sdf(graph), caps).run()
         assert csdf.throughput == sdf.throughput
         assert csdf.deadlocked == sdf.deadlocked
+
+
+# -- a seeded multi-phase corpus ----------------------------------------------
+
+
+def split(rng: random.Random, total: int, parts: int) -> list[int]:
+    """*total* split into *parts* non-negative integers, in order."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [high - low for low, high in zip([0, *cuts], [*cuts, total])]
+
+
+def phased_case(seed: int) -> tuple[CSDFGraph, dict[str, int], str]:
+    """A random consistent graph whose actors get 1-3 phases each.
+
+    Each phase gets an execution time of 0-3 (at least one of them
+    positive, so no zero-time cascade diverges), and each rate is split
+    over the phases of its endpoint, keeping its sum: the phase cycles
+    balance as the SDF rates did.  Capacities sit just below or at the
+    tightest sizes, so about half the cases deadlock.
+    """
+    rng = random.Random(seed)
+    sdf = random_consistent_graph(rng)
+    graph = CSDFGraph(sdf.name)
+    phases = {name: rng.randint(1, 3) for name in sdf.actor_names}
+    for name in sdf.actor_names:
+        times = [rng.randint(0, 3) for _ in range(phases[name])]
+        if not any(times):
+            times[rng.randrange(len(times))] = rng.randint(1, 3)
+        graph.add_actor(name, times)
+    for channel in sdf.channels.values():
+        graph.add_channel(
+            channel.source,
+            channel.destination,
+            split(rng, channel.production, phases[channel.source]),
+            split(rng, channel.consumption, phases[channel.destination]),
+            channel.initial_tokens,
+            name=channel.name,
+        )
+    capacities = {}
+    for channel in graph.channels.values():
+        least = max(channel.productions) + max(channel.consumptions)
+        slack = least - 1 + rng.randint(0, 2) if seed % 2 else rng.randint(0, least + 2)
+        capacities[channel.name] = channel.initial_tokens + slack
+    return graph, capacities, rng.choice(graph.actor_names)
+
+
+#: Per seed of :func:`phased_case`: throughput, ``states_stored``,
+#: ``deadlocked``, ``first_firing_time``, ``space_deficits`` (its keys are
+#: ``space_blocked``) and ``token_blocked``.  Generated by a separate CSDF
+#: simulator, so they check this one independently; event and tick mode
+#: agree on all of them.
+PHASED_CORPUS = {
+    0: ("0", 0, True, None, {"c0": 1}, ("c0", "c1", "c2", "c3", "c4")),
+    1: ("1/9", 2, False, 2, {"c0": 1}, ("c0", "c1", "c2")),
+    2: ("0", 0, True, None, {"c0": 1}, ("c0",)),
+    3: ("3/4", 4, False, 3, {"c1": 1, "c2": 1}, ("c1", "c2")),
+    4: ("3/10", 4, False, 3, {"c1": 1}, ("c0", "c1", "c3")),
+    5: ("4/13", 4, False, 7, {}, ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7")),
+    6: ("0", 4, True, 2, {"c0": 1}, ("c0",)),
+    7: ("1/8", 2, False, 3, {"c0": 1, "c4": 1}, ("c0", "c1", "c2", "c3", "c4")),
+    8: ("0", 0, True, None, {"c0": 2, "c1": 1}, ("c0", "c1")),
+    9: ("4/15", 4, False, 5, {"c0": 1, "c4": 1}, ("c0", "c1", "c2", "c3", "c4", "c5")),
+    10: ("0", 0, True, None, {"c0": 2}, ("c0",)),
+    11: ("1/2", 7, False, 1, {}, ("c0", "c1", "c2", "c3", "c4", "c6")),
+    12: ("0", 0, True, None, {"c1": 2, "c4": 1, "c5": 6}, ("c0", "c1", "c2", "c3", "c4", "c5")),
+    13: ("4/29", 4, False, 14, {"c0": 1, "c3": 1}, ("c0", "c1", "c2", "c3")),
+    14: ("3/8", 6, False, 3, {"c0": 1}, ("c0",)),
+    15: ("1/6", 3, False, 3, {"c2": 1}, ("c0", "c1", "c2")),
+    16: ("0", 3, True, 8, {"c0": 1, "c3": 1}, ("c0", "c1", "c2", "c3")),
+    17: ("0", 3, True, 0, {"c4": 1}, ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7")),
+    18: ("0", 0, True, None, {"c0": 4}, ("c0", "c1")),
+    19: ("3/13", 4, False, 0, {"c0": 1}, ("c0",)),
+    20: ("0", 2, True, 0, {"c0": 1}, ("c0", "c2")),
+    21: ("1/6", 5, False, 8, {}, ("c0", "c1")),
+    22: ("1", 7, False, 0, {"c0": 2}, ("c1", "c2")),
+    23: ("9/19", 11, False, 0, {"c2": 1, "c3": 1}, ("c0", "c1", "c2", "c3", "c4", "c5")),
+    24: ("0", 1, True, 6, {"c1": 1, "c2": 1, "c4": 1}, ("c0", "c1", "c2", "c3", "c4")),
+    25: ("1/19", 3, False, 12, {"c1": 2, "c2": 3}, ("c0", "c1", "c2", "c3", "c5")),
+    26: ("0", 2, True, 3, {"c0": 1, "c1": 2}, ("c0", "c1")),
+    27: ("1/5", 4, False, 3, {"c1": 1}, ("c0", "c1", "c2", "c3", "c5", "c7", "c8")),
+    28: ("0", 0, True, None, {"c0": 1}, ("c0",)),
+    29: ("1/3", 1, False, 3, {}, ("c0",)),
+    30: ("0", 1, True, 2, {"c0": 2, "c3": 2}, ("c0", "c2", "c3")),
+    31: ("1/8", 1, False, 8, {}, ("c0",)),
+    32: ("1/3", 3, False, 2, {}, ("c0", "c1")),
+    33: ("9/19", 10, False, 2, {"c0": 1, "c1": 1}, ("c0", "c1")),
+    34: ("0", 6, True, 1, {"c2": 2}, ("c0", "c1", "c2", "c3", "c4", "c5")),
+    35: ("0", 0, True, None, {"c0": 1, "c3": 2}, ("c0", "c1", "c2", "c3")),
+    36: ("0", 0, True, None, {"c0": 2, "c1": 2}, ("c1", "c2")),
+    37: ("1", 4, False, 7, {"c0": 1}, ("c0",)),
+    38: ("0", 9, True, 1, {"c1": 2}, ("c0", "c1", "c2", "c3", "c4", "c5")),
+    39: ("4/17", 5, False, 8, {"c0": 1}, ("c0", "c1", "c2")),
+}
+
+
+@pytest.mark.parametrize("mode", ["event", "tick"])
+@pytest.mark.parametrize("seed", sorted(PHASED_CORPUS))
+def test_phased_corpus_is_pinned(seed, mode):
+    graph, capacities, observe = phased_case(seed)
+    throughput, states, deadlocked, first_firing, deficits, token_blocked = PHASED_CORPUS[seed]
+    result = CSDFExecutor(graph, capacities, observe, mode=mode, track_blocking=True).run()
+    assert result.throughput == Fraction(throughput)
+    assert result.states_stored == states
+    assert result.deadlocked == deadlocked
+    assert result.first_firing_time == first_firing
+    assert dict(result.space_deficits) == deficits
+    assert result.space_blocked == frozenset(deficits)
+    assert result.token_blocked == frozenset(token_blocked)
+    plain = CSDFExecutor(graph, capacities, observe, mode=mode).run()
+    assert (plain.throughput, plain.states_stored) == (result.throughput, states)
+    assert not plain.space_blocked and not plain.token_blocked

@@ -23,10 +23,12 @@ from repro.buffers.evalcache import EvaluationService
 from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
 from repro.csdf.graph import from_sdf
 from repro.engine import ccore
-from repro.engine.backends import backend_for, resolve_backend
+from repro.engine.backends import backend_for, backend_names, resolve_backend
+from repro.engine.executor import Executor
 from repro.exceptions import ConfigError, EngineError, KernelLimitError
 from repro.gallery import modem_modes
 from repro.gallery.registry import gallery_graph
+from repro.graph.graph import SDFGraph
 from repro.runtime.config import ExplorationConfig
 from repro.sadf import explore_design_space as explore_sadf
 
@@ -280,3 +282,58 @@ def test_diverging_cascade_is_no_kernel_limit(monkeypatch):
         with pytest.raises(EngineError, match="firings in one time instant") as raised:
             service(vector)
         assert not isinstance(raised.value, KernelLimitError)
+
+
+# -- values beyond int64 ------------------------------------------------------
+
+
+def _self_loop(execution_time: int) -> SDFGraph:
+    """Actor ``a`` on a self-loop ``loop`` holding one token."""
+    graph = SDFGraph("loop")
+    graph.add_actor("a", execution_time)
+    graph.add_channel("a", "a", 1, 1, 1, name="loop")
+    return graph
+
+
+def test_capacities_beyond_int64_are_exact():
+    """The C kernel packs capacities into ``int64``; one that high
+    behaves as unbounded, so every backend answers the throughput."""
+    graph = _self_loop(3)
+    for capacity in (2**63, 2**64):
+        vector = StorageDistribution({"loop": capacity})
+        for name in (*backend_names(), "auto"):
+            service = EvaluationService(graph, "a", config=ExplorationConfig(backend=name))
+            assert service(vector) == Fraction(1, 3), (name, capacity)
+            assert service.evaluate_blocking(vector).throughput == Fraction(1, 3), (name, capacity)
+
+
+def test_execution_times_beyond_int64_raise_kernel_limits():
+    """Neither kernel holds an execution time of ``2**63``: ``cc``
+    refuses the graph's tables, ``fastcore`` its state key, and ``auto``
+    raises after its rerun; the reference executor answers."""
+    graph = _self_loop(2**63)
+    vector = StorageDistribution({"loop": 2})
+    assert Executor(graph, vector).run().throughput == Fraction(1, 2**63)
+    for name in ("cc", "fastcore"):
+        with pytest.raises(KernelLimitError):
+            backend_for(name).evaluate_batch(graph, [vector])
+    with pytest.raises(KernelLimitError):
+        EvaluationService(graph, "a")(vector)
+
+
+def test_throughput_job_beyond_int64_is_exact():
+    from repro.io.jsonio import graph_to_dict
+    from repro.service.client import ServiceClient
+    from repro.service.server import AnalysisServer
+
+    with AnalysisServer(workers=1) as server:
+        client = ServiceClient(server.url)
+        job = client.submit_job(
+            graph_to_dict(_self_loop(3)),
+            kind="throughput",
+            observe="a",
+            params={"capacities": {"loop": 2**64}},
+        )
+        done = client.wait(job["id"])
+    assert done["state"] == "done"
+    assert done["result"]["throughput"] == "1/3"

@@ -8,19 +8,19 @@ classification, and the reduced states themselves), not just the
 throughput value.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.buffers.bounds import lower_bound_distribution
 from repro.engine.executor import Executor, execute
 from repro.engine.fastcore import (
-    ENGINES,
     FastKernel,
     fast_execute,
     kernel_for,
-    resolve_engine,
     unsupported_options,
 )
-from repro.exceptions import EngineError, GraphError
+from repro.exceptions import GraphError
 from repro.gallery import (
     fig1_example,
     fig6_example,
@@ -84,46 +84,11 @@ def test_gallery_equivalent_under_explicit_observe(name):
 
 def test_fast_execute_equals_execute_reference(fig1):
     caps = {"alpha": 4, "beta": 2}
-    assert fast_execute(fig1, caps, "c") == execute(fig1, caps, "c", engine="reference")
-    assert execute(fig1, caps, "c", engine="fast") == execute(fig1, caps, "c", engine="auto")
+    assert fast_execute(fig1, caps, "c") == Executor(fig1, caps, "c").run()
+    assert execute(fig1, caps, "c") == fast_execute(fig1, caps, "c")
 
 
-# -- engine resolution --------------------------------------------------
-
-
-def test_resolve_engine_auto_picks_fast_when_uninstrumented():
-    assert resolve_engine("auto", {}) == "fast"
-    assert resolve_engine("auto", None) == "fast"
-    assert resolve_engine("auto", {"max_instants": 100, "stall_threshold": 5}) == "fast"
-    # Falsy instrumentation flags do not force the reference engine.
-    assert resolve_engine("auto", {"record_schedule": False, "processors": None}) == "fast"
-    assert resolve_engine("auto", {"mode": "event"}) == "fast"
-    # The kernel records blocking data itself.
-    assert resolve_engine("auto", {"track_blocking": True}) == "fast"
-    assert resolve_engine("fast", {"track_blocking": True}) == "fast"
-
-
-@pytest.mark.parametrize(
-    "options",
-    [
-        {"record_schedule": True},
-        {"track_blocking": True, "record_schedule": True},
-        {"track_occupancy": True},
-        {"processors": {"a": "p0"}},
-        {"mode": "tick"},
-    ],
-)
-def test_resolve_engine_auto_falls_back_on_instrumentation(options):
-    assert resolve_engine("auto", options) == "reference"
-    assert resolve_engine("reference", options) == "reference"
-    with pytest.raises(EngineError):
-        resolve_engine("fast", options)
-
-
-def test_resolve_engine_rejects_unknown_name():
-    with pytest.raises(EngineError, match="unknown engine"):
-        resolve_engine("turbo")
-    assert set(ENGINES) == {"auto", "fast", "reference"}
+# -- execute's choice of kernel ------------------------------------------
 
 
 def test_unsupported_options_lists_blockers_sorted():
@@ -142,23 +107,46 @@ def test_unsupported_options_lists_blockers_sorted():
 def test_execute_auto_keeps_instrumentation(fig1):
     result = execute(fig1, {"alpha": 4, "beta": 2}, "c", record_schedule=True)
     assert result.schedule is not None  # reference fallback produced it
+    caps = {"alpha": 4, "beta": 2}
+    for options in (
+        {"track_blocking": True, "record_schedule": True},
+        {"track_occupancy": True},
+        {"processors": {"a": "p0"}},
+        {"mode": "tick"},
+    ):
+        result = execute(fig1, caps, "c", **options)
+        reference = Executor(fig1, caps, "c", **options).run()
+        assert replace(result, schedule=None) == replace(reference, schedule=None)
+        if reference.schedule is not None:
+            assert result.schedule.events == reference.schedule.events
+    assert execute(fig1, caps, "c", track_occupancy=True).peak_shared_tokens is not None
 
 
 def test_execute_tracks_blocking_on_the_fast_kernel(fig1, monkeypatch):
     caps = {"alpha": 4, "beta": 2}
-    expected = execute(fig1, caps, "c", engine="reference", track_blocking=True)
+    expected = Executor(fig1, caps, "c", track_blocking=True).run()
     assert expected.space_blocked  # the tight distribution blocks on space
+    plain = Executor(fig1, caps, "c").run()
 
     def refuse(self):
         raise AssertionError("the reference executor ran")
 
     monkeypatch.setattr(Executor, "run", refuse)
     assert execute(fig1, caps, "c", track_blocking=True) == expected
+    # Options the kernel supports, and falsy instrumentation flags, keep
+    # the run on the kernel too.
+    for options in (
+        {},
+        {"max_instants": 100, "stall_threshold": 5},
+        {"record_schedule": False, "processors": None},
+        {"mode": "event"},
+    ):
+        assert execute(fig1, caps, "c", **options) == plain
 
 
-def test_execute_fast_with_instrumentation_raises(fig1):
-    with pytest.raises(EngineError, match="does not support record_schedule"):
-        execute(fig1, {"alpha": 4, "beta": 2}, "c", engine="fast", record_schedule=True)
+def test_execute_takes_no_engine_selector(fig1):
+    with pytest.raises(TypeError, match="engine"):
+        execute(fig1, {"alpha": 4, "beta": 2}, "c", engine="reference")
 
 
 # -- kernel compilation and caching -------------------------------------

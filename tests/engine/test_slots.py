@@ -3,18 +3,19 @@ attribute-safety test for the simulation fast path)."""
 
 import pytest
 
-from repro.engine.executor import _ActorInfo
-from repro.engine.state import ReducedState, SDFState
+from repro.engine.concurrent import _ActorInfo
+from repro.engine.state import CSDFState, ReducedState, SDFState
 
 
 @pytest.mark.parametrize(
     "instance",
     [
         SDFState((1, 0), (2,)),
+        CSDFState((1, 0), (0, 1), (2,)),
         ReducedState(SDFState((0,), (1,)), 3),
         _ActorInfo("a", 2),
     ],
-    ids=["SDFState", "ReducedState", "_ActorInfo"],
+    ids=["SDFState", "CSDFState", "ReducedState", "_ActorInfo"],
 )
 def test_no_per_instance_dict(instance):
     assert not hasattr(instance, "__dict__")

@@ -1,10 +1,13 @@
 """Unit tests for the quota'd iteration-makespan simulation."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from repro.analysis.hsdf import to_hsdf
 from repro.engine.executor import Executor
+from repro.gallery.random_graphs import random_consistent_graph
 from repro.graph.graph import SDFGraph
 from repro.sadf.makespan import iteration_makespan
 
@@ -91,3 +94,79 @@ class TestMakespan:
         double = iteration_makespan(graph, {"c": 1}, {"a": 2, "b": 2})
         assert single.time == 2
         assert double.time == 4  # cap 1 serialises a-b-a-b completely
+
+
+# -- an independent oracle: the HSDF longest path ------------------------------
+
+
+def hsdf_makespan(graph: SDFGraph, capacities: dict[str, int]) -> int | None:
+    """Makespan of one iteration as the longest path of the HSDF expansion.
+
+    Every bounded channel is closed by a reverse *space* channel (rates
+    swapped, ``capacity - initial tokens`` tokens), so claiming space is
+    consuming its tokens.  Edges with a delay reach back to earlier
+    iterations, whose tokens the initial marking provides; the zero-delay
+    edges order the firings of one iteration, each firing taking its
+    execution time.  A zero-delay cycle is a deadlock (``None``).
+    """
+    closed = graph.copy(f"{graph.name}-closed")
+    for name, capacity in capacities.items():
+        channel = graph.channels[name]
+        closed.add_channel(
+            channel.destination,
+            channel.source,
+            channel.consumption,
+            channel.production,
+            capacity - channel.initial_tokens,
+            name=f"{name}-space",
+        )
+    hsdf = to_hsdf(closed)
+    successors: dict = {node: [] for node in hsdf.nodes}
+    waiting = dict.fromkeys(hsdf.nodes, 0)
+    for (source, target), delay in hsdf.edges.items():
+        if delay == 0:
+            successors[source].append(target)
+            waiting[target] += 1
+    start = dict.fromkeys(hsdf.nodes, 0)
+    ready = [node for node, count in waiting.items() if not count]
+    makespan = finished = 0
+    while ready:
+        node = ready.pop()
+        end = start[node] + hsdf.nodes[node]
+        makespan = max(makespan, end)
+        finished += 1
+        for successor in successors[node]:
+            start[successor] = max(start[successor], end)
+            waiting[successor] -= 1
+            if not waiting[successor]:
+                ready.append(successor)
+    return makespan if finished == len(hsdf.nodes) else None
+
+
+def oracle_case(seed: int) -> tuple[SDFGraph, dict[str, int]]:
+    """A random consistent graph: unbounded for every fourth seed, else
+    with capacities around ``production + consumption - 1`` (some
+    deadlock), and zero-time actors for one seed in eight."""
+    rng = random.Random(seed)
+    graph = random_consistent_graph(rng)
+    if seed % 4 == 0:
+        return graph, {}
+    if seed % 8 == 1:
+        graph = graph.with_execution_times(
+            {name: 0 for name in graph.actor_names if rng.random() < 0.4}
+        )
+    capacities = {
+        channel.name: channel.initial_tokens
+        + max(0, channel.production + channel.consumption - 1 + rng.randint(-1, 2))
+        for channel in graph.channels.values()
+    }
+    return graph, capacities
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_makespan_equals_the_hsdf_longest_path(seed):
+    graph, capacities = oracle_case(seed)
+    result = iteration_makespan(graph, capacities)
+    expected = hsdf_makespan(graph, capacities)
+    assert result.time == expected
+    assert result.deadlocked == (expected is None)

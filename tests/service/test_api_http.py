@@ -73,9 +73,9 @@ class TestJobIdentity:
 class TestGraphEndpoints:
     def test_post_graph_then_submit_by_fingerprint(self, server, client, fig1):
         document = json.dumps(graph_to_dict(fig1)).encode("utf-8")
-        first = server.api.handle("POST", "/graphs", document)
+        first = server.api.handle("POST", "/v1/graphs", document)
         assert first.status == 201 and not json.loads(first.body)["known"]
-        second = server.api.handle("POST", "/graphs", document)
+        second = server.api.handle("POST", "/v1/graphs", document)
         assert second.status == 200 and json.loads(second.body)["known"]
 
         fingerprint = client.submit_graph(graph_to_dict(fig1))
@@ -92,9 +92,9 @@ class TestGraphEndpoints:
 
 class TestErrorPaths:
     def test_bad_json_body_is_400(self, server, fig1):
-        response = server.api.handle("POST", "/graphs", b"{not json")
+        response = server.api.handle("POST", "/v1/graphs", b"{not json")
         assert response.status == 400
-        assert "not valid JSON" in json.loads(response.body)["error"]
+        assert "not valid JSON" in json.loads(response.body)["error"]["message"]
 
     def test_unknown_graph_fingerprint_is_404(self, client):
         with pytest.raises(ServiceError) as caught:
@@ -107,8 +107,8 @@ class TestErrorPaths:
         assert caught.value.status == 404
 
     def test_unknown_route_is_404(self, server):
-        assert server.api.handle("GET", "/nope").status == 404
-        assert server.api.handle("PATCH", "/jobs").status == 404
+        assert server.api.handle("GET", "/v1/nope").status == 404
+        assert server.api.handle("PATCH", "/v1/jobs").status == 404
 
     def test_unknown_observe_actor_is_400(self, client, fig1):
         with pytest.raises(ServiceError) as caught:
@@ -243,13 +243,13 @@ class TestObservability:
         assert "repro_cc_promotions" not in text
 
     def test_metrics_content_type_is_prometheus(self, server):
-        response = server.api.handle("GET", "/metrics")
+        response = server.api.handle("GET", "/v1/metrics")
         assert response.content_type == "text/plain; version=0.0.4; charset=utf-8"
         assert response.body.decode("utf-8").endswith("\n")
 
     def test_route_label_collapses_ids(self):
-        assert AnalysisApi.route_label("delete", "/jobs/abc123") == "DELETE /jobs/<id>"
-        assert AnalysisApi.route_label("GET", "/healthz") == "GET /healthz"
+        assert AnalysisApi.route_label("delete", "/v1/jobs/abc123") == "DELETE /v1/jobs/<id>"
+        assert AnalysisApi.route_label("GET", "/v1/healthz") == "GET /v1/healthz"
 
 
 class TestClientWait:

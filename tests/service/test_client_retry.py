@@ -223,12 +223,3 @@ class TestResultHelper:
             "id": "j1", "state": "done", "result": {"throughput": "1/7"},
         }
         assert fast_client(stub).result("j1", timeout=1.0) == {"throughput": "1/7"}
-
-    def test_legacy_error_body_still_decodes(self, stub):
-        # api_prefix="" talks to the unversioned aliases whose errors
-        # are plain strings; the client must map them the same way.
-        client = ServiceClient(stub.url, api_prefix="", retry=RetryPolicy.none())
-        stub.scripts[("GET", "/jobs/x")] = [404]
-        with pytest.raises(ServiceError) as caught:
-            client.job("x")
-        assert caught.value.status == 404

@@ -1,5 +1,5 @@
 """The versioned surface: /v1 routes, the typed error envelope, trace
-ids end to end, and the legacy aliases' unchanged behaviour."""
+ids end to end; unversioned paths answer 404."""
 
 import json
 
@@ -27,7 +27,6 @@ class TestVersionedRoutes:
         assert created.status == 201
         fingerprint = body(created)["fingerprint"]
         assert body(server.api.handle("GET", "/v1/graphs"))["graphs"] == [fingerprint]
-        assert body(server.api.handle("GET", "/graphs"))["graphs"] == [fingerprint]
         assert body(server.api.handle("GET", "/v1/healthz"))["status"] == "ok"
         assert server.api.handle("GET", "/v1/metrics").status == 200
         assert body(server.api.handle("GET", "/v1/jobs"))["jobs"] == []
@@ -40,20 +39,29 @@ class TestVersionedRoutes:
     def test_unknown_v1_route_is_404(self, server):
         assert server.api.handle("GET", "/v1/nope").status == 404
 
+    @pytest.mark.parametrize(
+        "method, path",
+        [("GET", "/healthz"), ("GET", "/graphs"), ("GET", "/metrics"), ("POST", "/jobs")],
+    )
+    def test_unversioned_paths_are_404_with_the_envelope(self, server, method, path):
+        response = server.api.handle(method, path, b"{}")
+        assert response.status == 404
+        error = body(response)["error"]
+        assert error["code"] == "not_found"
+        assert error["trace_id"] == response.headers["X-Trace-Id"]
+        assert "Deprecation" not in response.headers
+
 
 class TestTraceIds:
     def test_every_response_carries_a_trace_header(self, server):
         response = server.api.handle("GET", "/v1/healthz")
         assert response.headers["X-Trace-Id"]
-        legacy = server.api.handle("GET", "/healthz")
-        assert legacy.headers["X-Trace-Id"]
+        failed = server.api.handle("GET", "/v1/nope")
+        assert failed.headers["X-Trace-Id"]
 
     def test_v1_json_payloads_echo_the_trace_id(self, server):
         response = server.api.handle("GET", "/v1/healthz")
         assert body(response)["trace_id"] == response.headers["X-Trace-Id"]
-        # legacy payloads stay byte-stable: no injected field
-        legacy = server.api.handle("GET", "/healthz")
-        assert "trace_id" not in body(legacy)
 
     def test_wellformed_client_trace_id_is_adopted(self, server):
         response = server.api.handle(
@@ -111,12 +119,6 @@ class TestErrorEnvelope:
         assert "unknown job" in error["message"]
         assert error["trace_id"] == response.headers["X-Trace-Id"]
 
-    def test_legacy_errors_keep_the_string_shape(self, server):
-        response = server.api.handle("GET", "/jobs/nope")
-        assert response.status == 404
-        assert isinstance(body(response)["error"], str)
-        assert "unknown job" in body(response)["error"]
-
     def test_bad_json_maps_to_bad_request_code(self, server):
         response = server.api.handle("POST", "/v1/graphs", b"{nope")
         assert response.status == 400
@@ -131,16 +133,6 @@ class TestErrorEnvelope:
         assert response.status == 503
         assert body(response)["error"]["code"] == "breaker_open"
         assert float(response.headers["Retry-After"]) > 0
-
-
-class TestDeprecationHeader:
-    def test_legacy_routes_answer_deprecated(self, server):
-        response = server.api.handle("GET", "/healthz")
-        assert response.headers["Deprecation"] == "true"
-
-    def test_v1_routes_do_not(self, server):
-        response = server.api.handle("GET", "/v1/healthz")
-        assert "Deprecation" not in response.headers
 
 
 class TestResilienceObservability:
