@@ -17,13 +17,15 @@ Each strongly connected component (iterative Tarjan) gets an exact
 Lawler search: a binary search over candidates ``lam = p/q`` narrows
 the ratio to an interval holding a unique fraction with denominator at
 most the component's transit sum, which is then recovered and
-verified.  The predicate "does a cycle with ``sum(w - lam * d) > 0``
-exist" is decided by Bellman-Ford on the integer costs ``w*q - p*d``:
-for ``q > 0`` a cycle's cost sum is ``q`` times its ``sum(w - lam*d)``,
-so the sign, and with it every verdict of the search, is that of the
+verified; the verifying test also yields one cycle attaining it.  The
+predicate "does a cycle with ``sum(w - lam * d) > 0`` exist" is
+decided by Bellman-Ford on the integer costs ``w*q - p*d``: for
+``q > 0`` a cycle's cost sum is ``q`` times its ``sum(w - lam*d)``, so
+the sign, and with it every verdict of the search, is that of the
 rational predicate, and no :class:`~fractions.Fraction` enters the
 relaxation loop.  Cycles among delay-free or tight edges are found by
-Kahn's algorithm.
+Kahn's algorithm.  The scenario automaton of an FSM-SADF graph is the
+other client (:mod:`repro.sadf.throughput`).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def maximum_cycle_ratio(hsdf: HSDFGraph, reaching: Node | None = None) -> CycleR
             "no cycle constrains the computation"
             + (f" of node {reaching!r}" if reaching is not None else "")
         )
-    ratio, component = found
+    ratio, component, _cycle = found
     return CycleRatioResult(ratio, frozenset(nodes[position] for position in component))
 
 
@@ -108,41 +110,44 @@ def max_throughput_from_mcr(hsdf: HSDFGraph, node: Node) -> Fraction:
 
 def cycle_ratio(
     num_nodes: int, edges: Sequence[Edge], reaching: int | None = None
-) -> tuple[Fraction, list[int]] | None:
+) -> tuple[Fraction, list[int], list[int]] | None:
     """Maximum cycle ratio of a digraph on nodes ``0 .. num_nodes-1``.
 
-    Returns the ratio and the nodes of the first strongly connected
+    Returns the ratio, the nodes of the first strongly connected
     component attaining it, in Tarjan's completion order (downstream
-    components first), or ``None`` when no cycle is considered.
-    With *reaching* given, only cycles from which that node is
-    reachable are considered.  Weights and transits are non-negative
-    integers; a considered component with a zero-transit cycle raises
-    :class:`~repro.exceptions.AnalysisError`.
+    components first), and one cycle of that component attaining it,
+    as positions in *edges* in the order a walk takes them; or ``None``
+    when no cycle is considered.  With *reaching* given, only cycles
+    from which that node is reachable are considered.  Weights and
+    transits are non-negative integers; a considered component with a
+    zero-transit cycle raises :class:`~repro.exceptions.AnalysisError`.
     """
     successors: list[list[int]] = [[] for _ in range(num_nodes)]
     for src, dst, _weight, _transit in edges:
         successors[src].append(dst)
     component_of = _strongly_connected_components(successors)
-    inner: dict[int, list[Edge]] = {}
-    for edge in edges:
-        component = component_of[edge[0]]
-        if component == component_of[edge[1]]:
-            inner.setdefault(component, []).append(edge)
+    inner: dict[int, list[int]] = {}
+    for position, (src, dst, _weight, _transit) in enumerate(edges):
+        if component_of[src] == component_of[dst]:
+            inner.setdefault(component_of[src], []).append(position)
     reaches = None if reaching is None else _ancestors(num_nodes, edges, reaching)
 
-    best: tuple[Fraction, list[int]] | None = None
+    best: tuple[Fraction, list[int], list[int]] | None = None
     for component in sorted(inner):
-        component_edges = inner[component]
-        if reaches is not None and not reaches[component_edges[0][0]]:
+        positions = inner[component]
+        if reaches is not None and not reaches[edges[positions[0]][0]]:
             continue
-        members = sorted({edge[0] for edge in component_edges})
-        local = {node: position for position, node in enumerate(members)}
-        ratio = _component_ratio(
+        members = sorted({edges[position][0] for position in positions})
+        local = {node: index for index, node in enumerate(members)}
+        ratio, cycle = _component_ratio(
             len(members),
-            [(local[src], local[dst], w, t) for src, dst, w, t in component_edges],
+            [
+                (local[src], local[dst], weight, transit)
+                for src, dst, weight, transit in (edges[position] for position in positions)
+            ],
         )
         if best is None or ratio > best[0]:
-            best = (ratio, members)
+            best = (ratio, members, [positions[index] for index in cycle])
     return best
 
 
@@ -203,9 +208,10 @@ def _ancestors(num_nodes: int, edges: Sequence[Edge], target: int) -> list[bool]
     return reaches
 
 
-def _component_ratio(num_nodes: int, edges: list[Edge]) -> Fraction:
-    """Exact MCR of one strongly connected component."""
-    if _has_cycle(num_nodes, [(src, dst) for src, dst, _weight, transit in edges if transit == 0]):
+def _component_ratio(num_nodes: int, edges: list[Edge]) -> tuple[Fraction, list[int]]:
+    """Exact MCR of one strongly connected component, and the positions
+    in *edges* of one cycle attaining it."""
+    if _find_cycle(num_nodes, [(src, dst) for src, dst, _weight, transit in edges if transit == 0]):
         raise AnalysisError(
             "HSDF graph has a delay-free dependency cycle; the graph deadlocks"
         )
@@ -216,12 +222,13 @@ def _component_ratio(num_nodes: int, edges: list[Edge]) -> Fraction:
 
     low = Fraction(0)
     high = Fraction(total_weight)
-    if _positive_cycle_test(num_nodes, edges, high) == _EQUAL:
-        return high
-    verdict_low = _positive_cycle_test(num_nodes, edges, low)
-    if verdict_low == _EQUAL:
-        return low
-    if verdict_low == _BELOW:
+    verdict, cycle = _positive_cycle_test(num_nodes, edges, high)
+    if verdict == _EQUAL:
+        return high, cycle
+    verdict, cycle = _positive_cycle_test(num_nodes, edges, low)
+    if verdict == _EQUAL:
+        return low, cycle
+    if verdict == _BELOW:
         raise AnalysisError("internal error: cycle ratio below zero")
 
     # Invariant: MCR in (low, high).
@@ -231,9 +238,9 @@ def _component_ratio(num_nodes: int, edges: list[Edge]) -> Fraction:
             candidate = ((low + high) / 2).limit_denominator(max_denominator)
         else:
             candidate = (low + high) / 2
-        verdict = _positive_cycle_test(num_nodes, edges, candidate)
+        verdict, cycle = _positive_cycle_test(num_nodes, edges, candidate)
         if verdict == _EQUAL:
-            return candidate
+            return candidate, cycle
         if verdict == _ABOVE:
             low = candidate
         else:
@@ -241,14 +248,17 @@ def _component_ratio(num_nodes: int, edges: list[Edge]) -> Fraction:
     raise AnalysisError("maximum cycle ratio search failed to converge")
 
 
-def _positive_cycle_test(num_nodes: int, edges: list[Edge], lam: Fraction) -> int:
+def _positive_cycle_test(
+    num_nodes: int, edges: list[Edge], lam: Fraction
+) -> tuple[int, list[int]]:
     """Compare the MCR with *lam* = p/q.
 
     Uses Bellman-Ford longest-path relaxation on the integer edge costs
     ``weight*q - p*transit`` (``q`` times ``weight - lam*transit``): a
     relaxable edge after ``V`` rounds means a positive-cost cycle
     (MCR > lam); otherwise a zero-cost cycle is detected by checking
-    for a cycle among tight edges (MCR == lam); otherwise MCR < lam.
+    for a cycle among tight edges (MCR == lam, and that cycle, as
+    positions in *edges*, attains it); otherwise MCR < lam.
     """
     p, q = lam.numerator, lam.denominator
     costs = [(src, dst, weight * q - p * transit) for src, dst, weight, transit in edges]
@@ -266,26 +276,51 @@ def _positive_cycle_test(num_nodes: int, edges: list[Edge], lam: Fraction) -> in
     else:
         # Still relaxing after V rounds: positive cycle.
         if any(distance[src] + cost > distance[dst] for src, dst, cost in costs):
-            return _ABOVE
+            return _ABOVE, []
 
     # No positive cycle; look for a zero-cost ("tight") cycle.
-    tight = [(src, dst) for src, dst, cost in costs if distance[src] + cost == distance[dst]]
-    return _EQUAL if _has_cycle(num_nodes, tight) else _BELOW
+    tight = [
+        position
+        for position, (src, dst, cost) in enumerate(costs)
+        if distance[src] + cost == distance[dst]
+    ]
+    cycle = _find_cycle(num_nodes, [costs[position][:2] for position in tight])
+    if not cycle:
+        return _BELOW, []
+    return _EQUAL, [tight[index] for index in cycle]
 
 
-def _has_cycle(num_nodes: int, arcs: list[tuple[int, int]]) -> bool:
-    """Whether the arcs on nodes ``0 .. num_nodes-1`` close a cycle (Kahn)."""
+def _find_cycle(num_nodes: int, arcs: list[tuple[int, int]]) -> list[int]:
+    """Positions in *arcs* of one cycle they close, in walk order, or
+    ``[]`` when they close none.
+
+    Kahn's algorithm removes every node outside all cycles.  Each node
+    left keeps an arc from another node left, so walking those arcs
+    backwards from any of them must repeat a node: the arcs between its
+    two visits form the cycle.
+    """
     successors: list[list[int]] = [[] for _ in range(num_nodes)]
     indegree = [0] * num_nodes
     for src, dst in arcs:
         successors[src].append(dst)
         indegree[dst] += 1
     ready = [node for node in range(num_nodes) if indegree[node] == 0]
-    removed = 0
     while ready:
-        removed += 1
         for successor in successors[ready.pop()]:
             indegree[successor] -= 1
             if indegree[successor] == 0:
                 ready.append(successor)
-    return removed < num_nodes
+    incoming: dict[int, int] = {}
+    for position, (src, dst) in enumerate(arcs):
+        if indegree[src] and indegree[dst]:
+            incoming.setdefault(dst, position)
+    if not incoming:
+        return []
+    node = next(iter(incoming))
+    visited: dict[int, int] = {}
+    walk: list[int] = []
+    while node not in visited:
+        visited[node] = len(walk)
+        walk.append(incoming[node])
+        node = arcs[incoming[node]][0]
+    return walk[visited[node]:][::-1]

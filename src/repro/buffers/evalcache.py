@@ -54,10 +54,11 @@ ask for it (``blocking=True``), pooled or not.  Plain inline probes run
 on ``config.backend``; blocking-aware and pooled probes run on the
 service's *blocking backend* — the selected backend when it has the
 ``"blocking"`` capability (every built-in SDF backend does), the
-``"reference"`` backend otherwise.  When ``backend="auto"`` selected
-``cc``, a batch that hits one of the C kernel's resource limits reruns
-on ``fastcore``.  A CSDF graph runs every probe on ``"reference"``, the
-one backend whose executor runs phase tables.
+``"reference"`` backend otherwise.  Under ``backend="auto"``, a batch
+that hits one of a kernel's resource limits reruns on ``fastcore``
+(after ``cc``), then on ``"reference"``.  A CSDF graph runs every
+probe on ``"reference"``, the one backend whose executor runs phase
+tables.
 
 **Run control.**  The service carries the run's
 :class:`~repro.runtime.controller.RunController` and
@@ -91,6 +92,7 @@ from repro.buffers.shared import dominates as _dominates
 from repro.engine.backends import (
     EvalResult,
     ProbeBackend,
+    auto_fallbacks,
     backend_for,
     probe_batch,
     resolve_backend,
@@ -237,12 +239,11 @@ class EvaluationService:
             if "blocking" in self._backend.capabilities
             else backend_for("reference")
         )
-        # "auto" trades speed only: a batch past the C kernel's limits
-        # reruns on fastcore.  Explicit "cc" raises KernelLimitError.
-        self._fallback: ProbeBackend | None = (
-            backend_for("fastcore")
-            if config.backend == "auto" and self.backend_name == "cc"
-            else None
+        # "auto" trades speed only: a batch past a kernel's limits reruns
+        # on fastcore, then on the reference executor.  Explicit "cc" and
+        # "fastcore" raise KernelLimitError.
+        self._fallbacks: tuple[ProbeBackend, ...] = (
+            auto_fallbacks(self.backend_name) if config.backend == "auto" else ()
         )
         self.ceiling = ceiling
         self.stats = stats if stats is not None else EvalStats(workers=self.workers)
@@ -473,7 +474,7 @@ class EvaluationService:
             [dict(distribution)],
             self.observe,
             blocking=blocking,
-            fallback=self._fallback,
+            fallbacks=self._fallbacks,
         )[0]
         record = self._record(distribution, result)
         duration = time.perf_counter() - probe_started
@@ -541,7 +542,7 @@ class EvaluationService:
                 probe_timeout=self.config.probe_timeout,
                 max_restarts=self.config.max_pool_restarts,
                 retry_backoff=self.config.retry_backoff,
-                fallback=self._fallback,
+                fallbacks=self._fallbacks,
                 on_event=self.telemetry.emit,
             )
         return self._prober

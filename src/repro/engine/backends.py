@@ -374,24 +374,35 @@ def probe_batch(
     observe: str | None = None,
     *,
     blocking: bool = False,
-    fallback: ProbeBackend | None = None,
+    fallbacks: Sequence[ProbeBackend] = (),
 ) -> list[EvalResult]:
-    """``backend.evaluate_batch``, rerun on *fallback* when the batch hits
-    a compiled kernel's resource limit.
+    """``backend.evaluate_batch``, rerun on each of *fallbacks* in turn
+    while the batch hits a kernel's resource limit.
 
     The one place the evaluation service's inline probes and its pool
     workers run a batch.  Under ``backend="auto"`` the service passes
-    ``fastcore`` as the *fallback* of ``cc``: its Python integers do not
-    overflow, and both are exact, so a rerun changes no result.
-    Without a fallback, :class:`~repro.exceptions.KernelLimitError`
-    propagates (explicit ``cc``).
+    :func:`auto_fallbacks`: every backend is exact, so a rerun changes
+    no result.  Without fallbacks,
+    :class:`~repro.exceptions.KernelLimitError` propagates (explicit
+    ``cc`` or ``fastcore``).
     """
     try:
         return backend.evaluate_batch(graph, vectors, observe, blocking=blocking)
     except KernelLimitError:
-        if fallback is None:
+        if not fallbacks:
             raise
-        return fallback.evaluate_batch(graph, vectors, observe, blocking=blocking)
+        return probe_batch(
+            fallbacks[0], graph, vectors, observe, blocking=blocking, fallbacks=fallbacks[1:]
+        )
+
+
+def auto_fallbacks(name: str) -> tuple[ProbeBackend, ...]:
+    """What a batch on *name* reruns on under ``auto`` when it hits a
+    kernel limit: the later ``auto`` preferences (``fastcore``, whose
+    Python integers do not overflow), then ``reference``, which packs
+    no state into machine integers at all."""
+    chain = (*_AUTO_PREFERENCE, "reference")
+    return tuple(backend_for(later) for later in chain[chain.index(name) + 1 :])
 
 
 register_backend(ReferenceBackend())

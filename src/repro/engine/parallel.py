@@ -45,21 +45,21 @@ from repro.graph.graph import SDFGraph
 _worker_graph: SDFGraph | None = None
 _worker_observe: str | None = None
 _worker_backend: ProbeBackend | None = None
-_worker_fallback: ProbeBackend | None = None
+_worker_fallbacks: tuple[ProbeBackend, ...] = ()
 
 
 def _init_worker(
     graph: SDFGraph,
     observe: str | None,
     backend: ProbeBackend,
-    fallback: ProbeBackend | None,
+    fallbacks: tuple[ProbeBackend, ...],
 ) -> None:
     """Pool initializer: pin the graph, observed actor and backends in the worker."""
-    global _worker_graph, _worker_observe, _worker_backend, _worker_fallback
+    global _worker_graph, _worker_observe, _worker_backend, _worker_fallbacks
     _worker_graph = graph
     _worker_observe = observe
     _worker_backend = backend
-    _worker_fallback = fallback
+    _worker_fallbacks = fallbacks
 
 
 def _run_task(capacity_items: tuple[tuple[str, int], ...], blocking: bool) -> EvalResult:
@@ -71,7 +71,7 @@ def _run_task(capacity_items: tuple[tuple[str, int], ...], blocking: bool) -> Ev
         [dict(capacity_items)],
         _worker_observe,
         blocking=blocking,
-        fallback=_worker_fallback,
+        fallbacks=_worker_fallbacks,
     )[0]
 
 
@@ -98,9 +98,9 @@ class ParallelProber:
     retry_backoff:
         Base sleep in seconds before a restart; doubles per
         consecutive restart of one batch.
-    fallback:
-        The backend a batch reruns on when *backend*'s compiled kernel
-        hits a resource limit, or ``None`` to let the limit raise.
+    fallbacks:
+        The backends a batch reruns on, in turn, while it hits a
+        kernel's resource limit; empty to let the limit raise.
     on_event:
         Optional callback ``(name, **data)`` — typically
         :meth:`repro.runtime.telemetry.TelemetryHub.emit` — notified on
@@ -117,13 +117,13 @@ class ParallelProber:
         probe_timeout: float | None = None,
         max_restarts: int = 1,
         retry_backoff: float = 0.05,
-        fallback: ProbeBackend | None = None,
+        fallbacks: tuple[ProbeBackend, ...] = (),
         on_event: Callable[..., None] | None = None,
     ):
         self.graph = graph
         self.observe = observe
         self.backend = backend
-        self.fallback = fallback
+        self.fallbacks = fallbacks
         self.workers = max(1, int(workers))
         self.probe_timeout = probe_timeout
         self.max_restarts = max(0, int(max_restarts))
@@ -156,7 +156,7 @@ class ParallelProber:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(self.graph, self.observe, self.backend, self.fallback),
+                    initargs=(self.graph, self.observe, self.backend, self.fallbacks),
                 )
             except (OSError, ValueError) as error:
                 self._fail(f"pool unavailable: {type(error).__name__}: {error}")
@@ -244,7 +244,7 @@ class ParallelProber:
             [dict(item) for item in items],
             self.observe,
             blocking=blocking,
-            fallback=self.fallback,
+            fallbacks=self.fallbacks,
         )
 
     def close(self) -> None:

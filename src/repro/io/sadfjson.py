@@ -144,14 +144,15 @@ def sadf_from_dict(data: Mapping) -> SADFGraph:
                     int(transition.get("delay", 0)),
                 )
             sadf.set_fsm(fsm)
+        sadf.validate()
     except (KeyError, TypeError, AttributeError) as error:
         raise ParseError(f"malformed sadfjson document: {error}") from error
     except (GraphError, ValidationError) as error:
         # Unknown scenario refs in the FSM, rate inconsistencies,
-        # duplicate names, ... — construction-level rejections surface
-        # as parse errors of the document.
+        # duplicate names, no scenarios, an FSM without an infinite
+        # run, ... — graph-level rejections surface as parse errors of
+        # the document.
         raise ParseError(f"invalid SADF graph in document: {error}") from error
-    sadf.validate()
     return sadf
 
 

@@ -18,13 +18,12 @@ from repro.sadf.explorer import (
     max_worst_case_throughput,
     minimal_sadf_distribution_for_throughput,
 )
-from repro.sadf.fsm import MAX_ENUMERATED_CYCLES, ScenarioFSM, ScenarioTransition
+from repro.sadf.fsm import ScenarioFSM, ScenarioTransition
 from repro.sadf.graph import SADFActor, SADFChannel, SADFGraph, Scenario, from_sdf
 from repro.sadf.makespan import MakespanResult, iteration_makespan
 from repro.sadf.throughput import CycleRatio, WorstCaseReport, worst_case_throughput
 
 __all__ = [
-    "MAX_ENUMERATED_CYCLES",
     "SADF_CHECKPOINT_FORMAT",
     "SADF_CHECKPOINT_VERSION",
     "SADF_STRATEGY",

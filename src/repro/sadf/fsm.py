@@ -7,11 +7,11 @@ time the platform spends switching modes before the next scenario's
 first firing may start (Jung/Oh/Ha, arXiv:1603.05775).
 
 The worst-case analysis of :mod:`repro.sadf.throughput` needs three
-structural queries, all cheap on the tiny FSMs that occur in practice:
-reachability from the initial state, zero-delay self-loops (a scenario
-the application may *reside* in, executing pipelined), and the simple
-cycles of the reachable sub-FSM (the periodic switching patterns that
-bound long-run throughput from below).
+structural queries: reachability from the initial state, zero-delay
+self-loops (a scenario the application may *reside* in, executing
+pipelined), and whether the reachable sub-FSM has an infinite run at
+all (a cycle, self-loops included; without one there is no long-run
+throughput).
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import GraphError
-
-#: Simple-cycle enumeration cap: beyond this many cycles the worst-case
-#: analysis switches to its conservative per-scenario fallback (densely
-#: connected FSMs have exponentially many simple cycles).
-MAX_ENUMERATED_CYCLES = 64
 
 
 @dataclass(frozen=True)
@@ -132,11 +127,6 @@ class ScenarioFSM:
         loop = self._transitions.get((state, state))
         return loop is not None and loop.delay == 0
 
-    @property
-    def max_delay(self) -> int:
-        """The largest transition delay (0 for an empty FSM)."""
-        return max((t.delay for t in self._transitions.values()), default=0)
-
     # -- structure ----------------------------------------------------------
     def reachable(self) -> tuple[str, ...]:
         """States reachable from the initial one (discovery order)."""
@@ -159,47 +149,19 @@ class ScenarioFSM:
             for target in reachable
         )
 
-    def simple_cycles(
-        self, limit: int = MAX_ENUMERATED_CYCLES
-    ) -> tuple[tuple[tuple[ScenarioTransition, ...], ...], bool]:
-        """The simple cycles of the reachable sub-FSM.
-
-        Zero-delay self-loops are *excluded*: residing in a scenario is
-        priced by its pipelined steady-state throughput, not by the
-        switching barrier (see :mod:`repro.sadf.throughput`).  Delayed
-        self-loops count as cycles of length one.
-
-        Returns ``(cycles, truncated)``; each cycle is the tuple of
-        transitions traversed.  ``truncated`` is ``True`` when more
-        than *limit* cycles exist — callers must then fall back to the
-        conservative per-scenario bound.
-        """
-        reachable = self.reachable()
-        index = {state: i for i, state in enumerate(reachable)}
-        cycles: list[tuple[ScenarioTransition, ...]] = []
-        truncated = False
-
-        # Rooted DFS enumeration: every simple cycle is discovered once,
-        # at its lowest-indexed state (Johnson-style root ordering; the
-        # FSMs are tiny, so no blocking sets are needed).
-        for root in reachable:
-            root_idx = index[root]
-            stack: list[tuple[str, tuple[ScenarioTransition, ...]]] = [(root, ())]
-            while stack:
-                state, path = stack.pop()
-                for transition in self.successors(state):
-                    target = transition.target
-                    if target not in index or index[target] < root_idx:
-                        continue
-                    if target == root:
-                        if transition.source == transition.target and transition.delay == 0:
-                            continue  # zero-delay self-loop: residence, not a cycle
-                        if len(cycles) >= limit:
-                            return tuple(cycles), True
-                        cycles.append(path + (transition,))
-                    elif all(t.source != target and t.target != target for t in path):
-                        stack.append((target, path + (transition,)))
-        return tuple(cycles), truncated
+    def has_infinite_run(self) -> bool:
+        """Whether some accepted sequence goes on forever: the reachable
+        sub-FSM closes a cycle (a self-loop counts)."""
+        alive = set(self.reachable())
+        while True:
+            dead = {
+                state
+                for state in alive
+                if not any(t.target in alive for t in self.successors(state))
+            }
+            if not dead:
+                return bool(alive)
+            alive -= dead
 
     # -- rendering ----------------------------------------------------------
     def describe(self) -> str:

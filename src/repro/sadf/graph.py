@@ -288,8 +288,10 @@ class SADFGraph:
         return list(self._scenarios)
 
     def validate(self) -> None:
-        """Whole-graph check: scenarios exist and the FSM refers only to
-        them (individual scenarios were validated on entry)."""
+        """Whole-graph check: scenarios exist, the FSM refers only to
+        them, and it has an infinite run, without which there is no
+        long-run throughput (individual scenarios were validated on
+        entry)."""
         if not self._scenarios:
             raise GraphError(f"SADF graph {self.name!r} has no scenarios")
         fsm = self.effective_fsm()
@@ -297,6 +299,12 @@ class SADFGraph:
         if unknown:
             raise GraphError(
                 f"FSM references unknown scenario(s): {', '.join(unknown)}"
+            )
+        if not fsm.has_infinite_run():
+            raise GraphError(
+                f"SADF graph {self.name!r}: no FSM cycle is reachable from"
+                f" {fsm.initial!r}, so every accepted sequence ends and there"
+                " is no long-run throughput"
             )
 
     def describe(self) -> str:

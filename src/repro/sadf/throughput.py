@@ -18,7 +18,7 @@ of the FSM).  Its long-run observed rate is bounded from below by
 * ``thr_s(d)`` for every reachable scenario *s* with a zero-delay
   self-loop, and
 * ``ratio_C(d) = (sum of observed firings) / (sum of makespans + sum
-  of delays)`` for every simple cycle *C* of the reachable sub-FSM,
+  of delays)`` for every cycle *C* of the reachable sub-FSM,
 
 and the bound is attained (stay forever in the worst residence, or
 tour the worst cycle forever).  By the mediant inequality the ratio of
@@ -26,14 +26,16 @@ any composite cycle is at least the minimum over the simple cycles it
 decomposes into, so the minimum over the two families above *is* the
 exact worst case under this protocol.
 
-**Conservative fallback.**  A densely connected FSM (in particular a
-fully connected one, where every switching order is accepted) has
-exponentially many simple cycles.  Beyond
-:data:`~repro.sadf.fsm.MAX_ENUMERATED_CYCLES` the analysis returns the
-per-scenario minimum ``min_s min(thr_s(d), r_s / (ms_s(d) + D))`` with
-``D`` the largest transition delay — a sound lower bound on every
-residence rate and every cycle ratio (each cycle term is at least the
-minimum of its per-scenario mediants), flagged ``fallback=True``.
+**Cycles as a max-plus spectral problem.**  The worst cycle ratio is
+``1 / MCR`` of the scenario automaton (Skelin, Geilen et al.,
+arXiv:1404.0089): every transition *s* -> *t* other than a zero-delay
+self-loop is an edge of weight ``ms_s(d) + delay`` (the mode-transition
+delay of Jung, Oh and Ha, arXiv:1603.05775) and transit ``r_s``, the
+observed firings of one iteration of *s*.  One call of the exact
+integer engine :func:`repro.analysis.mcm.cycle_ratio` answers it, for
+FSMs of any density.  An FSM whose reachable part closes no cycle has
+no infinite run and is rejected by :meth:`SADFGraph.validate
+<repro.sadf.graph.SADFGraph.validate>`.
 
 Every quantity is exact (:class:`fractions.Fraction`), and every
 component is monotone in *d* (more buffer space never slows the
@@ -47,9 +49,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Callable, Mapping
 
+from repro.analysis.mcm import cycle_ratio
 from repro.engine.executor import Executor
 from repro.exceptions import GraphError
-from repro.sadf.fsm import MAX_ENUMERATED_CYCLES
+from repro.sadf.fsm import ScenarioFSM
 from repro.sadf.graph import SADFGraph
 from repro.sadf.makespan import MakespanResult, iteration_makespan
 
@@ -58,35 +61,36 @@ from repro.sadf.makespan import MakespanResult, iteration_makespan
 class CycleRatio:
     """Long-run rate of touring one FSM cycle forever.
 
-    ``states`` lists the scenarios visited (in order), ``firings`` the
-    observed-actor completions per tour, ``duration`` the tour's total
-    time (makespans plus delays).  A ``None`` duration marks a tour
-    through a scenario whose iteration deadlocks (rate 0).
+    ``states`` lists the scenarios visited (in order, from the first
+    one in :meth:`~repro.sadf.fsm.ScenarioFSM.reachable` order),
+    ``firings`` the observed-actor completions per tour, ``duration``
+    the tour's total time (makespans plus delays).
     """
 
     states: tuple[str, ...]
     firings: int
-    duration: int | None
+    duration: int
     delay: int
 
     @property
     def ratio(self) -> Fraction:
-        if self.duration is None or self.duration <= 0:
-            return Fraction(0) if self.duration is None else Fraction(self.firings, 1)
         return Fraction(self.firings, self.duration)
 
 
 @dataclass(frozen=True)
 class WorstCaseReport:
-    """Full worst-case throughput decomposition at one distribution."""
+    """Full worst-case throughput decomposition at one distribution.
+
+    ``cycle`` is the switching cycle of the lowest rate, or ``None``
+    when the reachable FSM has none (or a scenario deadlocks).
+    """
 
     observe: str
     worst_case: Fraction
     per_scenario: Mapping[str, Fraction]
     makespans: Mapping[str, int | None]
-    cycles: tuple[CycleRatio, ...]
+    cycle: CycleRatio | None
     critical: str
-    fallback: bool
 
     def summary(self) -> str:
         lines = [f"worst-case throughput of {self.observe!r}: {self.worst_case}"]
@@ -96,16 +100,12 @@ class WorstCaseReport:
                 f"  scenario {name}: steady-state {value},"
                 f" iteration makespan {makespan if makespan is not None else 'deadlock'}"
             )
-        for cycle in self.cycles:
+        if self.cycle is not None:
             lines.append(
-                f"  cycle {' -> '.join(cycle.states)}: {cycle.firings} firing(s)"
-                f" / {cycle.duration if cycle.duration is not None else 'deadlock'}"
-                f" (+{cycle.delay} delay) = {cycle.ratio}"
+                f"  cycle {' -> '.join(self.cycle.states)}: {self.cycle.firings} firing(s)"
+                f" / {self.cycle.duration} (+{self.cycle.delay} delay) = {self.cycle.ratio}"
             )
-        lines.append(
-            f"  binding constraint: {self.critical}"
-            + (" [conservative fallback]" if self.fallback else "")
-        )
+        lines.append(f"  binding constraint: {self.critical}")
         return "\n".join(lines)
 
 
@@ -116,7 +116,6 @@ def worst_case_throughput(
     *,
     throughputs: Callable[[str], Fraction] | None = None,
     makespans: Callable[[str], MakespanResult] | None = None,
-    cycle_limit: int = MAX_ENUMERATED_CYCLES,
 ) -> WorstCaseReport:
     """Exact worst-case throughput of *sadf* at *distribution*.
 
@@ -165,85 +164,54 @@ def worst_case_throughput(
                 Fraction(0),
                 per_scenario,
                 makespan_times,
-                (),
+                None,
                 f"scenario {name!r} deadlocks at this distribution",
-                False,
             )
 
-    cycles, truncated = fsm.simple_cycles(limit=cycle_limit)
-    if truncated:
-        # Conservative fallback: lower-bounds every residence rate and
-        # every cycle ratio (see the module docstring).
-        ceiling_delay = fsm.max_delay
-        bound: Fraction | None = None
-        critical = ""
-        for name in reachable:
-            candidate = min(
-                per_scenario[name],
-                Fraction(firings[name], makespan_times[name] + ceiling_delay)
-                if makespan_times[name] + ceiling_delay > 0
-                else per_scenario[name],
-            )
-            if bound is None or candidate < bound:
-                bound = candidate
-                critical = f"per-scenario fallback bound of {name!r}"
-        assert bound is not None
-        return WorstCaseReport(
-            observe, bound, per_scenario, makespan_times, (), critical, True
-        )
-
-    candidates: list[tuple[Fraction, str]] = []
-    for name in reachable:
-        if fsm.has_zero_delay_self_loop(name):
-            candidates.append(
-                (per_scenario[name], f"residence in scenario {name!r}")
-            )
-
-    cycle_ratios: list[CycleRatio] = []
-    for cycle in cycles:
-        states = tuple(t.source for t in cycle)
-        delay = sum(t.delay for t in cycle)
-        duration = sum(makespan_times[s] for s in states) + delay
-        ratio = CycleRatio(
-            states,
-            sum(firings[s] for s in states),
-            duration,
-            delay,
-        )
-        cycle_ratios.append(ratio)
-        candidates.append(
-            (ratio.ratio, f"switching cycle {' -> '.join(states)}")
-        )
-
-    if not candidates:
-        # No self-loop and no cycle: every accepted sequence is finite
-        # (the FSM runs into a dead end).  Long-run throughput is then
-        # determined by the last scenario it can stay in — there is
-        # none, so the worst case degenerates to the slowest barriered
-        # iteration rate (a sound, conservative reading).
-        worst = min(
-            Fraction(firings[s], makespan_times[s])
-            if makespan_times[s] > 0
-            else per_scenario[s]
-            for s in reachable
-        )
-        return WorstCaseReport(
-            observe,
-            worst,
-            per_scenario,
-            makespan_times,
-            (),
-            "FSM has no infinite behaviour; slowest barriered iteration",
-            True,
-        )
-
+    # Residences come first, so they win ties with the cycle.
+    candidates = [
+        (per_scenario[name], f"residence in scenario {name!r}")
+        for name in reachable
+        if fsm.has_zero_delay_self_loop(name)
+    ]
+    cycle = _slowest_cycle(fsm, reachable, makespan_times, firings)
+    if cycle is not None:
+        candidates.append((cycle.ratio, f"switching cycle {' -> '.join(cycle.states)}"))
     worst, critical = min(candidates, key=lambda item: item[0])
-    return WorstCaseReport(
-        observe,
-        worst,
-        per_scenario,
-        makespan_times,
-        tuple(cycle_ratios),
-        critical,
-        False,
+    return WorstCaseReport(observe, worst, per_scenario, makespan_times, cycle, critical)
+
+
+def _slowest_cycle(
+    fsm: ScenarioFSM,
+    reachable: tuple[str, ...],
+    makespans: Mapping[str, int],
+    firings: Mapping[str, int],
+) -> CycleRatio | None:
+    """The switching cycle of the reachable FSM with the lowest rate:
+    the critical cycle of the scenario automaton, or ``None``."""
+    index = {state: position for position, state in enumerate(reachable)}
+    transitions = [
+        t
+        for t in fsm.transitions
+        if t.source in index and not (t.source == t.target and t.delay == 0)
+    ]
+    found = cycle_ratio(
+        len(reachable),
+        [
+            (index[t.source], index[t.target], makespans[t.source] + t.delay, firings[t.source])
+            for t in transitions
+        ],
+    )
+    if found is None:
+        return None
+    tour = [transitions[position] for position in found[2]]
+    first = min(range(len(tour)), key=lambda step: index[tour[step].source])
+    tour = tour[first:] + tour[:first]
+    states = tuple(t.source for t in tour)
+    delay = sum(t.delay for t in tour)
+    return CycleRatio(
+        states,
+        sum(firings[s] for s in states),
+        sum(makespans[s] for s in states) + delay,
+        delay,
     )

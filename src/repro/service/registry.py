@@ -29,7 +29,7 @@ import threading
 from pathlib import Path
 from collections.abc import Mapping
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ParseError, ServiceError
 from repro.graph.graph import SDFGraph
 from repro.io.jsonio import graph_fingerprint, graph_from_dict, graph_to_dict
 from repro.io.sadfjson import (
@@ -98,11 +98,14 @@ class GraphRegistry:
             self._dir = Path(data_dir) / "graphs"
             self._dir.mkdir(parents=True, exist_ok=True)
             for path in sorted(self._dir.glob("*.json")):
-                data = json.loads(path.read_text(encoding="utf-8"))
-                if is_sadf_document(data):
-                    self._graphs[path.stem] = sadf_from_dict(data)
-                else:
-                    self._graphs[path.stem] = graph_from_dict(data)
+                try:
+                    data = json.loads(path.read_text(encoding="utf-8"))
+                    if is_sadf_document(data):
+                        self._graphs[path.stem] = sadf_from_dict(data)
+                    else:
+                        self._graphs[path.stem] = graph_from_dict(data)
+                except (json.JSONDecodeError, ParseError) as error:
+                    raise ParseError(f"stored graph {path}: {error}") from error
 
     def __len__(self) -> int:
         with self._lock:

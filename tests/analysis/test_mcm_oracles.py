@@ -2,6 +2,8 @@
 
 * brute force over every simple cycle (networkx) on small random HSDF
   graphs: the ratio, the critical component, and both errors;
+* the critical cycle the engine returns is a simple cycle of that
+  component attaining the ratio;
 * the ratios of the gallery graphs, pinned;
 * the state-space maximal throughput on a seeded corpus of random
   consistent SDF graphs.
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.hsdf import HSDFGraph, to_hsdf
-from repro.analysis.mcm import maximum_cycle_ratio
+from repro.analysis.mcm import cycle_ratio, maximum_cycle_ratio
 from repro.analysis.throughput import max_throughput
 from repro.exceptions import AnalysisError
 from repro.gallery.random_graphs import random_consistent_graph
@@ -76,6 +78,30 @@ def test_engine_matches_brute_force_over_simple_cycles(case):
     )
     digraph = nx.DiGraph(list(graph.edges))
     assert result.critical_scc in map(frozenset, nx.strongly_connected_components(digraph))
+
+
+@given(hsdf_graphs())
+@settings(max_examples=200, deadline=None)
+def test_engine_returns_a_critical_cycle(case):
+    graph, reaching = case
+    nodes = list(graph.nodes)
+    index = {node: position for position, node in enumerate(nodes)}
+    edges = [
+        (index[src], index[dst], graph.nodes[src], delay)
+        for (src, dst), delay in graph.edges.items()
+    ]
+    try:
+        found = cycle_ratio(len(nodes), edges, None if reaching is None else index[reaching])
+    except AnalysisError:
+        return  # a delay-free cycle, checked above
+    if found is None:
+        return
+    ratio, members, cycle = found
+    steps = [edges[position] for position in cycle]
+    sources = [src for src, _dst, _weight, _transit in steps]
+    assert [dst for _src, dst, _weight, _transit in steps] == sources[1:] + sources[:1]
+    assert len(set(sources)) == len(sources) and set(sources) <= set(members)
+    assert Fraction(sum(step[2] for step in steps), sum(step[3] for step in steps)) == ratio
 
 
 #: ``maximum_cycle_ratio(to_hsdf(g)).ratio`` of every SDF gallery graph.

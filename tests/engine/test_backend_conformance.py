@@ -24,9 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
+from repro.buffers.enumerate import distributions_of_size
 from repro.buffers.explorer import explore_design_space
 from repro.csdf.executor import CSDFExecutor
 from repro.csdf.graph import from_sdf
@@ -111,21 +114,40 @@ def probe_vectors(graph, count=8):
     return vectors
 
 
+def lower_corner_wave(graph, lanes=128):
+    """The first *lanes* capacity vectors a divide-and-conquer
+    exploration scans: the enumeration slices from the lower-bound
+    corner upward."""
+    lower = lower_bound_distribution(graph)
+    upper = upper_bound_distribution(graph)
+    vectors = []
+    size = lower.size
+    while len(vectors) < lanes and size <= upper.size:
+        slice_ = distributions_of_size(graph.channel_names, size, lower, upper)
+        vectors.extend(dict(d) for d in islice(slice_, lanes - len(vectors)))
+        size += 1
+    return vectors
+
+
+#: Capacity waves by name.
+WAVES = {"regimes": probe_vectors, "lower-corner": lower_corner_wave}
+
+
 @pytest.fixture(scope="module")
 def reference_results():
-    """Reference-backend results per gallery case, computed once."""
+    """Reference-backend results per gallery case and wave, computed once."""
     cache = {}
 
-    def resolve(name):
-        if name not in cache:
+    def resolve(name, wave="regimes"):
+        if (name, wave) not in cache:
             graph = GALLERY[name][0]()
-            vectors = probe_vectors(graph)
-            cache[name] = (
+            vectors = WAVES[wave](graph)
+            cache[name, wave] = (
                 graph,
                 vectors,
                 backend_for("reference").evaluate_batch(graph, vectors, None),
             )
-        return cache[name]
+        return cache[name, wave]
 
     return resolve
 
@@ -156,6 +178,18 @@ def assert_conforms(backend_name, graph, vectors, expected, observe=None):
 def test_eval_results_match_reference(backend_name, case, reference_results):
     """Every backend returns the reference EvalResults, lane for lane."""
     graph, vectors, expected = reference_results(case)
+    assert_conforms(backend_name, graph, vectors, expected)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize(
+    "case", ["modem", pytest.param("satellite", marks=pytest.mark.slow)]
+)
+def test_lower_corner_waves_match_reference(backend_name, case, reference_results):
+    """128-lane waves of the vectors a divide-and-conquer exploration of
+    the BML99 case studies scans first, lane for lane."""
+    graph, vectors, expected = reference_results(case, "lower-corner")
+    assert len(vectors) == 128
     assert_conforms(backend_name, graph, vectors, expected)
 
 

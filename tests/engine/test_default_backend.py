@@ -5,8 +5,9 @@ Both are exact and record the same blocking data, so which one a host
 gets changes nothing a run reports: fronts, witnesses,
 ``ExplorationStats`` (all but ``backend``) and checkpoints are the
 same.  Under ``auto`` a batch that hits one of the C kernel's resource
-limits reruns on ``fastcore``, inline and in pool workers alike;
-explicit ``cc`` raises :class:`~repro.exceptions.KernelLimitError`.
+limits reruns on ``fastcore``, and one past ``fastcore``'s limits on
+``reference``, inline and in pool workers alike; explicit ``cc`` and
+``fastcore`` raise :class:`~repro.exceptions.KernelLimitError`.
 Each test runs against its own kernel cache.
 """
 
@@ -309,16 +310,34 @@ def test_capacities_beyond_int64_are_exact():
 
 def test_execution_times_beyond_int64_raise_kernel_limits():
     """Neither kernel holds an execution time of ``2**63``: ``cc``
-    refuses the graph's tables, ``fastcore`` its state key, and ``auto``
-    raises after its rerun; the reference executor answers."""
+    refuses the graph's tables and ``fastcore`` its state key, so
+    ``auto`` reruns the batch on the reference executor, which answers."""
     graph = _self_loop(2**63)
     vector = StorageDistribution({"loop": 2})
     assert Executor(graph, vector).run().throughput == Fraction(1, 2**63)
     for name in ("cc", "fastcore"):
         with pytest.raises(KernelLimitError):
             backend_for(name).evaluate_batch(graph, [vector])
-    with pytest.raises(KernelLimitError):
-        EvaluationService(graph, "a")(vector)
+        with pytest.raises(KernelLimitError):
+            EvaluationService(graph, "a", config=ExplorationConfig(backend=name))(vector)
+    assert EvaluationService(graph, "a")(vector) == Fraction(1, 2**63)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_auto_on_fastcore_reruns_kernel_limits_on_reference(monkeypatch, workers):
+    """Where ``auto`` resolves to ``fastcore`` (no kernel builds), a
+    batch past ``fastcore``'s limits reruns on ``reference``, inline and
+    in pool workers."""
+    monkeypatch.setattr(ccore, "SOURCE", "not C at all\n")
+    graph = _self_loop(2**63)
+    vectors = [StorageDistribution({"loop": capacity}) for capacity in (2, 3)]
+    service = EvaluationService(graph, "a", config=ExplorationConfig(workers=workers))
+    try:
+        assert service.backend_name == "fastcore"
+        assert service.evaluate_many(vectors) == [Fraction(1, 2**63)] * 2
+        assert service.stats.parallel_batches == (1 if workers == 2 else 0)
+    finally:
+        service.close()
 
 
 def test_throughput_job_beyond_int64_is_exact():

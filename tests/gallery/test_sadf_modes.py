@@ -37,8 +37,8 @@ class TestModemModes:
         capacities = {name: 16 for name in modem_modes().channel_names}
         report = worst_case_throughput(modem_modes(), capacities, "out")
         assert report.worst_case == Fraction(32, 131)
-        assert "switching cycle" in report.critical
-        assert not report.fallback
+        assert report.critical == "switching cycle acquisition -> tracking"
+        assert report.cycle.ratio == report.worst_case
 
     @pytest.mark.slow
     def test_all_scenario_front(self):

@@ -106,6 +106,19 @@ class TestRejections:
         with pytest.raises(ParseError, match="unknown channel"):
             sadf_from_dict(document)
 
+    def test_empty_scenarios(self):
+        document = sadf_to_dict(h263_frames())
+        document["scenarios"] = {}
+        del document["fsm"]
+        with pytest.raises(ParseError, match="has no scenarios"):
+            sadf_from_dict(document)
+
+    def test_fsm_without_an_infinite_run(self):
+        document = sadf_to_dict(h263_frames())
+        document["fsm"]["transitions"] = [{"source": "i", "target": "p", "delay": 1}]
+        with pytest.raises(ParseError, match="no long-run throughput"):
+            sadf_from_dict(document)
+
     def test_missing_sections_are_parse_errors(self):
         with pytest.raises(ParseError, match="malformed"):
             sadf_from_dict({"schema": 1, "model": "sadf", "name": "x"})

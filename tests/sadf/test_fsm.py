@@ -1,9 +1,9 @@
-"""Unit tests for the scenario FSM and its cycle enumeration."""
+"""Unit tests for the scenario FSM and its structural queries."""
 
 import pytest
 
 from repro.exceptions import GraphError
-from repro.sadf.fsm import MAX_ENUMERATED_CYCLES, ScenarioFSM, ScenarioTransition
+from repro.sadf.fsm import ScenarioFSM, ScenarioTransition
 
 
 class TestConstruction:
@@ -32,7 +32,7 @@ class TestConstruction:
         fsm = ScenarioFSM.complete(("a", "b", "c"), delay=2)
         assert len(fsm.transitions) == 9
         assert fsm.is_fully_connected()
-        assert fsm.max_delay == 2
+        assert {t.delay for t in fsm.transitions} == {2}
         assert not fsm.has_zero_delay_self_loop("a")
 
 
@@ -53,44 +53,14 @@ class TestStructure:
         assert fsm.transition("b", "a") is None
 
 
-class TestSimpleCycles:
-    def test_zero_delay_self_loops_excluded(self):
-        fsm = ScenarioFSM.single("s")
-        cycles, truncated = fsm.simple_cycles()
-        assert cycles == () and not truncated
-
-    def test_delayed_self_loop_is_a_cycle(self):
-        fsm = ScenarioFSM("s", [("s", "s", 4)])
-        cycles, truncated = fsm.simple_cycles()
-        assert len(cycles) == 1 and not truncated
-        assert cycles[0][0].delay == 4
-
-    def test_two_state_tour_found_once(self):
-        fsm = ScenarioFSM("a")
-        fsm.add_transition("a", "a")
-        fsm.add_transition("a", "b", 1)
-        fsm.add_transition("b", "b")
-        fsm.add_transition("b", "a", 2)
-        cycles, truncated = fsm.simple_cycles()
-        assert not truncated
-        assert len(cycles) == 1  # a->b->a, discovered at its lowest root only
-        states = tuple(t.source for t in cycles[0])
-        assert set(states) == {"a", "b"}
-        assert sum(t.delay for t in cycles[0]) == 3
-
-    def test_unreachable_cycles_ignored(self):
-        fsm = ScenarioFSM("a", [("a", "a", 1), ("x", "y", 0), ("y", "x", 0)])
-        cycles, _ = fsm.simple_cycles()
-        assert len(cycles) == 1
-
-    def test_truncation_flag(self):
-        # A complete 5-state FSM with delays has far more than 8
-        # simple cycles.
-        fsm = ScenarioFSM.complete(tuple("abcde"), delay=1)
-        cycles, truncated = fsm.simple_cycles(limit=8)
-        assert truncated and len(cycles) == 8
-        full, truncated_full = fsm.simple_cycles(limit=10**6)
-        assert not truncated_full and len(full) > MAX_ENUMERATED_CYCLES
+    def test_infinite_run_needs_a_reachable_cycle(self):
+        assert ScenarioFSM.single("s").has_infinite_run()
+        assert ScenarioFSM("s", [("s", "s", 4)]).has_infinite_run()
+        assert ScenarioFSM("a", [("a", "b"), ("b", "c"), ("c", "b", 1)]).has_infinite_run()
+        # Dead ends, and a cycle that only unreachable states close.
+        assert not ScenarioFSM("a").has_infinite_run()
+        assert not ScenarioFSM("a", [("a", "b"), ("b", "c")]).has_infinite_run()
+        assert not ScenarioFSM("a", [("a", "b"), ("x", "y"), ("y", "x")]).has_infinite_run()
 
     def test_describe(self):
         fsm = ScenarioFSM("a", [("a", "b", 2)])

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.gallery import h263_frames
 from repro.io.jsonio import write_json
+from repro.io.sadfjson import sadf_to_dict
 from repro.service.cli import main
 from repro.service.server import AnalysisServer
 
@@ -136,6 +138,20 @@ class TestBackendsVerb:
         assert main(["backends", "--url", server.url, "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert any(row["name"] == "fastcore" and row["available"] for row in rows)
+
+
+def test_serve_names_a_stored_graph_that_no_longer_parses(tmp_path, capsys):
+    # An FSM without an infinite run, stored before such FSMs were
+    # rejected.
+    document = sadf_to_dict(h263_frames())
+    document["fsm"]["transitions"] = [{"source": "i", "target": "p", "delay": 1}]
+    path = tmp_path / "graphs" / "0123abcd.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["serve", "--port", "0", "--data-dir", str(tmp_path)]) == 1
+    error = capsys.readouterr().err
+    assert f"repro: error: stored graph {path}: " in error
+    assert "no long-run throughput" in error
 
 
 class TestServeSubprocess:

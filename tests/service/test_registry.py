@@ -1,12 +1,23 @@
 """Unit tests for the content-addressed graph registry and memo banks."""
 
+import json
+
 import pytest
 
 from repro.buffers.evalcache import EvaluationService
-from repro.exceptions import ServiceError
+from repro.exceptions import ParseError, ServiceError
+from repro.gallery import h263_frames
 from repro.graph.builder import GraphBuilder
 from repro.io.jsonio import graph_fingerprint, graph_to_dict
+from repro.io.sadfjson import sadf_to_dict
 from repro.service.registry import GraphRegistry, MemoBank
+
+
+#: h263-frames with an FSM that has no infinite run.
+DEAD_END = {
+    **sadf_to_dict(h263_frames()),
+    "fsm": {"initial": "i", "transitions": [{"source": "i", "target": "p", "delay": 1}]},
+}
 
 
 def renamed_fig1():
@@ -55,6 +66,22 @@ class TestGraphRegistry:
         reloaded = GraphRegistry(tmp_path)
         assert reloaded.fingerprints() == [fingerprint]
         assert reloaded.get(fingerprint).actor_names == fig1.actor_names
+
+    @pytest.mark.parametrize("content, reason", [
+        ("{not json", "Expecting property name"),
+        # An FSM without an infinite run, stored before such FSMs were
+        # rejected.
+        (json.dumps(DEAD_END), "no long-run throughput"),
+    ])
+    def test_stored_graph_that_no_longer_parses_names_its_file(
+        self, tmp_path, content, reason
+    ):
+        path = tmp_path / "graphs" / "0123abcd.json"
+        path.parent.mkdir()
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError, match=reason) as caught:
+            GraphRegistry(tmp_path)
+        assert str(caught.value).startswith(f"stored graph {path}: ")
 
     def test_bank_is_per_graph_and_observe(self, fig1):
         registry = GraphRegistry()

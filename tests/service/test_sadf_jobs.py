@@ -186,3 +186,17 @@ class TestHttpApi:
             assert submitted.status == 202
             payload = json.loads(submitted.body)
             assert payload["observe"] == "mc"
+
+    def test_fsm_without_an_infinite_run_is_400(self):
+        document = sadf_to_dict(h263_frames())
+        document["fsm"]["transitions"] = [{"source": "i", "target": "p", "delay": 1}]
+        with AnalysisServer(workers=1) as server:
+            response = server.api.handle(
+                "POST", "/v1/graphs", json.dumps(document).encode("utf-8")
+            )
+            assert response.status == 400
+            error = json.loads(response.body)["error"]
+            assert error["code"] == "bad_request"
+            assert "no long-run throughput" in error["message"]
+            assert error["trace_id"]
+            assert len(server.registry) == 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.gallery import h263_frames
-from repro.io.sadfjson import write_sadf_json
+from repro.io.sadfjson import sadf_to_dict, write_sadf_json
 
 
 def run(capsys, *argv):
@@ -74,6 +74,17 @@ def test_sadfjson_file_is_autodetected(tmp_path, capsys):
     assert code == 0
     assert "(sadf-dependency)" in out
     assert "Pareto points: 2" in out
+
+
+def test_fsm_without_an_infinite_run_exits_1(tmp_path, capsys):
+    document = sadf_to_dict(h263_frames())
+    document["fsm"]["transitions"] = [{"source": "i", "target": "p", "delay": 1}]
+    path = tmp_path / "frames.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main([str(path), "--observe", "mc"]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("buffy: error: invalid SADF graph in document:")
+    assert "no long-run throughput" in error
 
 
 def test_scenarios_flag_forces_sadf_path(tmp_path, capsys):
