@@ -17,14 +17,8 @@ from typing import TYPE_CHECKING
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.evalcache import EvaluationRecord, EvaluationService
-# DependencyStats and DependencySweepResult are public here too.
-from repro.buffers.frontier import (
-    DependencyStats,
-    DependencySweepResult,
-    Probe,
-    frontier_sweep,
-    graph_model,
-)
+# DependencySweepResult is public here too.
+from repro.buffers.frontier import DependencySweepResult, Probe, frontier_sweep, graph_model
 from repro.exceptions import BudgetExhausted, ExplorationError
 from repro.graph.graph import SDFGraph
 from repro.runtime.config import ExplorationConfig
@@ -137,7 +131,7 @@ def _probe(record: EvaluationRecord) -> Probe:
         known = record.space_deficits or {}
         return {channel: known.get(channel, 1) for channel in record.space_blocked or ()}
 
-    return Probe(record.throughput, deficits, record.states_stored)
+    return Probe(record.throughput, deficits)
 
 
 def find_minimal_distribution(

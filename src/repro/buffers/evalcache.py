@@ -66,7 +66,9 @@ tables.
 :class:`~repro.runtime.config.ExplorationConfig`): every execution is
 charged against the budget *before* it starts, so interruption lands on
 a probe boundary and all recorded results stay exact; cache hits,
-prunes and probe timings stream out as structured events.
+prunes and probe timings stream out as structured events, and the
+hub is where every counter of the service lives: :attr:`EvaluationService
+.stats` is a read-only rendering of it.
 :meth:`EvaluationService.export_state` / ``restore_state`` round-trip
 the memo (blocking records included) for the checkpoint/resume story of
 :mod:`repro.runtime.checkpoint`.
@@ -80,14 +82,12 @@ serial path, witnesses included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
 from collections.abc import Mapping, Sequence
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.oracle import ThroughputBoundsOracle
-from repro.buffers.search import SearchStats
 from repro.buffers.shared import dominates as _dominates
 from repro.engine.backends import (
     EvalResult,
@@ -102,56 +102,11 @@ from repro.exceptions import CapacityError, ExplorationError
 from repro.graph.graph import SDFGraph
 from repro.runtime.config import ExplorationConfig
 from repro.runtime.controller import RunController
-from repro.runtime.telemetry import TelemetryHub
+from repro.runtime.telemetry import RunStats, TelemetryHub
 
 #: Default cap on each prune antichain; evicting old witnesses only
 #: reduces prune opportunities, never correctness.
 _PRUNE_FRONT_LIMIT = 128
-
-
-@dataclass
-class EvalStats(SearchStats):
-    """Counters of one exploration through the evaluation service.
-
-    Extends the per-strategy :class:`~repro.buffers.search.SearchStats`
-    (evaluations, cache hits, sizes probed, ...) with the service's own
-    accounting: how often each pruning rule answered a query and how
-    much work went through the process pool.
-    """
-
-    workers: int = 1
-    prunes_superset: int = 0
-    prunes_subset: int = 0
-    parallel_batches: int = 0
-    parallel_tasks: int = 0
-    fast_runs: int = 0
-    pool_restarts: int = 0
-    pool_fallback_reason: str | None = None
-    #: Queries answered exactly by a closed oracle interval (lo == hi,
-    #: strictly between deadlock and ceiling — those two classify as
-    #: prunes_subset / prunes_superset as before).
-    bounds_exact: int = 0
-    #: Scan candidates skipped because their oracle upper bound proved
-    #: they cannot beat the running best / threshold (work avoided
-    #: without even a synthesized record).
-    bounds_cut: int = 0
-
-    @property
-    def prunes(self) -> int:
-        """Total queries answered by monotonicity pruning."""
-        return self.prunes_superset + self.prunes_subset + self.bounds_exact
-
-    def fold(self, other: "EvalStats") -> None:
-        """Add *other*'s counters to these: a resumed run's earlier legs,
-        or another scenario's service.  ``max_states_stored`` takes the
-        maximum; ``workers`` and ``pool_fallback_reason`` stay as they are."""
-        for field in fields(self):
-            name = field.name
-            if name in ("workers", "pool_fallback_reason"):
-                continue
-            mine, theirs = getattr(self, name), getattr(other, name)
-            merged = max(mine, theirs) if name == "max_states_stored" else mine + theirs
-            setattr(self, name, merged)
 
 
 class EvaluationRecord(NamedTuple):
@@ -209,7 +164,6 @@ class EvaluationService:
         config: ExplorationConfig | None = None,
         ceiling: Fraction | None = None,
         prune_limit: int = _PRUNE_FRONT_LIMIT,
-        stats: EvalStats | None = None,
     ):
         config = config if config is not None else ExplorationConfig()
         if config.evaluator is not None:
@@ -223,6 +177,7 @@ class EvaluationService:
         self.workers = max(1, int(config.workers))
         self.cache_enabled = bool(config.cache)
         self.telemetry = TelemetryHub(config.on_event)
+        self.telemetry.peak("workers", self.workers)
         self.controller = RunController(config.budget, self.telemetry)
         # Config validation already rejected unknown names and
         # unavailable explicit backends at construction; "auto" picks
@@ -246,8 +201,6 @@ class EvaluationService:
             auto_fallbacks(self.backend_name) if config.backend == "auto" else ()
         )
         self.ceiling = ceiling
-        self.stats = stats if stats is not None else EvalStats(workers=self.workers)
-        self.stats.workers = self.workers
         self._order = graph.channel_names
         self._memo: dict[tuple[int, ...], EvaluationRecord] = {}
         self._prune_limit = max(1, prune_limit)
@@ -372,12 +325,17 @@ class EvaluationService:
                 # which case the inline path below spends what is left
                 # one probe at a time.
                 self.controller.before_probes(len(misses))
+                hub = self.telemetry
+                for _, _, vector in misses:
+                    hub.emit("probe_start", size=sum(vector), blocking=blocking)
                 prober = self._ensure_prober()
+                if "compiled" in prober.backend.capabilities:
+                    hub.count("fast_runs", len(misses))
                 results = prober.map([dict(d) for _, d, _ in misses], blocking=blocking)
-                self._sync_pool_stats(prober)
                 for (index, distribution, vector), result in zip(misses, results):
-                    self._count_evaluation(prober.backend)
-                    records[index] = self._store(vector, self._record(distribution, result))
+                    record = self._record(distribution, result)
+                    hub.emit("probe_finish", size=sum(vector), throughput=str(record.throughput))
+                    records[index] = self._store(vector, record)
             else:
                 for index, distribution, vector in misses:
                     records[index] = self._execute(distribution, vector, blocking=blocking)
@@ -389,7 +347,6 @@ class EvaluationService:
             return None
         record = self._memo.get(vector)
         if record is not None:
-            self.stats.cache_hits += 1
             self.telemetry.emit("cache_hit", size=sum(vector))
         return record
 
@@ -405,14 +362,14 @@ class EvaluationService:
         if self.ceiling is not None and self._oracle.floor_reaches(
             self.ceiling, vector, total
         ):
-            self.stats.prunes_superset += 1
+            self.telemetry.count("prunes_superset")
             self.telemetry.emit("prune", kind="ceiling", size=total)
             return self._store(
                 vector, EvaluationRecord(distribution, self.ceiling, 0, None, None)
             )
         if allow_subset:
             if self._oracle.ceil_covers(Fraction(0), vector, total):
-                self.stats.prunes_subset += 1
+                self.telemetry.count("prunes_subset")
                 self.telemetry.emit("prune", kind="deadlock", size=total)
                 return self._store(
                     vector, EvaluationRecord(distribution, Fraction(0), 0, None, None)
@@ -420,7 +377,6 @@ class EvaluationService:
             if self.bounds_enabled:
                 low, high = self._oracle.interval(vector, total)
                 if high is not None and low == high and low > 0:
-                    self.stats.bounds_exact += 1
                     self.telemetry.emit("bounds_exact", size=total, throughput=str(low))
                     return self._store(
                         vector, EvaluationRecord(distribution, low, 0, None, None)
@@ -450,7 +406,6 @@ class EvaluationService:
         if vector in self._memo:
             return False  # a real record answers cheaper and counts as a hit
         if self._oracle.upper_below(vector, bound, strict):
-            self.stats.bounds_cut += 1
             self.telemetry.emit("bounds_cut", size=sum(vector))
             return True
         return False
@@ -466,8 +421,9 @@ class EvaluationService:
         self.controller.before_probes(1)
         size = sum(vector)
         self.telemetry.emit("probe_start", size=size, blocking=blocking)
+        if "compiled" in backend.capabilities:
+            self.telemetry.count("fast_runs")
         probe_started = time.perf_counter()
-        self._count_evaluation(backend)
         result = probe_batch(
             backend,
             self.graph,
@@ -487,17 +443,9 @@ class EvaluationService:
         )
         return self._store(vector, record)
 
-    def _count_evaluation(self, backend: ProbeBackend) -> None:
-        """Count one demand simulation run on *backend*."""
-        self.stats.evaluations += 1
-        if "compiled" in backend.capabilities:
-            self.stats.fast_runs += 1
-
     def _record(self, distribution: StorageDistribution, result: EvalResult) -> EvaluationRecord:
         """The memo record of one backend result (tracks the state-space peak)."""
-        self.stats.max_states_stored = max(
-            self.stats.max_states_stored, result.states_stored
-        )
+        self.telemetry.peak("max_states_stored", result.states_stored)
         return EvaluationRecord(
             distribution,
             result.throughput,
@@ -543,17 +491,15 @@ class EvaluationService:
                 max_restarts=self.config.max_pool_restarts,
                 retry_backoff=self.config.retry_backoff,
                 fallbacks=self._fallbacks,
-                on_event=self.telemetry.emit,
+                telemetry=self.telemetry,
             )
         return self._prober
 
-    def _sync_pool_stats(self, prober: ParallelProber) -> None:
-        """Mirror the prober's health counters into the run stats, so an
-        inline fallback is visible instead of silently degrading."""
-        self.stats.parallel_batches = prober.batches
-        self.stats.parallel_tasks = prober.tasks
-        self.stats.pool_restarts = prober.pool_restarts
-        self.stats.pool_fallback_reason = prober.fallback_reason
+    @property
+    def stats(self) -> RunStats:
+        """This service's counters, read from its hub (pool health
+        included, so an inline fallback never degrades silently)."""
+        return self.telemetry.stats()
 
     @property
     def evaluations(self) -> dict[StorageDistribution, Fraction]:
@@ -597,7 +543,7 @@ class EvaluationService:
             "channels": list(self._order),
             "ceiling": str(self.ceiling) if self.ceiling is not None else None,
             "memo": memo,
-            "stats": self.stats.to_dict(),
+            "stats": self.stats._asdict(),
         }
 
     def restore_state(self, state: Mapping) -> None:
@@ -642,12 +588,11 @@ class EvaluationService:
             self._store(vector, record)
         restored = state.get("stats")
         if restored:
-            self.stats.fold(EvalStats.from_dict(restored))
+            self.telemetry.carry(restored)
 
     def close(self) -> None:
         """Release the worker pool, if one was created (idempotent)."""
         if self._prober is not None:
-            self._sync_pool_stats(self._prober)
             self._prober.close()
             self._prober = None
 

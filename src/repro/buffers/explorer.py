@@ -40,7 +40,7 @@ from collections.abc import Mapping
 from repro.buffers.dependencies import dependency_sweep, find_minimal_distribution
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.enumerate import count_distributions_of_size
-from repro.buffers.evalcache import EvalStats, EvaluationService
+from repro.buffers.evalcache import EvaluationService
 from repro.buffers.frontier import graph_model
 from repro.buffers.pareto import ParetoFront, ParetoPoint
 from repro.buffers.quantize import thin_front
@@ -55,6 +55,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.config import ExplorationConfig
+from repro.runtime.telemetry import TelemetryHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.csdf.graph import CSDFGraph
@@ -70,7 +71,7 @@ RESULT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ExplorationStats:
-    """Cost metrics of one design-space exploration."""
+    """Cost metrics of one design-space exploration (:meth:`from_hub`)."""
 
     strategy: str
     evaluations: int
@@ -99,34 +100,19 @@ class ExplorationStats:
         return cls(**{key: value for key, value in data.items() if key in known})
 
     @classmethod
-    def from_eval_stats(
-        cls,
-        counters: EvalStats,
-        *,
-        strategy: str,
-        wall_time_s: float,
-        sizes_probed: int,
-        backend: str,
-        search_space: int | None = None,
+    def from_hub(
+        cls, hub: TelemetryHub, *, sizes_probed: int | None = None, **run: object
     ) -> "ExplorationStats":
-        """The run's statistics from its evaluation-service counters."""
-        return cls(
-            strategy=strategy,
-            evaluations=counters.evaluations,
-            max_states_stored=counters.max_states_stored,
-            wall_time_s=wall_time_s,
-            sizes_probed=sizes_probed,
-            search_space=search_space,
-            cache_hits=counters.cache_hits,
-            prunes=counters.prunes,
-            workers=counters.workers,
-            parallel_batches=counters.parallel_batches,
-            pool_restarts=counters.pool_restarts,
-            pool_fallback_reason=counters.pool_fallback_reason,
-            bounds_exact=counters.bounds_exact,
-            bounds_cut=counters.bounds_cut,
-            backend=backend,
-        )
+        """The counts of *hub* plus the *run*'s ``strategy``,
+        ``wall_time_s``, ``backend`` and ``search_space``.  A sweep, which
+        scans no sizes, passes the distinct sizes it evaluated as
+        *sizes_probed*."""
+        counts = hub.stats()
+        known = {field.name for field in fields(cls)}
+        shared = {name: value for name, value in counts._asdict().items() if name in known}
+        if sizes_probed is not None:
+            shared["sizes_probed"] = sizes_probed
+        return cls(**shared, prunes=counts.prunes, **run)
 
 
 @dataclass(frozen=True)
@@ -345,7 +331,7 @@ def explore_design_space(
     exhausted: str | None = None
     max_thr: Fraction | None = None
     front: ParetoFront | None = None
-    sizes_probed = 0
+    sizes_probed: int | None = None
     pending: tuple[StorageDistribution, ...] = ()
     low_bound: Fraction | None = None
     high_bound: Fraction | None = None
@@ -402,7 +388,6 @@ def explore_design_space(
                         graph, observe, lower, bounded_upper, stop_thr, service, quantum=quantum
                     )
                 front = _front_from_probes(probes)
-                sizes_probed = service.stats.sizes_probed
         except BudgetExhausted as stop:
             # The budget tripped outside the dependency sweep (setup
             # probes, or the divide/exhaustive strategies, which share
@@ -460,8 +445,8 @@ def explore_design_space(
             pareto_points=len(front),
             evaluations=service.stats.evaluations,
         )
-        stats = ExplorationStats.from_eval_stats(
-            service.stats,
+        stats = ExplorationStats.from_hub(
+            service.telemetry,
             strategy=strategy,
             wall_time_s=time.perf_counter() - started,
             sizes_probed=sizes_probed,

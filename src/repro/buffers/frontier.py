@@ -53,17 +53,6 @@ class Probe(NamedTuple):
 
     value: Fraction
     deficits: Callable[[], Mapping[str, int]]
-    states_stored: int = 0
-
-
-@dataclass
-class DependencyStats:
-    """Bookkeeping of one dependency-guided sweep."""
-
-    evaluations: int = 0
-    max_states_stored: int = 0
-    expansions: int = 0
-    duplicates_skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,11 +63,11 @@ class DependencySweepResult:
     the sweep; ``pending`` then lists the frontier distributions that
     were queued but never evaluated, the interrupted one first
     (informational — resuming replays from the seed over the warm
-    cache), and ``exhausted`` names the tripped limit.
+    cache), and ``exhausted`` names the tripped limit.  The sweep's
+    cost is counted where its probes run (an evaluation service's hub).
     """
 
     evaluations: dict[StorageDistribution, Fraction]
-    stats: DependencyStats
     first_reaching_target: StorageDistribution | None = None
     complete: bool = True
     exhausted: str | None = None
@@ -116,7 +105,6 @@ def frontier_sweep(
     A :class:`~repro.exceptions.BudgetExhausted` from a probe returns
     everything evaluated so far with ``complete=False``.
     """
-    stats = DependencyStats()
     evaluations: dict[StorageDistribution, Fraction] = {}
     heap: list[tuple[int, tuple[int, ...], StorageDistribution]] = []
     queued: set[StorageDistribution] = set()
@@ -126,7 +114,6 @@ def frontier_sweep(
 
     def push(distribution: StorageDistribution) -> None:
         if distribution in queued or distribution in evaluations or distribution in known:
-            stats.duplicates_skipped += 1
             return
         if max_size is not None and cost(distribution) > max_size:
             return
@@ -155,8 +142,6 @@ def frontier_sweep(
             probes = probe_level(level) if probe_level is not None and len(level) > 1 else None
             for done, distribution in enumerate(level):
                 result = probes[done] if probes is not None else probe(distribution)
-                stats.evaluations += 1
-                stats.max_states_stored = max(stats.max_states_stored, result.states_stored)
                 evaluations[distribution] = result.value
                 if reached(result.value):
                     if first_reaching is None:
@@ -170,7 +155,6 @@ def frontier_sweep(
                             on_ceiling(size, result.value)
                     continue
                 for channel, step in result.deficits().items():
-                    stats.expansions += 1
                     successor = distribution.incremented(channel, step)
                     if ceiling is None or cost(successor) <= ceiling:
                         push(successor)
@@ -186,7 +170,6 @@ def frontier_sweep(
 
     return DependencySweepResult(
         evaluations,
-        stats,
         first_reaching,
         complete=exhausted is None,
         exhausted=exhausted,

@@ -25,7 +25,7 @@ witness selection) are bit-identical to the serial scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -35,31 +35,10 @@ from repro.buffers.distribution import StorageDistribution
 from repro.buffers.enumerate import distributions_of_size
 from repro.buffers.quantize import quantize_down
 from repro.graph.graph import SDFGraph
+from repro.runtime.telemetry import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.buffers.evalcache import EvaluationService
-
-
-@dataclass
-class SearchStats:
-    """Bookkeeping shared by the search strategies."""
-
-    evaluations: int = 0
-    max_states_stored: int = 0
-    sizes_probed: int = 0
-    threshold_scans: int = 0
-    cache_hits: int = 0
-
-    def to_dict(self) -> dict:
-        """All counters as a JSON-ready dict (subclass fields included)."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SearchStats":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored so newer
-        checkpoints load into older stats layouts."""
-        known = {field.name for field in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
 
 
 @dataclass
@@ -145,7 +124,7 @@ class SizeSearch:
         *stop_at* is an a-priori upper bound (the graph's maximal
         throughput); reaching it ends the scan early.
         """
-        self.evaluator.stats.sizes_probed += 1
+        self.evaluator.telemetry.count("sizes_probed")
         best = Fraction(0)
         witnesses: list[StorageDistribution] = []
         cut = self._cutter()
@@ -218,10 +197,10 @@ class SizeSearch:
         A short failure budget disables promotion on slices where the
         level above carries mostly higher throughput.
         """
-        self.evaluator.stats.sizes_probed += 1
         cut = self._cutter()
         if cut is None:
             return self.max_throughput_for_size(size, stop_at)
+        self.evaluator.telemetry.count("sizes_probed")
         best = Fraction(0)
         witnesses: list[StorageDistribution] = []
 
@@ -281,7 +260,7 @@ class SizeSearch:
     # -- quantised binary search (the paper's formulation) ---------------
     def threshold_scan(self, size: int, threshold: Fraction) -> StorageDistribution | None:
         """First distribution of *size* with throughput >= *threshold*."""
-        self.evaluator.stats.threshold_scans += 1
+        self.evaluator.telemetry.count("threshold_scans")
         cut = self._cutter()
         skip = None
         if cut is not None:
@@ -311,7 +290,7 @@ class SizeSearch:
         exact, and no distribution of this size exceeds it by a full
         quantum.
         """
-        self.evaluator.stats.sizes_probed += 1
+        self.evaluator.telemetry.count("sizes_probed")
         best = low
         witness: StorageDistribution | None = None
         grid_low = quantize_down(best, quantum)
@@ -339,7 +318,7 @@ def exhaustive_sweep(
     max_throughput: Fraction,
     evaluator: EvaluationService,
     stop_early: bool = True,
-) -> tuple[dict[int, SizeProbe], SearchStats]:
+) -> tuple[dict[int, SizeProbe], RunStats]:
     """Scan every size in ``[sz(lb), sz(ub)]``; stop once the maximum is hit.
 
     With ``stop_early`` disabled each size is scanned to completion, so
@@ -368,7 +347,7 @@ def divide_and_conquer(
     max_throughput: Fraction,
     evaluator: EvaluationService,
     quantum: Fraction | None = None,
-) -> tuple[dict[int, SizeProbe], SearchStats]:
+) -> tuple[dict[int, SizeProbe], RunStats]:
     """The paper's strategy: recursive halving of the size interval.
 
     The maximal throughput is computed for both ends of the meaningful

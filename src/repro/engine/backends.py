@@ -232,7 +232,8 @@ class ReferenceBackend:
 
     The oracle every other backend is conformance-tested against, the
     blocking data included: it collects per-channel space-blocking data
-    on every probe and ignores *blocking*.  It is also the only backend
+    (and no token shortages, which no probe keeps) on every probe and
+    ignores *blocking*.  It is also the only backend
     that runs CSDF graphs: given a graph that is not an
     :class:`~repro.graph.graph.SDFGraph`, it runs the
     :class:`~repro.csdf.executor.CSDFExecutor` — the same executor
@@ -256,7 +257,9 @@ class ReferenceBackend:
             from repro.csdf.executor import CSDFExecutor as executor
         results = []
         for capacities in vectors:
-            run = executor(graph, capacities, observe, track_blocking=True).run()
+            probe = executor(graph, capacities, observe, track_blocking=True)
+            probe._record_tokens = False
+            run = probe.run()
             results.append(
                 EvalResult(
                     run.throughput,

@@ -27,6 +27,7 @@ analysis (:mod:`repro.sadf.makespan`).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -184,10 +185,20 @@ def validate_capacities(
     return caps
 
 
-def _phase_tables(
-    graph: SDFGraph | CSDFGraph, phased: bool, caps: list[int | None]
-) -> list[tuple[_Phase, ...]]:
-    """Every actor's phases, in actor order (one phase per SDF actor)."""
+#: Weak per-graph cache of the capacity-independent tables, as for the
+#: fast kernels: {graph: (shape, layout)}; the shape pair rebuilds the
+#: layout when actors or channels are added.
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _layout(graph: SDFGraph | CSDFGraph) -> tuple:
+    """``(channel index, initial tokens, phased, phases)`` of *graph*,
+    each actor's phases as ``(execution time, inputs, outputs)``."""
+    shape = (graph.num_actors, graph.num_channels)
+    cached = _LAYOUTS.get(graph)
+    if cached is not None and cached[0] == shape:
+        return cached[1]
+    phased = not isinstance(graph, SDFGraph)
     actor_index = {name: i for i, name in enumerate(graph.actor_names)}
     # Per actor, its channels with their per-phase rates, channel order.
     incoming: list[list] = [[] for _ in actor_index]
@@ -199,22 +210,32 @@ def _phase_tables(
             consumptions, productions = (channel.consumption,), (channel.production,)
         incoming[actor_index[channel.destination]].append((j, consumptions))
         outgoing[actor_index[channel.source]].append((j, productions))
-    tables = []
+    phases = []
     for i, actor in enumerate(graph.actors.values()):
         times = actor.execution_times if phased else (actor.execution_time,)
-        phases = []
-        for k, execution_time in enumerate(times):
-            outputs = tuple([(j, rates[k]) for j, rates in outgoing[i] if rates[k]])
-            phases.append(
-                _Phase(
+        phases.append(
+            tuple(
+                (
                     execution_time,
                     tuple([(j, rates[k]) for j, rates in incoming[i] if rates[k]]),
-                    outputs,
-                    tuple([(j, caps[j] - rate) for j, rate in outputs if caps[j] is not None]),
+                    tuple([(j, rates[k]) for j, rates in outgoing[i] if rates[k]]),
                 )
+                for k, execution_time in enumerate(times)
             )
-        tables.append(tuple(phases))
-    return tables
+        )
+    layout = (
+        {name: j for j, name in enumerate(graph.channel_names)},
+        tuple(channel.initial_tokens for channel in graph.channels.values()),
+        phased,
+        phases,
+    )
+    _LAYOUTS[graph] = (shape, layout)
+    return layout
+
+
+def _limits(outputs: tuple, caps: list[int | None]) -> tuple[tuple[int, int], ...]:
+    """``(channel, capacity - production)`` for the bounded *outputs*."""
+    return tuple([(j, caps[j] - rate) for j, rate in outputs if caps[j] is not None])
 
 
 class Executor:
@@ -261,6 +282,10 @@ class Executor:
         Optional hard bound on processed time instants.
     """
 
+    #: Whether ``track_blocking`` records token shortages as well as
+    #: space deficits; the reference backend's probes keep space alone.
+    _record_tokens = True
+
     def __init__(
         self,
         graph: SDFGraph | CSDFGraph,
@@ -296,11 +321,12 @@ class Executor:
         self.observe = observe
         self._observe_idx = self.actor_names.index(observe)
 
-        channel_index = {name: j for j, name in enumerate(self.channel_names)}
-        self._initial_tokens = [graph.channels[name].initial_tokens for name in self.channel_names]
+        channel_index, self._initial_tokens, self._phased, layout = _layout(graph)
         caps = validate_capacities(capacities, channel_index, self._initial_tokens)
-        self._phased = not isinstance(graph, SDFGraph)
-        self._tables = _phase_tables(graph, self._phased, caps)
+        self._tables = [  # every actor's phases, folded with the capacities
+            tuple([_Phase(*phase, _limits(phase[2], caps)) for phase in phases])
+            for phases in layout
+        ]
 
         self._processor_of: list[str | None] = [None] * len(self._tables)
         if processors is not None:
@@ -327,7 +353,8 @@ class Executor:
         self._ends = [0] * count
         self._calendar: list[tuple[int, int]] = []
         self.schedule = Schedule(self.graph) if self.record_schedule else None
-        self._track_tokens = self._track_space = self.track_blocking
+        self._track_tokens = self.track_blocking and self._record_tokens
+        self._track_space = self.track_blocking
         self._token_blocked: set[int] = set()
         # Minimal capacity shortfall seen per space-blocking channel;
         # increasing a channel by less than this cannot change the

@@ -23,8 +23,9 @@ ProcessPoolExecutor` around this pattern:
   triggers a bounded number of pool restarts with exponential backoff;
   the failed batch is re-run in full — evaluations are pure, so the
   retry is exact.  Only when the restart budget is spent does the
-  prober degrade to the inline path, and then it records *why* in
-  :attr:`fallback_reason` instead of silently eating the failure.
+  prober degrade to the inline path, and then it notes *why* in its
+  telemetry hub (``pool_fallback_reason``) instead of silently eating
+  the failure.
 
 Results are :class:`~repro.engine.backends.EvalResult`\\ s returned in
 task order, so callers observe the same deterministic sequence as a
@@ -35,12 +36,13 @@ at top level for ``spawn``-based platforms.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.backends import EvalResult, ProbeBackend, probe_batch
 from repro.graph.graph import SDFGraph
+from repro.runtime.telemetry import TelemetryHub
 
 _worker_graph: SDFGraph | None = None
 _worker_observe: str | None = None
@@ -101,10 +103,10 @@ class ParallelProber:
     fallbacks:
         The backends a batch reruns on, in turn, while it hits a
         kernel's resource limit; empty to let the limit raise.
-    on_event:
-        Optional callback ``(name, **data)`` — typically
-        :meth:`repro.runtime.telemetry.TelemetryHub.emit` — notified on
-        ``pool_restart`` and ``pool_fallback``.
+    telemetry:
+        The :class:`~repro.runtime.telemetry.TelemetryHub` the prober
+        counts batches, tasks, restarts and its fallback into (a private
+        one by default).
     """
 
     def __init__(
@@ -118,7 +120,7 @@ class ParallelProber:
         max_restarts: int = 1,
         retry_backoff: float = 0.05,
         fallbacks: tuple[ProbeBackend, ...] = (),
-        on_event: Callable[..., None] | None = None,
+        telemetry: TelemetryHub | None = None,
     ):
         self.graph = graph
         self.observe = observe
@@ -128,27 +130,15 @@ class ParallelProber:
         self.probe_timeout = probe_timeout
         self.max_restarts = max(0, int(max_restarts))
         self.retry_backoff = retry_backoff
-        self._on_event = on_event
+        self.telemetry = telemetry if telemetry is not None else TelemetryHub()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_failed = False
         self._closed = False
-        self.batches = 0
-        self.tasks = 0
-        #: Pool rebuilds performed so far (across all batches).
-        self.pool_restarts = 0
-        #: Why the prober fell back to inline evaluation (``None`` while
-        #: the pool is healthy); surfaced in
-        #: :class:`~repro.buffers.evalcache.EvalStats`.
-        self.fallback_reason: str | None = None
 
     @property
     def parallel(self) -> bool:
         """Whether tasks may actually fan out to worker processes."""
         return self.workers > 1 and not self._pool_failed and not self._closed
-
-    def _emit(self, name: str, **data) -> None:
-        if self._on_event is not None:
-            self._on_event(name, **data)
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if self._pool is None and not self._pool_failed and not self._closed:
@@ -169,11 +159,11 @@ class ParallelProber:
             self._pool = None
 
     def _fail(self, reason: str) -> None:
+        # Called at most once: a failed pool is never rebuilt.
         self._pool_failed = True
         self._discard_pool()
-        if self.fallback_reason is None:
-            self.fallback_reason = reason
-            self._emit("pool_fallback", reason=reason)
+        self.telemetry.note("pool_fallback_reason", reason)
+        self.telemetry.emit("pool_fallback", reason=reason)
 
     def _map_on_pool(
         self, pool: ProcessPoolExecutor, items: Sequence[tuple], blocking: bool
@@ -212,8 +202,8 @@ class ParallelProber:
                 break
             try:
                 results = self._map_on_pool(pool, items, blocking)
-                self.batches += 1
-                self.tasks += len(items)
+                self.telemetry.count("parallel_batches")
+                self.telemetry.count("parallel_tasks", len(items))
                 return results
             except (BrokenProcessPool, TimeoutError) as failure:
                 kind = (
@@ -225,8 +215,7 @@ class ParallelProber:
                 if restarts_this_batch < self.max_restarts:
                     delay = self.retry_backoff * (2**restarts_this_batch)
                     restarts_this_batch += 1
-                    self.pool_restarts += 1
-                    self._emit(
+                    self.telemetry.emit(
                         "pool_restart",
                         reason=kind,
                         attempt=restarts_this_batch,

@@ -6,13 +6,17 @@ exploration strategies.  Every notable step emits a named event
 (``probe_start``, ``probe_finish``, ``cache_hit``, ``prune``,
 ``frontier_update``, ``pool_restart``, ...); the hub
 
-* keeps a monotonically increasing **counter** per event name,
+* keeps a monotonically increasing **counter** per event name (and
+  plain counts without an event), high-water **peaks** and **notes**,
 * aggregates **timers** (count + total seconds) for timed sections,
 * optionally forwards every event to a user callback (the
   ``on_event`` field of
   :class:`~repro.runtime.config.ExplorationConfig`), and
 * renders everything as one JSON-friendly dict (:meth:`snapshot`) —
   the payload behind the CLI's ``--stats-json``.
+
+The hub is the one place where a run's counters live; ``docs/RUNTIME
+.md`` tabulates each one and where it shows.
 
 The hub never buffers events, so memory stays constant no matter how
 long a run lasts; consumers that want a trace simply append events in
@@ -26,6 +30,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Mapping
+from typing import NamedTuple
 
 #: Event names emitted by the built-in instrumentation.  User code may
 #: emit additional names; these are the ones documented in
@@ -50,6 +55,42 @@ KNOWN_EVENTS = (
     "breaker_close",
     "breaker_rejected",
 )
+
+
+class RunStats(NamedTuple):
+    """A hub's counters under the names of the evaluation service's
+    ``stats``, a checkpoint's ``stats`` section and ``ExplorationStats``
+    (:meth:`TelemetryHub.stats`), earlier legs of a resumed run included."""
+
+    evaluations: int
+    max_states_stored: int
+    sizes_probed: int
+    threshold_scans: int
+    cache_hits: int
+    workers: int
+    prunes_superset: int
+    prunes_subset: int
+    parallel_batches: int
+    parallel_tasks: int
+    fast_runs: int
+    pool_restarts: int
+    pool_fallback_reason: str | None
+    bounds_exact: int
+    bounds_cut: int
+
+    @property
+    def prunes(self) -> int:
+        """Queries answered by a monotonicity rule or a closed interval."""
+        return self.prunes_superset + self.prunes_subset + self.bounds_exact
+
+
+#: :class:`RunStats` fields kept as peaks, and the counted ones; a
+#: counted field renders the counter of its own name or the event below.
+_STAT_PEAKS = ("max_states_stored", "workers")
+_COUNTED = frozenset(RunStats._fields) - {*_STAT_PEAKS, "pool_fallback_reason"}
+_STAT_COUNTERS = {
+    "evaluations": "probe_start", "cache_hits": "cache_hit", "pool_restarts": "pool_restart"
+}
 
 
 class TraceLog:
@@ -114,6 +155,11 @@ class TelemetryEvent:
 class TelemetryHub:
     """Counters, timers and an optional event callback.
 
+    Counters add up over merged hubs, peaks take the maximum and a note
+    keeps its first value.  A resumed run's earlier legs (:meth:`carry`)
+    count in :meth:`stats` but not in :attr:`counters`, so a server that
+    merges its jobs' hubs counts only what its own process ran.
+
     Parameters
     ----------
     on_event:
@@ -135,6 +181,10 @@ class TelemetryHub:
         self._clock = clock
         self._started = clock()
         self.counters: dict[str, int] = {}
+        #: Counts of the earlier legs of a resumed run (:meth:`carry`).
+        self.carried: dict[str, int] = {}
+        self.peaks: dict[str, int] = {}
+        self.notes: dict[str, str] = {}
         self.timers: dict[str, dict[str, float]] = {}
         #: Optional request-span log (the service wires one in; plain
         #: exploration hubs leave it ``None``).
@@ -151,6 +201,39 @@ class TelemetryHub:
         if self._on_event is not None:
             self._on_event(TelemetryEvent(name, data, self.elapsed_s))
 
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to counter *name*; no event is emitted."""
+        self.counters[name] = self.counters.get(name, 0) + amount
+
+    def peak(self, name: str, value: int) -> None:
+        """Raise the high-water mark *name* to *value* if it is higher."""
+        if value > self.peaks.get(name, 0):
+            self.peaks[name] = value
+
+    def note(self, name: str, text: str) -> None:
+        """Keep *text* under *name* unless a note is already there."""
+        self.notes.setdefault(name, text)
+
+    def carry(self, stats: Mapping) -> None:
+        """Add an earlier leg's :class:`RunStats` payload (a checkpoint's
+        ``stats`` section) to this run; ``workers`` and the fallback
+        reason stay this leg's, unknown keys are ignored."""
+        for name, value in stats.items():
+            if name == "max_states_stored":
+                self.peak(name, value)
+            elif name in _COUNTED:
+                counter = _STAT_COUNTERS.get(name, name)
+                self.carried[counter] = self.carried.get(counter, 0) + value
+
+    def stats(self) -> RunStats:
+        """The run's counters as :class:`RunStats` (carried legs included)."""
+        values: dict[str, object] = {name: self.peaks.get(name, 0) for name in _STAT_PEAKS}
+        values["pool_fallback_reason"] = self.notes.get("pool_fallback_reason")
+        for name in _COUNTED:
+            counter = _STAT_COUNTERS.get(name, name)
+            values[name] = self.counters.get(counter, 0) + self.carried.get(counter, 0)
+        return RunStats(**values)
+
     def record_time(self, name: str, seconds: float) -> None:
         """Fold *seconds* into the aggregate timer *name*."""
         timer = self.timers.setdefault(name, {"count": 0, "total_s": 0.0})
@@ -162,7 +245,8 @@ class TelemetryHub:
         return _TimerContext(self, name)
 
     def snapshot(self) -> dict:
-        """JSON-friendly view of all counters and timers."""
+        """JSON-friendly view: this process's counters and timers, and
+        the run's :class:`RunStats` (``"stats"``, earlier legs included)."""
         return {
             "elapsed_s": self.elapsed_s,
             "counters": dict(sorted(self.counters.items())),
@@ -170,21 +254,30 @@ class TelemetryHub:
                 name: {"count": int(timer["count"]), "total_s": timer["total_s"]}
                 for name, timer in sorted(self.timers.items())
             },
+            "stats": self.stats()._asdict(),
         }
 
     def merge(self, other: "TelemetryHub | Mapping") -> "TelemetryHub":
-        """Fold *other*'s counters and timers into this hub.
+        """Fold *other* into this hub by the aggregation rules.
 
-        *other* may be a live :class:`TelemetryHub` or a
-        :meth:`snapshot` payload.  Counters add up; timers fold both
-        their count and total.  This is how per-job hubs aggregate into
-        a server-wide metrics view (``repro.service``) without the jobs
-        sharing a mutable hub.  Events are *not* re-emitted — merging
-        is pure accounting.  Returns ``self`` for chaining.
+        *other* may be a live :class:`TelemetryHub` — counters, carried
+        counts, peaks, notes and timers all fold — or a
+        :meth:`snapshot` payload, whose counters and timers fold.
+        Timers fold both their count and total.  This is how a
+        multi-scenario run sums its scenarios and per-job hubs aggregate
+        into a server-wide metrics view (``repro.service``) without the
+        jobs sharing a mutable hub.  Events are *not* re-emitted —
+        merging is pure accounting.  Returns ``self`` for chaining.
         """
         if isinstance(other, TelemetryHub):
             counters: Mapping[str, int] = other.counters
             timers: Mapping[str, Mapping[str, float]] = other.timers
+            for name, count in other.carried.items():
+                self.carried[name] = self.carried.get(name, 0) + count
+            for name, value in other.peaks.items():
+                self.peak(name, value)
+            for name, text in other.notes.items():
+                self.note(name, text)
         else:
             counters = other.get("counters", {})
             timers = other.get("timers", {})

@@ -46,7 +46,7 @@ from collections.abc import Callable, Mapping
 
 from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.evalcache import EvalStats, EvaluationService
+from repro.buffers.evalcache import EvaluationService
 from repro.buffers.explorer import (
     DesignSpaceResult,
     ExplorationStats,
@@ -322,29 +322,19 @@ def explore_design_space(
                     scenarios=len(reachable),
                 )
 
-        counters = EvalStats(workers=max(s.workers for s in services.values()))
+        # Scenario counts add up; the largest state space and pool win,
+        # and the first scenario whose pool degraded explains the run's.
         for service in services.values():
-            counters.fold(service.stats)
-        # The first scenario whose pool degraded explains the run's.
-        counters.pool_fallback_reason = next(
-            (
-                s.stats.pool_fallback_reason
-                for s in services.values()
-                if s.stats.pool_fallback_reason
-            ),
-            None,
-        )
+            hub.merge(service.telemetry)
         hub.emit(
             "run_finish",
             complete=complete,
             exhausted=exhausted,
             pareto_points=len(front),
-            evaluations=counters.evaluations,
+            evaluations=hub.stats().evaluations,
         )
-        for service in services.values():
-            hub.merge(service.telemetry)
-        stats = ExplorationStats.from_eval_stats(
-            counters,
+        stats = ExplorationStats.from_hub(
+            hub,
             strategy=SADF_STRATEGY,
             wall_time_s=time.perf_counter() - started,
             sizes_probed=len({d.size for d in evaluations}),

@@ -7,16 +7,34 @@ import pytest
 from repro.buffers.bounds import lower_bound_distribution
 from repro.buffers.dependencies import dependency_sweep, find_minimal_distribution
 from repro.buffers.distribution import StorageDistribution
+from repro.buffers.evalcache import EvaluationService
 from repro.exceptions import ExplorationError
+from repro.runtime.config import ExplorationConfig
+
+
+class LoggedService(EvaluationService):
+    """An evaluation service that logs every blocking query it answers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = []
+
+    def evaluate_blocking(self, distribution, reached=None):
+        self.asked.append(distribution)
+        return super().evaluate_blocking(distribution, reached)
 
 
 class TestDependencySweep:
     def test_fig1_full_sweep(self, fig1):
-        result = dependency_sweep(fig1, "c", stop_throughput=Fraction(1, 4))
+        with EvaluationService(fig1, "c") as service:
+            result = dependency_sweep(
+                fig1, "c", stop_throughput=Fraction(1, 4),
+                config=ExplorationConfig(evaluator=service),
+            )
         values = set(result.evaluations.values())
         assert Fraction(1, 7) in values
         assert Fraction(1, 4) in values
-        assert result.stats.evaluations == len(result.evaluations)
+        assert service.stats.evaluations == len(result.evaluations)
 
     def test_seed_is_lower_bound(self, fig1):
         result = dependency_sweep(fig1, "c", stop_throughput=Fraction(1, 4))
@@ -48,8 +66,14 @@ class TestDependencySweep:
         assert all(d.size <= first.size for d in result.evaluations)
 
     def test_duplicates_are_skipped_not_reevaluated(self, fig1):
-        result = dependency_sweep(fig1, "c", stop_throughput=Fraction(1, 4))
-        assert result.stats.duplicates_skipped > 0
+        with LoggedService(fig1, "c") as service:
+            result = dependency_sweep(
+                fig1, "c", stop_throughput=Fraction(1, 4),
+                config=ExplorationConfig(evaluator=service),
+            )
+        # No distribution is asked for twice, so none is a cache hit.
+        assert len(service.asked) == len(set(service.asked)) == len(result.evaluations)
+        assert service.stats.cache_hits == 0
 
 
 class TestFindMinimalDistribution:

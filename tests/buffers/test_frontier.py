@@ -47,7 +47,7 @@ class Toy:
             return blocked
 
         value = Fraction(min(distribution["x"], 3) + min(distribution["y"], 2))
-        return Probe(value, deficits, distribution.size)
+        return Probe(value, deficits)
 
 
 def sweep(probe, **options):
@@ -60,9 +60,8 @@ class TestFrontierSweep:
         result = sweep(toy)
         assert toy.log == [dist(1, 1), dist(1, 2), dist(2, 1), dist(2, 2), dist(3, 1), dist(3, 2)]
         assert list(result.evaluations) == toy.log
-        assert result.stats.evaluations == 6
-        assert result.stats.duplicates_skipped > 0
-        assert result.stats.max_states_stored == 5
+        # (2, 2) is pushed by both (1, 2) and (2, 1), yet probed once.
+        assert len(set(toy.log)) == len(toy.log) == 6
         assert result.first_reaching_target == dist(3, 2)
         assert result.complete and result.pending == ()
 
@@ -107,7 +106,6 @@ class TestFrontierSweep:
 
         batched = sweep(Toy(y_step=2), probe_level=probe_level)
         assert list(batched.evaluations.items()) == list(serial.evaluations.items())
-        assert batched.stats == serial.stats
         # Only size 4 holds two distributions.
         assert levels == [[dist(1, 3), dist(3, 1)]]
 

@@ -140,6 +140,12 @@ class TestAscendingWalk:
         assert grown["alpha"] == upper["alpha"]
         assert grown["beta"] == lower["beta"] + 1
 
+    def test_ascending_probe_without_oracle_counts_one_size(self, fig1):
+        search, evaluator, *_ = make_search(fig1)
+        probe = search.ascending_probe(8, Fraction(1, 7))
+        assert probe == search.max_throughput_for_size(8)
+        assert evaluator.stats.sizes_probed == 2  # one per scan above
+
     def test_ascending_probe_value_matches_full_scan(self, fig1):
         service = self.bounded_service(fig1)
         lower = lower_bound_distribution(fig1)

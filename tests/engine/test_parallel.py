@@ -41,17 +41,17 @@ def test_parallel_prober_preserves_input_order(graph):
         assert prober.parallel
         results = prober.map(BATCH)
         assert results == expected(graph)
-        assert prober.batches == 1
-        assert prober.tasks == len(BATCH)
+        assert prober.telemetry.stats().parallel_batches == 1
+        assert prober.telemetry.stats().parallel_tasks == len(BATCH)
         # A second batch reuses the warm pool.
         assert prober.map(BATCH) == results
-        assert prober.batches == 2
+        assert prober.telemetry.stats().parallel_batches == 2
 
 
 def test_single_item_batches_stay_inline(graph):
     with ParallelProber(graph, "c", REFERENCE, workers=2) as prober:
         assert prober.map(BATCH[:1]) == expected(graph)[:1]
-        assert prober.batches == 0  # too small to be worth shipping out
+        assert prober.telemetry.stats().parallel_batches == 0  # too small to be worth shipping out
 
 
 def test_empty_batch(graph):
@@ -75,7 +75,7 @@ def test_broken_pool_falls_back_inline(graph):
     prober._pool_failed = True  # simulate an unspawnable pool
     assert not prober.parallel
     assert prober.map(BATCH) == expected(graph)
-    assert prober.batches == 0
+    assert prober.telemetry.stats().parallel_batches == 0
     prober.close()
 
 

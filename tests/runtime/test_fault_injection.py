@@ -19,7 +19,7 @@ from repro.engine import parallel
 from repro.engine.backends import backend_for
 from repro.engine.parallel import ParallelProber
 from repro.gallery.registry import gallery_graph
-from repro.runtime import ExplorationConfig
+from repro.runtime import ExplorationConfig, TelemetryHub
 
 REFERENCE = backend_for("reference")
 
@@ -63,8 +63,8 @@ class TestWorkerDeath:
             kill_one_worker(prober)
             results = prober.map(batch)
             assert results == expected
-            assert prober.pool_restarts >= 1
-            assert prober.fallback_reason is None  # recovered, not degraded
+            assert prober.telemetry.stats().pool_restarts >= 1
+            assert prober.telemetry.stats().pool_fallback_reason is None  # recovered, not degraded
 
     def test_restart_budget_exhaustion_falls_back_inline(self):
         graph = gallery_graph("example")
@@ -78,14 +78,14 @@ class TestWorkerDeath:
             workers=2,
             max_restarts=0,
             retry_backoff=0.0,
-            on_event=lambda name, **data: events.append((name, data)),
+            telemetry=TelemetryHub(on_event=events.append),
         ) as prober:
             kill_one_worker(prober)
             results = prober.map(batch)
             assert results == expected  # inline fallback is still exact
-            assert prober.fallback_reason is not None
-            assert "worker died" in prober.fallback_reason
-            names = [name for name, _ in events]
+            assert prober.telemetry.stats().pool_fallback_reason is not None
+            assert "worker died" in prober.telemetry.stats().pool_fallback_reason
+            names = [event.name for event in events]
             assert "pool_fallback" in names
             # Once failed, later batches go straight inline.
             assert prober.map(batch[:3]) == expected[:3]
@@ -101,11 +101,11 @@ class TestWorkerDeath:
             workers=2,
             max_restarts=1,
             retry_backoff=0.0,
-            on_event=lambda name, **data: events.append((name, data)),
+            telemetry=TelemetryHub(on_event=events.append),
         ) as prober:
             kill_one_worker(prober)
             prober.map(make_batch(graph))
-        restarts = [data for name, data in events if name == "pool_restart"]
+        restarts = [event.data for event in events if event.name == "pool_restart"]
         assert restarts and restarts[0]["reason"] == "worker died"
         assert restarts[0]["attempt"] == 1
 
@@ -145,8 +145,8 @@ class TestProbeTimeout:
         ) as prober:
             results = prober.map(batch)
             assert results == expected  # inline path bypasses _run_task
-            assert prober.fallback_reason is not None
-            assert "probe timeout" in prober.fallback_reason
+            assert prober.telemetry.stats().pool_fallback_reason is not None
+            assert "probe timeout" in prober.telemetry.stats().pool_fallback_reason
 
     def test_timeout_restart_then_fallback_counts(self, monkeypatch):
         graph = gallery_graph("example")
@@ -155,8 +155,8 @@ class TestProbeTimeout:
             graph, "c", REFERENCE, workers=2, probe_timeout=0.1, max_restarts=1, retry_backoff=0.0
         ) as prober:
             prober.map(make_batch(graph, count=4))
-            assert prober.pool_restarts == 1
-            assert prober.fallback_reason is not None
+            assert prober.telemetry.stats().pool_restarts == 1
+            assert prober.telemetry.stats().pool_fallback_reason is not None
 
 
 class TestLifecycle:
@@ -217,4 +217,4 @@ class TestPoolUnavailable:
         batch = make_batch(graph)
         with ParallelProber(graph, "c", REFERENCE, workers=2) as prober:
             assert prober.map(batch) == reference(graph, batch)
-            assert "pool unavailable" in prober.fallback_reason
+            assert "pool unavailable" in prober.telemetry.stats().pool_fallback_reason

@@ -12,6 +12,7 @@ import threading
 import time
 
 from repro.buffers.explorer import DesignSpaceResult, explore_design_space
+from repro.service.api import AnalysisApi
 from repro.service.jobs import JobManager, JobSpec
 from repro.service.registry import GraphRegistry
 from repro.service.server import AnalysisServer
@@ -53,6 +54,30 @@ class TestBudgetPartialThenRestart:
             assert recovered.legs == 2
             served = DesignSpaceResult.from_dict(recovered.result)
             assert served.front == direct.front
+        finally:
+            reborn.drain()
+
+
+    def test_metrics_after_restart_count_only_the_new_process(self, tmp_path, fig1):
+        registry = GraphRegistry(tmp_path)
+        fingerprint, _ = registry.add(fig1)
+        manager = JobManager(registry, tmp_path)
+        job = manager.submit(
+            JobSpec(kind="dse", fingerprint=fingerprint, observe="c", max_probes=5)
+        )
+        wait_for(lambda: job.state == "partial")
+        assert manager.telemetry.counters["probe_start"] == 5
+        manager.drain()
+
+        reborn_registry = GraphRegistry(tmp_path)
+        reborn = JobManager(reborn_registry, tmp_path)
+        try:
+            recovered = reborn.get(job.id)
+            wait_for(lambda: recovered.state == "done")
+            # The job reports both legs; the new process ran the last 4.
+            assert recovered.result["stats"]["evaluations"] == 9
+            metrics = AnalysisApi(reborn_registry, reborn).handle("GET", "/v1/metrics")
+            assert 'repro_events_total{event="probe_start"} 4\n' in metrics.body.decode()
         finally:
             reborn.drain()
 
