@@ -154,13 +154,21 @@ def find_minimal_distribution(
     witness is popped, :class:`~repro.exceptions.BudgetExhausted`
     propagates — a plain ``None`` would be indistinguishable from
     "provably unachievable".
+
+    The graph's maximal throughput comes from the evaluation service's
+    ceiling when its memo knows it; otherwise it is computed and pinned
+    there, so queries sharing a memo compute it once.
     """
     config = config if config is not None else ExplorationConfig()
     # An unachievable constraint must be rejected up front: without a
     # reachable stop level the sweep's size ceiling never engages and
     # capacity growth would not terminate.
     with _service(graph, observe, config) as service:
-        if constraint > graph_model(graph).maximum(observe, service):
+        maximum = service.ceiling
+        if maximum is None:
+            maximum = graph_model(graph).maximum(observe, service)
+            service.set_ceiling(maximum)
+        if constraint > maximum:
             return None
         result = dependency_sweep(
             graph,

@@ -9,7 +9,9 @@ the raw probe backends of :mod:`repro.engine.backends`:
 **Memo cache.**  Results are memoised under the canonical form of the
 distribution (the capacity vector in the graph's channel order), so a
 distribution is never executed twice — across strategies, across the
-upper-bound probes of the explorer, across repeated queries.
+upper-bound probes of the explorer, across repeated queries.  The
+records, their oracle index and the graph's maximal throughput live in
+one :class:`EvaluationMemo`, which services may share (``memo=``).
 
 **Monotonicity-based bound pruning.**  Throughput is monotone
 non-decreasing under component-wise capacity increase (Sec. 9 of the
@@ -71,7 +73,8 @@ hub is where every counter of the service lives: :attr:`EvaluationService
 .stats` is a read-only rendering of it.
 :meth:`EvaluationService.export_state` / ``restore_state`` round-trip
 the memo (blocking records included) for the checkpoint/resume story of
-:mod:`repro.runtime.checkpoint`.
+:mod:`repro.runtime.checkpoint`, through the memo's one JSON form
+(:meth:`EvaluationMemo.dump` / :meth:`EvaluationMemo.load`).
 
 The differential test harness (``tests/properties/test_prop_evalcache
 .py``) asserts that explorations through this service — cache on or
@@ -81,6 +84,7 @@ serial path, witnesses included.
 
 from __future__ import annotations
 
+import threading
 import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -88,7 +92,6 @@ from collections.abc import Mapping, Sequence
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.oracle import ThroughputBoundsOracle
-from repro.buffers.shared import dominates as _dominates
 from repro.engine.backends import (
     EvalResult,
     ProbeBackend,
@@ -108,6 +111,8 @@ from repro.runtime.telemetry import RunStats, TelemetryHub
 #: reduces prune opportunities, never correctness.
 _PRUNE_FRONT_LIMIT = 128
 
+_ZERO = Fraction(0)
+
 
 class EvaluationRecord(NamedTuple):
     """Cached outcome of one distribution evaluation.
@@ -117,7 +122,6 @@ class EvaluationRecord(NamedTuple):
     execution happened, so no blocking information exists).
     """
 
-    distribution: StorageDistribution
     throughput: Fraction
     states_stored: int
     space_blocked: frozenset[str] | None
@@ -126,6 +130,131 @@ class EvaluationRecord(NamedTuple):
     @property
     def has_blocking(self) -> bool:
         return self.space_blocked is not None
+
+
+class EvaluationMemo:
+    """The exact evaluation records of one (graph, observe) pair.
+
+    Holds the records keyed by capacity vector (in the graph's channel
+    order), their :class:`~repro.buffers.oracle.ThroughputBoundsOracle`
+    index and the graph's maximal throughput (the ``ceiling``, once
+    known), behind one lock.  Services on one memo share all three:
+    :class:`EvaluationService` builds a private memo unless it is handed
+    one, and the analysis service hands each job its graph's live memo
+    (:meth:`repro.service.registry.GraphRegistry.bank`).
+
+    :attr:`lock` guards every read and write of :attr:`records` and
+    :attr:`oracle`; a service takes it once per entry point and never
+    holds it across a probe or a telemetry callback.  A full record (one
+    with blocking data) is never replaced by a thin one.  :meth:`dump` /
+    :meth:`load` are the memo's one JSON form.
+
+    Parameters
+    ----------
+    limit:
+        Cap on each oracle level antichain (see
+        :class:`~repro.buffers.oracle.ThroughputBoundsOracle`).
+    """
+
+    def __init__(self, *, limit: int = _PRUNE_FRONT_LIMIT):
+        self.limit = max(1, int(limit))
+        self.records: dict[tuple[int, ...], EvaluationRecord] = {}
+        # The dominance lattice over every record.  Its extreme levels
+        # are the prune antichains (minimal ceiling-reaching vectors,
+        # maximal deadlocked vectors), so it is maintained
+        # unconditionally; a service's config.bounds only widens which
+        # levels its queries consult.
+        self.oracle = ThroughputBoundsOracle(limit=self.limit)
+        self.lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    @property
+    def ceiling(self) -> Fraction | None:
+        """The graph's maximal throughput, once pinned."""
+        return self.oracle.ceiling
+
+    def set_ceiling(self, ceiling: Fraction) -> None:
+        """Pin the graph's maximal throughput (exact, or the superset
+        prune answers wrongly)."""
+        with self.lock:
+            self.oracle.ceiling = ceiling
+
+    def put(self, vector: tuple[int, ...], record: EvaluationRecord) -> EvaluationRecord:
+        """Store *record* under *vector* and return the stored record.
+
+        The caller holds :attr:`lock`.  A full record is never replaced
+        by a thin one; an overwrite carries the same throughput, so only
+        first insertions are indexed.
+        """
+        existing = self.records.get(vector)
+        if existing is not None and existing.has_blocking:
+            return existing
+        self.records[vector] = record
+        if existing is None:
+            self.oracle.observe(vector, record.throughput)
+        return record
+
+    def dump(self) -> dict:
+        """JSON-ready ``{"ceiling", "memo"}``: every record with its
+        blocking information, in insertion order."""
+        with self.lock:
+            ceiling = self.oracle.ceiling
+            items = list(self.records.items())
+        return {
+            "ceiling": str(ceiling) if ceiling is not None else None,
+            "memo": [
+                {
+                    "caps": list(vector),
+                    "throughput": str(record.throughput),
+                    "states": record.states_stored,
+                    "blocked": (
+                        sorted(record.space_blocked)
+                        if record.space_blocked is not None
+                        else None
+                    ),
+                    "deficits": (
+                        dict(sorted(record.space_deficits.items()))
+                        if record.space_deficits is not None
+                        else None
+                    ),
+                }
+                for vector, record in items
+            ],
+        }
+
+    def load(self, state: Mapping, *, widen: bool = False) -> None:
+        """Merge a :meth:`dump`-shaped payload into the memo.
+
+        A ceiling in *state* is pinned (an absent one never unpins).
+        With *widen*, the oracle's level cap first grows by the number
+        of records loaded (:meth:`~repro.buffers.oracle
+        .ThroughputBoundsOracle.widen`, which never lowers it), so no
+        loaded record is evicted from its level.
+        """
+        records = [
+            (
+                tuple(int(cap) for cap in entry["caps"]),
+                EvaluationRecord(
+                    Fraction(entry["throughput"]),
+                    int(entry.get("states", 0)),
+                    frozenset(entry["blocked"]) if entry.get("blocked") is not None else None,
+                    {name: int(value) for name, value in entry["deficits"].items()}
+                    if entry.get("deficits") is not None
+                    else None,
+                ),
+            )
+            for entry in state.get("memo", ())
+        ]
+        ceiling = state.get("ceiling")
+        with self.lock:
+            if ceiling is not None:
+                self.oracle.ceiling = Fraction(ceiling)
+            if widen:
+                self.oracle.widen(self.limit + len(records))
+            for vector, record in records:
+                self.put(vector, record)
 
 
 class EvaluationService:
@@ -154,6 +283,13 @@ class EvaluationService:
         Required for the superset prune; must be exact (pass the value
         of :func:`repro.analysis.throughput.max_throughput`), or leave
         unset / call :meth:`set_ceiling` once known.
+    prune_limit:
+        The level cap of a private memo (ignored when *memo* is given).
+    memo:
+        The :class:`EvaluationMemo` to read and extend — shared with
+        every other service on it.  It must hold records of this graph
+        and observed actor only.  By default the service builds a
+        private memo.
     """
 
     def __init__(
@@ -164,6 +300,7 @@ class EvaluationService:
         config: ExplorationConfig | None = None,
         ceiling: Fraction | None = None,
         prune_limit: int = _PRUNE_FRONT_LIMIT,
+        memo: EvaluationMemo | None = None,
     ):
         config = config if config is not None else ExplorationConfig()
         if config.evaluator is not None:
@@ -200,18 +337,20 @@ class EvaluationService:
         self._fallbacks: tuple[ProbeBackend, ...] = (
             auto_fallbacks(self.backend_name) if config.backend == "auto" else ()
         )
-        self.ceiling = ceiling
         self._order = graph.channel_names
-        self._memo: dict[tuple[int, ...], EvaluationRecord] = {}
-        self._prune_limit = max(1, prune_limit)
-        # The dominance lattice over every recorded evaluation.  Its
-        # extreme levels *are* the legacy prune antichains (minimal
-        # ceiling-reaching vectors, maximal deadlocked vectors), so it
-        # is maintained unconditionally; config.bounds only widens
-        # which levels queries may consult.
-        self._oracle = ThroughputBoundsOracle(limit=self._prune_limit, ceiling=ceiling)
+        self.memo = memo if memo is not None else EvaluationMemo(limit=prune_limit)
+        if ceiling is not None:
+            self.memo.set_ceiling(ceiling)
+        # The memo's records and oracle, read and written under its lock.
+        self._memo = self.memo.records
+        self._oracle = self.memo.oracle
         self.bounds_enabled = bool(config.bounds) and self.cache_enabled
         self._prober: ParallelProber | None = None
+
+    @property
+    def ceiling(self) -> Fraction | None:
+        """The graph's maximal throughput once pinned (kept by the memo)."""
+        return self._oracle.ceiling
 
     # -- canonical keys ---------------------------------------------------
     def _vector(self, distribution: Mapping[str, int]) -> tuple[int, ...]:
@@ -226,10 +365,13 @@ class EvaluationService:
     def __call__(self, distribution: StorageDistribution) -> Fraction:
         """Exact throughput of *distribution* (0 on deadlock)."""
         vector = self._vector(distribution)
-        record = self._lookup(vector) or self._prune(distribution, vector)
-        if record is None:
-            record = self._execute(distribution, vector, blocking=False)
-        return record.throughput
+        if self.cache_enabled:
+            with self.memo.lock:
+                record, how = self._consult(vector, True, True)
+            if record is not None:
+                self._announce(how, record, vector)
+                return record.throughput
+        return self._execute(distribution, vector, blocking=False).throughput
 
     def cached_throughput(self, distribution: StorageDistribution) -> Fraction | None:
         """Memoised throughput of *distribution*, or ``None`` — never
@@ -242,8 +384,14 @@ class EvaluationService:
         the walk changes no hit statistics.
         """
         vector = self._vector(distribution)
-        record = self._lookup(vector)
-        return None if record is None else record.throughput
+        if not self.cache_enabled:
+            return None
+        with self.memo.lock:
+            record = self._memo.get(vector)
+        if record is None:
+            return None
+        self.telemetry.emit("cache_hit", size=sum(vector))
+        return record.throughput
 
     def evaluate_many(self, distributions: Sequence[StorageDistribution]) -> list[Fraction]:
         """Throughputs of a batch of independent distributions.
@@ -292,27 +440,29 @@ class EvaluationService:
                 return True
             return reached is not None and reached(record.throughput)
 
-        records: list[EvaluationRecord | None] = [None] * len(distributions)
+        vectors = [self._vector(distribution) for distribution in distributions]
+        # Blocking callers expand deadlocked entries, so the deadlock
+        # cover (which yields no blocking channels) is off for them, and
+        # the ceiling squeeze only applies when reaching the ceiling
+        # ends the expansion anyway.
+        ceiling = self.ceiling
+        prunable = not blocking or (
+            reached is not None and ceiling is not None and reached(ceiling)
+        )
+        found: list[tuple[EvaluationRecord | None, str | None]] = [(None, None)] * len(vectors)
+        if self.cache_enabled:
+            with self.memo.lock:
+                found = [self._consult(vector, prunable, not blocking) for vector in vectors]
+        records: list[EvaluationRecord | None] = [None] * len(vectors)
         misses: list[tuple[int, StorageDistribution, tuple[int, ...]]] = []
-        for index, distribution in enumerate(distributions):
-            vector = self._vector(distribution)
-            record = self._lookup(vector)
-            if record is not None and usable(record):
-                records[index] = record
-                continue
-            if record is None:
-                # Blocking callers expand deadlocked entries, so the
-                # deadlock cover (which yields no blocking channels) is
-                # off for them, and the ceiling squeeze only applies
-                # when reaching the ceiling ends the expansion anyway.
-                prunable = not blocking or (
-                    reached is not None and self.ceiling is not None and reached(self.ceiling)
-                )
-                if prunable:
-                    pruned = self._prune(distribution, vector, allow_subset=not blocking)
-                    if pruned is not None and usable(pruned):
-                        records[index] = pruned
-                        continue
+        for index, (distribution, vector, (record, how)) in enumerate(
+            zip(distributions, vectors, found)
+        ):
+            if record is not None:
+                self._announce(how, record, vector)
+                if usable(record):
+                    records[index] = record
+                    continue
             misses.append((index, distribution, vector))
 
         if misses:
@@ -332,56 +482,58 @@ class EvaluationService:
                 if "compiled" in prober.backend.capabilities:
                     hub.count("fast_runs", len(misses))
                 results = prober.map([dict(d) for _, d, _ in misses], blocking=blocking)
-                for (index, distribution, vector), result in zip(misses, results):
-                    record = self._record(distribution, result)
+                fresh = []
+                for (_, _, vector), result in zip(misses, results):
+                    record = self._record(result)
                     hub.emit("probe_finish", size=sum(vector), throughput=str(record.throughput))
-                    records[index] = self._store(vector, record)
+                    fresh.append((vector, record))
+                for (index, _, _), record in zip(misses, self._store(fresh)):
+                    records[index] = record
             else:
                 for index, distribution, vector in misses:
                     records[index] = self._execute(distribution, vector, blocking=blocking)
         return records  # type: ignore[return-value]  # every slot filled above
 
     # -- cache internals ----------------------------------------------------
-    def _lookup(self, vector: tuple[int, ...]) -> EvaluationRecord | None:
-        if not self.cache_enabled:
-            return None
+    def _consult(
+        self, vector: tuple[int, ...], prunable: bool, allow_subset: bool
+    ) -> tuple[EvaluationRecord | None, str | None]:
+        """The memo's answer for *vector*: ``(record, how)``, where *how*
+        names the hit or the prune that produced it, or ``(None, None)``.
+
+        The caller holds the memo lock; a pruned answer is stored in
+        the memo before the lock is released.
+        """
         record = self._memo.get(vector)
         if record is not None:
-            self.telemetry.emit("cache_hit", size=sum(vector))
-        return record
-
-    def _prune(
-        self,
-        distribution: StorageDistribution,
-        vector: tuple[int, ...],
-        allow_subset: bool = True,
-    ) -> EvaluationRecord | None:
-        if not self.cache_enabled:
-            return None
+            return record, "cache_hit"
+        if not prunable:
+            return None, None
+        oracle = self._oracle
         total = sum(vector)
-        if self.ceiling is not None and self._oracle.floor_reaches(
-            self.ceiling, vector, total
-        ):
-            self.telemetry.count("prunes_superset")
-            self.telemetry.emit("prune", kind="ceiling", size=total)
-            return self._store(
-                vector, EvaluationRecord(distribution, self.ceiling, 0, None, None)
-            )
+        ceiling = oracle.ceiling
+        if ceiling is not None and oracle.floor_reaches(ceiling, vector, total):
+            return self.memo.put(vector, EvaluationRecord(ceiling, 0, None, None)), "ceiling"
         if allow_subset:
-            if self._oracle.ceil_covers(Fraction(0), vector, total):
-                self.telemetry.count("prunes_subset")
-                self.telemetry.emit("prune", kind="deadlock", size=total)
-                return self._store(
-                    vector, EvaluationRecord(distribution, Fraction(0), 0, None, None)
-                )
+            if oracle.ceil_covers(_ZERO, vector, total):
+                return self.memo.put(vector, EvaluationRecord(_ZERO, 0, None, None)), "deadlock"
             if self.bounds_enabled:
-                low, high = self._oracle.interval(vector, total)
+                low, high = oracle.interval(vector, total)
                 if high is not None and low == high and low > 0:
-                    self.telemetry.emit("bounds_exact", size=total, throughput=str(low))
-                    return self._store(
-                        vector, EvaluationRecord(distribution, low, 0, None, None)
-                    )
-        return None
+                    return self.memo.put(vector, EvaluationRecord(low, 0, None, None)), "bounds_exact"
+        return None, None
+
+    def _announce(self, how: str, record: EvaluationRecord, vector: tuple[int, ...]) -> None:
+        """Count and emit what :meth:`_consult` answered (lock released)."""
+        hub = self.telemetry
+        size = sum(vector)
+        if how == "cache_hit":
+            hub.emit("cache_hit", size=size)
+        elif how == "bounds_exact":
+            hub.emit("bounds_exact", size=size, throughput=str(record.throughput))
+        else:
+            hub.count("prunes_superset" if how == "ceiling" else "prunes_subset")
+            hub.emit("prune", kind=how, size=size)
 
     def cuts_below(
         self, distribution: StorageDistribution, bound: Fraction, strict: bool = True
@@ -403,12 +555,12 @@ class EvaluationService:
         if not self.bounds_enabled or (bound <= 0 if strict else bound < 0):
             return False
         vector = self._vector(distribution)
-        if vector in self._memo:
-            return False  # a real record answers cheaper and counts as a hit
-        if self._oracle.upper_below(vector, bound, strict):
+        with self.memo.lock:
+            # A real record answers cheaper and counts as a hit.
+            cut = vector not in self._memo and self._oracle.upper_below(vector, bound, strict)
+        if cut:
             self.telemetry.emit("bounds_cut", size=sum(vector))
-            return True
-        return False
+        return cut
 
     def _execute(
         self,
@@ -432,7 +584,7 @@ class EvaluationService:
             blocking=blocking,
             fallbacks=self._fallbacks,
         )[0]
-        record = self._record(distribution, result)
+        record = self._record(result)
         duration = time.perf_counter() - probe_started
         self.telemetry.record_time("probe", duration)
         self.telemetry.emit(
@@ -441,32 +593,27 @@ class EvaluationService:
             throughput=str(record.throughput),
             duration_s=duration,
         )
-        return self._store(vector, record)
+        return self._store([(vector, record)])[0]
 
-    def _record(self, distribution: StorageDistribution, result: EvalResult) -> EvaluationRecord:
+    def _store(
+        self, fresh: list[tuple[tuple[int, ...], EvaluationRecord]]
+    ) -> list[EvaluationRecord]:
+        """Memoise probe results (one lock for the lot); returns the
+        records the memo holds for them."""
+        if not self.cache_enabled:
+            return [record for _, record in fresh]
+        with self.memo.lock:
+            return [self.memo.put(vector, record) for vector, record in fresh]
+
+    def _record(self, result: EvalResult) -> EvaluationRecord:
         """The memo record of one backend result (tracks the state-space peak)."""
         self.telemetry.peak("max_states_stored", result.states_stored)
         return EvaluationRecord(
-            distribution,
             result.throughput,
             result.states_stored,
             result.space_blocked,
             dict(result.space_deficits) if result.space_deficits is not None else None,
         )
-
-    def _store(self, vector: tuple[int, ...], record: EvaluationRecord) -> EvaluationRecord:
-        if not self.cache_enabled:
-            return record
-        existing = self._memo.get(vector)
-        if existing is not None and existing.has_blocking:
-            # Never replace a full record with a thinner one.
-            return existing
-        self._memo[vector] = record
-        if existing is None:
-            # Overwrites (thin record upgraded with blocking data) carry
-            # the same throughput, so only first insertions are indexed.
-            self._oracle.observe(vector, record.throughput)
-        return record
 
     # -- lifecycle / introspection ------------------------------------------
     def set_ceiling(self, ceiling: Fraction) -> None:
@@ -475,10 +622,10 @@ class EvaluationService:
         Records are indexed by the oracle at their exact throughput
         level as they are stored, so no retroactive promotion is needed:
         the ceiling merely selects which floor level the squeeze
-        consults from now on.
+        consults from now on.  The ceiling is the memo's, so every
+        service on the memo sees it.
         """
-        self.ceiling = ceiling
-        self._oracle.ceiling = ceiling
+        self.memo.set_ceiling(ceiling)
 
     def _ensure_prober(self) -> ParallelProber:
         if self._prober is None:
@@ -504,8 +651,12 @@ class EvaluationService:
     @property
     def evaluations(self) -> dict[StorageDistribution, Fraction]:
         """All known distributions with their throughputs (cache dump)."""
+        with self.memo.lock:
+            known = [(vector, record.throughput) for vector, record in self._memo.items()]
+        order = self._order
         return {
-            record.distribution: record.throughput for record in self._memo.values()
+            StorageDistribution(dict(zip(order, vector))): throughput
+            for vector, throughput in known
         }
 
     @property
@@ -520,72 +671,31 @@ class EvaluationService:
         keeps its blocking information, so a restored service can serve
         the dependency-guided sweep without re-executing anything.
         """
-        memo = []
-        for vector, record in self._memo.items():
-            memo.append(
-                {
-                    "caps": list(vector),
-                    "throughput": str(record.throughput),
-                    "states": record.states_stored,
-                    "blocked": (
-                        sorted(record.space_blocked)
-                        if record.space_blocked is not None
-                        else None
-                    ),
-                    "deficits": (
-                        dict(sorted(record.space_deficits.items()))
-                        if record.space_deficits is not None
-                        else None
-                    ),
-                }
-            )
+        memo = self.memo.dump()
         return {
             "channels": list(self._order),
-            "ceiling": str(self.ceiling) if self.ceiling is not None else None,
-            "memo": memo,
+            "ceiling": memo["ceiling"],
+            "memo": memo["memo"],
             "stats": self.stats._asdict(),
         }
 
     def restore_state(self, state: Mapping) -> None:
         """Load an :meth:`export_state` payload into this service.
 
-        The ceiling is installed first so restored records re-seed the
-        prune antichains exactly as live evaluations would; stats
-        counters resume cumulatively (a resumed run reports the total
-        cost across all its legs).
+        The ceiling is installed with the records; stats counters resume
+        cumulatively (a resumed run reports the total cost across all
+        its legs).
         """
         if not self.cache_enabled:
             raise ExplorationError("restore_state requires the memo cache (cache=True)")
-        ceiling = state.get("ceiling")
-        if ceiling is not None:
-            self.set_ceiling(Fraction(ceiling))
-        entries = state.get("memo", ())
-        if self.bounds_enabled:
-            # Scan cuts are the only oracle decisions that leave no memo
-            # record, so a resumed run retraces the original's cuts only
-            # if the restored oracle is at least as strong as the
-            # original was at every point of its run.  The level caps
-            # evict the oldest members, and the original may have cut
-            # with a record its final antichains no longer hold:
-            # restoring without eviction keeps the bounds of every
-            # restored record.
-            self._oracle.widen(self._prune_limit + len(entries))
-        order = self._order
-        for entry in entries:
-            vector = tuple(int(cap) for cap in entry["caps"])
-            distribution = StorageDistribution(dict(zip(order, vector)))
-            blocked = entry.get("blocked")
-            deficits = entry.get("deficits")
-            record = EvaluationRecord(
-                distribution,
-                Fraction(entry["throughput"]),
-                int(entry.get("states", 0)),
-                frozenset(blocked) if blocked is not None else None,
-                {name: int(value) for name, value in deficits.items()}
-                if deficits is not None
-                else None,
-            )
-            self._store(vector, record)
+        # Scan cuts are the only oracle decisions that leave no memo
+        # record, so a resumed run retraces the original's cuts only if
+        # the restored oracle is at least as strong as the original was
+        # at every point of its run.  The level caps evict the oldest
+        # members, and the original may have cut with a record its
+        # final antichains no longer hold: restoring without eviction
+        # keeps the bounds of every restored record.
+        self.memo.load(state, widen=self.bounds_enabled)
         restored = state.get("stats")
         if restored:
             self.telemetry.carry(restored)
@@ -601,4 +711,3 @@ class EvaluationService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-

@@ -125,6 +125,18 @@ class TraceLog:
                 self._spans.popitem(last=False)
             return dict(span)
 
+    def annotate(self, trace_id: str, **data: object) -> None:
+        """Add *data* to the span of *trace_id*, keeping its name.
+
+        A span not recorded yet is started without a name; the
+        request's :meth:`record` names it later.
+        """
+        with self._lock:
+            span = self._spans.setdefault(trace_id, {"trace_id": trace_id})
+            span.update(data)
+            while len(self._spans) > self.limit:
+                self._spans.popitem(last=False)
+
     def get(self, trace_id: str) -> dict | None:
         with self._lock:
             span = self._spans.get(trace_id)

@@ -18,9 +18,11 @@ reachable scenario.
 
 Each scenario is evaluated through its own
 :class:`~repro.buffers.evalcache.EvaluationService` — memo cache,
-bounds oracle, worker pools and backends apply per scenario unchanged
-— while one shared :class:`~repro.runtime.controller.RunController`
-meters the *combined* probe budget.  Results flow through the existing
+bounds oracle, worker pools and backends apply per scenario unchanged,
+and ``memos=`` puts each scenario's service on a caller's shared
+:class:`~repro.buffers.evalcache.EvaluationMemo` — while one shared
+:class:`~repro.runtime.controller.RunController` meters the *combined*
+probe budget.  Results flow through the existing
 :class:`~repro.buffers.pareto.ParetoFront` /
 :class:`~repro.buffers.explorer.ExplorationStats` machinery, budgets
 yield partial results with resume tokens, and ``config.checkpoint``
@@ -46,7 +48,7 @@ from collections.abc import Callable, Mapping
 
 from repro.buffers.bounds import lower_bound_distribution, upper_bound_distribution
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.evalcache import EvaluationService
+from repro.buffers.evalcache import EvaluationMemo, EvaluationService
 from repro.buffers.explorer import (
     DesignSpaceResult,
     ExplorationStats,
@@ -87,8 +89,7 @@ def explore_design_space(
     max_size: int | None = None,
     config: ExplorationConfig | None = None,
     resume: "ResumeToken | Mapping | str | Path | None" = None,
-    scenario_states: Mapping[str, Mapping] | None = None,
-    on_export: Callable[[str, Mapping], None] | None = None,
+    memos: Mapping[str, EvaluationMemo] | None = None,
 ) -> DesignSpaceResult:
     """Chart the storage / worst-case-throughput Pareto space of *sadf*.
 
@@ -111,14 +112,12 @@ def explore_design_space(
     resume:
         A resume token, checkpoint payload or checkpoint path from a
         previous run of the same graph.
-    scenario_states:
-        Optional ``{scenario: export_state() payload}`` warm-start (the
-        service plane's memo banks); ignored for scenarios it does not
-        name.  ``resume`` takes precedence.
-    on_export:
-        Called as ``on_export(scenario, export_state())`` for every
-        scenario service before it closes — partial and failed runs
-        included — so callers can bank what the run paid for.
+    memos:
+        Optional ``{scenario: EvaluationMemo}``: each named scenario's
+        service reads and extends that memo (the service plane's live
+        banks), so a later run on the same memos replays this one's
+        probes for free — partial and failed runs included.  Scenarios
+        it does not name get a private memo.
     """
     sadf.validate()
     config = config if config is not None else ExplorationConfig()
@@ -135,8 +134,7 @@ def explore_design_space(
             max_size=max_size,
             config=config,
             resume=resume,
-            scenario_states=scenario_states,
-            on_export=on_export,
+            memos=memos,
         )
 
     if strategy != "dependency":
@@ -147,8 +145,8 @@ def explore_design_space(
     if config.evaluator is not None:
         raise ExplorationError(
             "config.evaluator cannot be shared across scenarios; each"
-            " scenario owns its evaluation service (use scenario_states /"
-            " on_export to warm-start and bank their memo caches)"
+            " scenario owns its evaluation service (pass memos= to share"
+            " their memo caches)"
         )
 
     started = time.perf_counter()
@@ -167,7 +165,10 @@ def explore_design_space(
     try:
         for name in reachable:
             service = EvaluationService(
-                sadf.scenario_graph(name), observe, config=scenario_config
+                sadf.scenario_graph(name),
+                observe,
+                config=scenario_config,
+                memo=(memos or {}).get(name),
             )
             # One controller meters the combined probe budget; the
             # services were built budget-free above.
@@ -176,10 +177,6 @@ def explore_design_space(
 
         if resume is not None:
             _restore_scenarios(_coerce_sadf_resume(resume), sadf, observe, services)
-        elif scenario_states:
-            for name, state in scenario_states.items():
-                if name in services and state and state.get("memo"):
-                    services[name].restore_state(state)
 
         hub.emit(
             "run_start",
@@ -354,9 +351,7 @@ def explore_design_space(
             telemetry=hub.snapshot(),
         )
     finally:
-        for name, service in services.items():
-            if on_export is not None:
-                on_export(name, service.export_state())
+        for service in services.values():
             service.close()
 
 
@@ -416,8 +411,7 @@ def _explore_degenerate(
     max_size: int | None,
     config: ExplorationConfig,
     resume: object,
-    scenario_states: Mapping[str, Mapping] | None,
-    on_export: Callable[[str, Mapping], None] | None,
+    memos: Mapping[str, EvaluationMemo] | None,
 ) -> DesignSpaceResult:
     """Single-scenario graphs reduce to plain SDF exploration.
 
@@ -427,7 +421,8 @@ def _explore_degenerate(
     """
     (only,) = sadf.scenario_names
     graph = sadf.scenario_graph(only).copy(sadf.name)
-    if scenario_states is None and on_export is None:
+    memo = (memos or {}).get(only)
+    if memo is None:
         return _explore_sdf(
             graph,
             observe,
@@ -436,15 +431,12 @@ def _explore_degenerate(
             config=config,
             resume=resume,
         )
-    # Service-plane path: own the evaluation service so its memo can be
-    # warm-started from and banked back into the caller's store.
+    # Service-plane path: own the evaluation service so that it runs
+    # on the caller's memo.
     service = EvaluationService(
-        graph, observe, config=config.replaced(checkpoint=None, evaluator=None)
+        graph, observe, config=config.replaced(checkpoint=None, evaluator=None), memo=memo
     )
     try:
-        state = (scenario_states or {}).get(only)
-        if state and state.get("memo"):
-            service.restore_state(state)
         return _explore_sdf(
             graph,
             observe,
@@ -454,8 +446,6 @@ def _explore_degenerate(
             resume=resume,
         )
     finally:
-        if on_export is not None:
-            on_export(only, service.export_state())
         service.close()
 
 

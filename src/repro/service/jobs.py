@@ -2,10 +2,10 @@
 
 One :class:`JobManager` owns every analysis the server runs.  Clients
 submit a :class:`JobSpec` (what to analyse); the manager queues it,
-executes it on a worker thread through the PR 1-3 machinery — a
-per-job :class:`~repro.buffers.evalcache.EvaluationService` carrying
-the job's budget and cancel token — and keeps the full job table
-observable over HTTP.
+executes it on a worker thread through a per-job
+:class:`~repro.buffers.evalcache.EvaluationService` carrying the job's
+budget and cancel token, and keeps the full job table observable over
+HTTP.
 
 **States.**  ``queued → running →`` one of
 
@@ -30,11 +30,19 @@ server start continues them where the probes stopped.
 ``<data_dir>/jobs.jsonl`` (last line per id wins).  Replaying the file
 at startup rebuilds the job table; non-terminal jobs are re-enqueued.
 
-**Memo sharing.**  Before a job runs, the graph's
-:class:`~repro.service.registry.MemoBank` for the observed actor is
-restored into its evaluation service; afterwards the service's export
-is absorbed back.  Identical graphs submitted by different clients
-therefore share every evaluation ever paid for.
+**Memo sharing.**  A job's evaluation service is built on the graph's
+live :class:`~repro.service.registry.MemoBank` for the observed actor
+(one per scenario for ``dse-sadf`` jobs): it reads the bank's records
+and adds its own under the bank's lock, which it never holds across a
+probe, so jobs on one graph interleave and nothing is copied per job.
+Identical graphs submitted by different clients therefore share every
+evaluation ever paid for, and the graph's maximal throughput once
+computed.
+
+**Traces.**  When a job ends ``done``, ``partial``, ``failed`` or
+``cancelled``, its id, state, queue wait, execution time, evaluations
+and cache hits are recorded under ``"job"`` in the trace-log span of
+the request that created it (``GET /v1/traces/<trace_id>``).
 """
 
 from __future__ import annotations
@@ -51,7 +59,11 @@ from collections.abc import Mapping
 
 from repro.buffers.distribution import StorageDistribution
 from repro.buffers.evalcache import EvaluationService
-from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
+from repro.buffers.explorer import (
+    ExplorationStats,
+    explore_design_space,
+    minimal_distribution_for_throughput,
+)
 from repro.exceptions import (
     BudgetExhausted,
     RateLimited,
@@ -61,7 +73,7 @@ from repro.exceptions import (
 )
 from repro.runtime.budget import Budget, CancelToken
 from repro.runtime.config import ExplorationConfig
-from repro.runtime.telemetry import TelemetryEvent, TelemetryHub
+from repro.runtime.telemetry import RunStats, TelemetryEvent, TelemetryHub
 from collections.abc import Callable
 from repro.sadf.explorer import explore_design_space as explore_sadf_design_space
 from repro.sadf.graph import SADFGraph
@@ -473,6 +485,7 @@ class JobManager:
     def _run(self, job: Job) -> None:
         breaker = self.breakers.get(job.job_class)
         internal_failure = False
+        stats: RunStats | None = None  # what the job's service ran, once it ran
         try:
             self._maybe_chaos(job)
             graph = self.registry.get(job.spec.fingerprint)
@@ -493,11 +506,9 @@ class JobManager:
                 graph,
                 job.spec.observe,
                 config=_job_config(job.spec.params, budget=budget, on_event=forward),
+                memo=self.registry.bank(job.spec.fingerprint, job.spec.observe),
             )
             try:
-                bank = self.registry.bank(job.spec.fingerprint, job.spec.observe)
-                if len(bank):
-                    service.restore_state(bank.snapshot())
                 runner = {
                     "dse": self._run_dse,
                     "throughput": self._run_throughput,
@@ -505,8 +516,7 @@ class JobManager:
                 }[job.spec.kind]
                 runner(job, graph, service)
             finally:
-                bank = self.registry.bank(job.spec.fingerprint, job.spec.observe)
-                bank.absorb(service.export_state())
+                stats = service.stats
                 self.telemetry.merge(service.telemetry)
                 service.close()
         except BudgetExhausted as stop:
@@ -515,22 +525,22 @@ class JobManager:
             with self._cond:
                 job.exhausted = stop.reason
                 if job.cancel_requested:
-                    self._finalize(job, "cancelled")
+                    self._finalize(job, "cancelled", stats)
                 elif stop.reason == "cancelled":
                     self._requeue_interrupted(job)
                 else:
-                    self._finalize(job, "partial")
+                    self._finalize(job, "partial", stats)
         except ReproError as error:
             # A client mistake (bad params, unknown channel): the worker
             # plane is healthy, so this does not count against the breaker.
             with self._cond:
                 job.error = str(error)
-                self._finalize(job, "failed")
+                self._finalize(job, "failed", stats)
         except Exception as error:  # noqa: BLE001 - a worker must never die
             internal_failure = True
             with self._cond:
                 job.error = f"internal error: {error!r}"
-                self._finalize(job, "failed")
+                self._finalize(job, "failed", stats)
         finally:
             if breaker is not None:
                 if internal_failure:
@@ -581,26 +591,29 @@ class JobManager:
             ),
             resume=resume,
         )
+        self._settle(job, result)
+
+    def _settle(self, job: Job, result) -> None:
+        """Record a DSE result (complete or partial) and move the job on."""
         with self._cond:
             job.result = result.to_dict()
             job.exhausted = result.exhausted
             if result.complete:
-                self._finalize(job, "done")
+                self._finalize(job, "done", result.stats)
             elif job.cancel_requested:
-                self._finalize(job, "cancelled")
+                self._finalize(job, "cancelled", result.stats)
             elif result.exhausted == "cancelled":
                 self._requeue_interrupted(job)  # server-driven (shutdown)
             else:
-                self._finalize(job, "partial")
+                self._finalize(job, "partial", result.stats)
 
     def _run_dse_sadf(
         self, job: Job, sadf: SADFGraph, budget: Budget, forward
     ) -> None:
         """Scenario-aware DSE: same lifecycle as :meth:`_run_dse`, but
         the exploration spans every scenario of an SADF graph, so the
-        memo sharing is per scenario — one bank per
-        ``observe@scenario`` key, seeded in and absorbed back through
-        the explorer's ``scenario_states`` / ``on_export`` hooks."""
+        memo sharing is per scenario — the explorer's scenario services
+        run on one live bank per ``observe@scenario`` key."""
         params = job.spec.params
         checkpoint = self._checkpoint_path(job)
         resume = (
@@ -610,15 +623,6 @@ class JobManager:
         )
         fingerprint = job.spec.fingerprint
         observe = job.spec.observe
-        scenario_states: dict[str, Mapping] = {}
-        for name in sadf.scenario_names:
-            bank = self.registry.bank(fingerprint, f"{observe}@{name}")
-            if len(bank):
-                scenario_states[name] = bank.snapshot()
-
-        def absorb(name: str, state: Mapping) -> None:
-            self.registry.bank(fingerprint, f"{observe}@{name}").absorb(state)
-
         result = explore_sadf_design_space(
             sadf,
             observe,
@@ -628,22 +632,14 @@ class JobManager:
                 params, budget=budget, on_event=forward, checkpoint=checkpoint
             ),
             resume=resume,
-            scenario_states=scenario_states or None,
-            on_export=absorb,
+            memos={
+                name: self.registry.bank(fingerprint, f"{observe}@{name}")
+                for name in sadf.scenario_names
+            },
         )
         if result.telemetry is not None:
             self.telemetry.merge(result.telemetry)
-        with self._cond:
-            job.result = result.to_dict()
-            job.exhausted = result.exhausted
-            if result.complete:
-                self._finalize(job, "done")
-            elif job.cancel_requested:
-                self._finalize(job, "cancelled")
-            elif result.exhausted == "cancelled":
-                self._requeue_interrupted(job)  # server-driven (shutdown)
-            else:
-                self._finalize(job, "partial")
+        self._settle(job, result)
 
     def _run_throughput(self, job: Job, graph, service: EvaluationService) -> None:
         capacities = job.spec.params.get("capacities")
@@ -662,7 +658,7 @@ class JobManager:
                 "deadlocked": value == 0,
                 "capacities": dict(distribution),
             }
-            self._finalize(job, "done")
+            self._finalize(job, "done", service.stats)
 
     def _run_minimal(self, job: Job, graph, service: EvaluationService) -> None:
         constraint = job.spec.params.get("throughput")
@@ -686,7 +682,7 @@ class JobManager:
                     "throughput": str(point.throughput),
                     "distribution": dict(point.distribution),
                 }
-            self._finalize(job, "done")
+            self._finalize(job, "done", service.stats)
 
     # -- state transitions (caller holds the lock) --------------------------
     def _push(self, job: Job) -> None:
@@ -695,11 +691,29 @@ class JobManager:
             self._heaps[job.job_class], (job.spec.priority, self._seq, job.id)
         )
 
-    def _finalize(self, job: Job, state: str) -> None:
+    def _finalize(
+        self, job: Job, state: str, stats: RunStats | ExplorationStats | None = None
+    ) -> None:
+        """Move *job* to a final *state*; *stats* (its ``evaluations``
+        and ``cache_hits``, if it ran) go into its request's trace."""
         job.state = state
         job.finished_at = time.time()
         self._persist(job)
         self.telemetry.emit("job_finished", kind=job.spec.kind, state=state)
+        traces = self.telemetry.traces
+        if traces is not None and job.trace_id:
+            started = job.started_at if job.started_at is not None else job.finished_at
+            traces.annotate(
+                job.trace_id,
+                job={
+                    "id": job.id,
+                    "state": state,
+                    "wait_s": started - job.submitted_at,
+                    "exec_s": job.finished_at - started,
+                    "evaluations": stats.evaluations if stats is not None else 0,
+                    "cache_hits": stats.cache_hits if stats is not None else 0,
+                },
+            )
 
     def _requeue_interrupted(self, job: Job) -> None:
         """A shutdown interrupted the job: back to ``queued`` with its

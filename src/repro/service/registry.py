@@ -10,10 +10,13 @@ that cheap:
   whatever their display name or the order their actors were declared
   in — share one entry;
 * each entry carries one :class:`MemoBank` per observed actor: the
-  union of every exact evaluation any job ever paid for on that graph.
-  A new job on a known graph starts with the bank pre-loaded into its
-  :class:`~repro.buffers.evalcache.EvaluationService`, so probes other
-  clients already ran are answered from memory.
+  graph's live :class:`~repro.buffers.evalcache.EvaluationMemo`, the
+  union of every exact evaluation any job ever paid for on that graph,
+  with its oracle index and the graph's maximal throughput.  Every job
+  on the graph builds its
+  :class:`~repro.buffers.evalcache.EvaluationService` on that memo, so
+  probes other clients already ran are answered from memory and
+  nothing is copied per job.
 
 Graphs are persisted as plain JSON under ``<data_dir>/graphs/`` so a
 restarted server still resolves the fingerprints referenced by its
@@ -29,6 +32,7 @@ import threading
 from pathlib import Path
 from collections.abc import Mapping
 
+from repro.buffers.evalcache import EvaluationMemo
 from repro.exceptions import ParseError, ServiceError
 from repro.graph.graph import SDFGraph
 from repro.io.jsonio import graph_fingerprint, graph_from_dict, graph_to_dict
@@ -41,41 +45,24 @@ from repro.io.sadfjson import (
 from repro.sadf.graph import SADFGraph
 
 
-class MemoBank:
-    """The accumulated exact evaluations of one (graph, observe) pair.
+class MemoBank(EvaluationMemo):
+    """The live memo of one (graph, observe) pair.
 
-    Holds :meth:`~repro.buffers.evalcache.EvaluationService
-    .export_state`-shaped entries keyed by capacity vector.  Absorbing
-    a newer export never discards information: records carrying
-    blocking data win over thin ones, and the throughput ceiling is
-    kept once any job establishes it.
+    An :class:`~repro.buffers.evalcache.EvaluationMemo` that jobs share
+    under its lock: records carrying blocking data win over thin ones,
+    and the throughput ceiling is kept once any job establishes it.
+    :meth:`absorb` / :meth:`snapshot` are its JSON round trip, in the
+    ``export_state`` / ``restore_state`` payload shape.
     """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, ...], dict] = {}
-        self._ceiling: str | None = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def absorb(self, state: Mapping) -> None:
         """Merge an ``export_state`` payload into the bank."""
-        if state.get("ceiling") is not None:
-            self._ceiling = state["ceiling"]
-        for entry in state.get("memo", ()):
-            key = tuple(int(cap) for cap in entry["caps"])
-            existing = self._entries.get(key)
-            if existing is not None and existing.get("blocked") is not None:
-                continue  # never replace a full record with a thinner one
-            self._entries[key] = dict(entry)
+        self.load(state)
 
     def snapshot(self) -> dict:
         """A ``restore_state``-ready payload (stats intentionally absent,
         so restoring never inflates a job's own counters)."""
-        return {
-            "ceiling": self._ceiling,
-            "memo": [dict(entry) for entry in self._entries.values()],
-        }
+        return self.dump()
 
 
 class GraphRegistry:
@@ -157,7 +144,10 @@ class GraphRegistry:
                 ) from None
 
     def bank(self, fingerprint: str, observe: str) -> MemoBank:
-        """The memo bank of (*fingerprint*, *observe*), created on demand."""
+        """The live memo of (*fingerprint*, *observe*), created on demand.
+
+        SADF jobs key one bank per scenario as ``observe@scenario``.
+        """
         with self._lock:
             self.get(fingerprint)  # validate the fingerprint
             return self._banks.setdefault((fingerprint, observe), MemoBank())

@@ -6,6 +6,7 @@ from repro.runtime.telemetry import (
     KNOWN_EVENTS,
     TelemetryEvent,
     TelemetryHub,
+    TraceLog,
     to_prometheus,
 )
 
@@ -189,3 +190,31 @@ class TestToPrometheus:
         hub.record_time("probe", 0.1)
         for line in to_prometheus(hub).splitlines():
             assert line.startswith("#") or " " in line  # sample lines: name value
+
+
+class TestTraceLog:
+    def test_annotate_keeps_the_span_name(self):
+        log = TraceLog()
+        log.record("t1", "POST /v1/jobs", status=202)
+        log.annotate("t1", job={"state": "done"})
+        assert log.get("t1") == {
+            "trace_id": "t1",
+            "name": "POST /v1/jobs",
+            "status": 202,
+            "job": {"state": "done"},
+        }
+
+    def test_annotation_before_the_request_span_survives_it(self):
+        # A job may finish before its POST handler records the span.
+        log = TraceLog()
+        log.annotate("t1", job={"state": "done"})
+        log.record("t1", "POST /v1/jobs", status=202)
+        span = log.get("t1")
+        assert span["name"] == "POST /v1/jobs"
+        assert span["job"] == {"state": "done"}
+
+    def test_annotations_respect_the_ring_limit(self):
+        log = TraceLog(limit=2)
+        for trace_id in ("a", "b", "c"):
+            log.annotate(trace_id, job={})
+        assert [span["trace_id"] for span in log.spans()] == ["b", "c"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.buffers.evalcache import EvaluationMemo
 from repro.buffers.explorer import explore_design_space as explore_sdf
 from repro.exceptions import BudgetExhausted, CheckpointError, ExplorationError
 from repro.gallery import h263_frames, modem_modes
@@ -151,46 +152,47 @@ class TestBudgetAndResume:
             explore_design_space(two_mode(), "b", resume=partial.resume_token)
 
 
-class TestServiceHooks:
-    def test_on_export_banks_every_scenario(self):
-        exported = {}
-        explore_design_space(
-            h263_frames(), "mc",
-            on_export=lambda name, state: exported.setdefault(name, state),
-        )
-        assert set(exported) == {"i", "p"}
-        assert all(state["memo"] for state in exported.values())
+class TestSharedMemos:
+    """Per-scenario memos shared between runs (the service plane's
+    live banks)."""
 
-    def test_scenario_states_warm_start(self):
-        exported = {}
-        cold = explore_design_space(
-            h263_frames(), "mc",
-            on_export=lambda name, state: exported.setdefault(name, state),
-        )
-        # The service plane banks memo + ceiling only (restoring a
-        # job's stats would inflate the next job's counters).
-        seeds = {
-            name: {"ceiling": state.get("ceiling"), "memo": state["memo"]}
-            for name, state in exported.items()
-        }
-        warm = explore_design_space(h263_frames(), "mc", scenario_states=seeds)
+    def test_memos_record_every_scenario(self):
+        memos = {name: EvaluationMemo() for name in h263_frames().scenario_names}
+        explore_design_space(h263_frames(), "mc", memos=memos)
+        assert set(memos) == {"i", "p"}
+        assert all(len(memo) for memo in memos.values())
+        assert all(memo.ceiling is not None for memo in memos.values())
+
+    def test_shared_memos_warm_start(self):
+        memos = {name: EvaluationMemo() for name in h263_frames().scenario_names}
+        cold = explore_design_space(h263_frames(), "mc", memos=memos)
+        warm = explore_design_space(h263_frames(), "mc", memos=memos)
         assert warm.front.to_dicts() == cold.front.to_dicts()
         assert warm.stats.evaluations == 0
         assert warm.stats.cache_hits > 0
 
-    def test_degenerate_with_hooks_still_bit_identical(self, fig1):
-        exported = {}
-        sadf = from_sdf(fig1)
-        plain = explore_sdf(fig1, "c")
-        result = explore_design_space(
-            sadf, "c", on_export=lambda name, state: exported.setdefault(name, state)
+    def test_partial_run_leaves_its_probes_in_the_memos(self):
+        memos = {name: EvaluationMemo() for name in h263_frames().scenario_names}
+        partial = explore_design_space(
+            h263_frames(), "mc",
+            config=ExplorationConfig(budget=Budget(max_probes=3)),
+            memos=memos,
         )
+        assert not partial.complete
+        # Every probe paid is kept (prunes add thin records on top).
+        assert sum(len(memo) for memo in memos.values()) >= partial.stats.evaluations > 0
+        finished = explore_design_space(h263_frames(), "mc", memos=memos)
+        full = explore_design_space(h263_frames(), "mc")
+        assert finished.front.to_dicts() == full.front.to_dicts()
+        assert finished.stats.evaluations == full.stats.evaluations - partial.stats.evaluations
+
+    def test_degenerate_with_memos_still_bit_identical(self, fig1):
+        sadf = from_sdf(fig1)
+        memos = {"default": EvaluationMemo()}
+        plain = explore_sdf(fig1, "c")
+        result = explore_design_space(sadf, "c", memos=memos)
         assert result.front.to_dicts() == plain.front.to_dicts()
-        assert set(exported) == {"default"}
-        seeds = {
-            name: {"ceiling": state.get("ceiling"), "memo": state["memo"]}
-            for name, state in exported.items()
-        }
-        warm = explore_design_space(sadf, "c", scenario_states=seeds)
+        assert len(memos["default"])
+        warm = explore_design_space(sadf, "c", memos=memos)
         assert warm.front.to_dicts() == plain.front.to_dicts()
         assert warm.stats.evaluations == 0

@@ -298,6 +298,45 @@ class TestOverloadEndToEnd:
                 if state not in ("done", "failed", "cancelled"):
                     client.cancel(job["id"])
 
+    def test_no_fault_mixed_traffic_succeeds_in_both_classes(self, fig1):
+        """Batch DSE jobs and interactive point queries without faults:
+        every job of both classes succeeds and no breaker opens."""
+        breakers = {
+            cls: CircuitBreaker(
+                cls, window=16, min_calls=3, failure_threshold=0.4, cooldown_s=30.0
+            )
+            for cls in JOB_CLASSES
+        }
+        with AnalysisServer(
+            workers=2,
+            bulkhead=Bulkhead(2, reserved={"interactive": 1}),
+            breakers=breakers,
+        ) as server:
+            client = ServiceClient(server.url)
+            fingerprint = client.submit_graph(graph_to_dict(fig1))
+            batch = [
+                client.submit_job(fingerprint, kind="dse", observe="c") for _ in range(4)
+            ]
+            for _ in range(6):
+                result = client.result(
+                    client.submit_job(
+                        fingerprint,
+                        kind="throughput",
+                        observe="c",
+                        params={"capacities": {"alpha": 4, "beta": 2}},
+                    )["id"],
+                    timeout=10.0,
+                )
+                assert result["throughput"] == "1/7"
+            fronts = []
+            for job in batch:
+                final = client.wait(job["id"], timeout=30.0)
+                assert final["state"] == "done"
+                fronts.append(final["result"]["pareto_front"])
+            assert all(front == fronts[0] for front in fronts)
+            states = {b["name"]: b["state"] for b in client.healthz()["breakers"]}
+            assert states == {"interactive": "closed", "batch": "closed"}
+
     def test_http_idempotent_replay_is_200_with_the_original_id(self, fig1):
         with AnalysisServer(workers=1) as server:
             client = ServiceClient(server.url)

@@ -2,6 +2,7 @@
 ids end to end; unversioned paths answer 404."""
 
 import json
+import time
 
 import pytest
 
@@ -18,6 +19,15 @@ def server():
 
 def body(response) -> dict:
     return json.loads(response.body)
+
+
+def wait_for(predicate, timeout=20.0, step=0.005):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(step)
+    raise AssertionError("condition not reached within timeout")
 
 
 class TestVersionedRoutes:
@@ -108,6 +118,47 @@ class TestTraceIds:
         fetched = body(server.api.handle("GET", f"/v1/jobs/{job['id']}"))
         assert fetched["trace_id"] == trace_id
         assert server.manager.telemetry.traces.get(trace_id) is not None
+
+
+    def test_finished_jobs_land_under_their_request_traces(self, server, fig1):
+        document = json.dumps(graph_to_dict(fig1)).encode("utf-8")
+        fingerprint = body(server.api.handle("POST", "/v1/graphs", document))["fingerprint"]
+        payload = json.dumps(
+            {
+                "graph": fingerprint,
+                "kind": "throughput",
+                "observe": "c",
+                "params": {"capacities": {"alpha": 4, "beta": 2}},
+            }
+        ).encode("utf-8")
+        spans = []
+        for trace_id in ("first-job", "second-job"):
+            posted = server.api.handle(
+                "POST", "/v1/jobs", payload, headers={"X-Trace-Id": trace_id}
+            )
+            job_id = body(posted)["id"]
+            traces = server.manager.telemetry.traces
+            wait_for(lambda: "job" in (traces.get(trace_id) or {}))
+            span = body(server.api.handle("GET", f"/v1/traces/{trace_id}"))
+            assert span["name"] == "POST /v1/jobs"  # the job does not rename it
+            assert span["job"]["id"] == job_id
+            assert span["job"]["state"] == "done"
+            assert span["job"]["wait_s"] >= 0 and span["job"]["exec_s"] >= 0
+            spans.append(span["job"])
+        # The second job is answered from the memo the first one filled.
+        assert (spans[0]["evaluations"], spans[0]["cache_hits"]) == (1, 0)
+        assert (spans[1]["evaluations"], spans[1]["cache_hits"]) == (0, 1)
+
+    def test_failed_job_lands_under_its_request_trace(self, server, fig1):
+        payload = json.dumps(
+            {"graph": graph_to_dict(fig1), "kind": "throughput", "observe": "c"}
+        ).encode("utf-8")  # no capacities: the job fails
+        server.api.handle("POST", "/v1/jobs", payload, headers={"X-Trace-Id": "bad-job"})
+        traces = server.manager.telemetry.traces
+        wait_for(lambda: "job" in (traces.get("bad-job") or {}))
+        job = traces.get("bad-job")["job"]
+        assert job["state"] == "failed"
+        assert (job["evaluations"], job["cache_hits"]) == (0, 0)
 
 
 class TestErrorEnvelope:
