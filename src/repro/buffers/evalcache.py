@@ -1,4 +1,4 @@
-"""Shared evaluation service: exact memo cache, bound pruning, fan-out.
+"""Shared evaluation service: exact memo cache, bounds oracle, fan-out.
 
 Every exploration strategy ultimately reduces to throughput queries on
 storage distributions, answered by a cold-start state-space execution.
@@ -10,36 +10,21 @@ the raw probe backends of :mod:`repro.engine.backends`:
 distribution (the capacity vector in the graph's channel order), so a
 distribution is never executed twice — across strategies, across the
 upper-bound probes of the explorer, across repeated queries.  The
-records, their oracle index and the graph's maximal throughput live in
-one :class:`EvaluationMemo`, which services may share (``memo=``).
+records and the graph's maximal throughput live in one
+:class:`EvaluationMemo`, which services may share (``memo=``).
 
-**Monotonicity-based bound pruning.**  Throughput is monotone
+**Bounds oracle (``config.bounds``).**  Throughput is monotone
 non-decreasing under component-wise capacity increase (Sec. 9 of the
-paper; property-tested in ``tests/properties``).  Two consequences are
-exploited, both *exact*:
-
-* *ceiling squeeze* — let ``T`` be the graph's maximal throughput over
-  all distributions (the service's ``ceiling``).  If a cached
-  distribution ``w`` with ``thr(w) == T`` is dominated component-wise
-  by a query ``d`` (``d >= w``), then ``T = thr(w) <= thr(d) <= T``,
-  so ``thr(d) == T`` without running anything.  The prune fires only
-  on cached values *equal* to the ceiling — a cached value merely at
-  some stop threshold below the ceiling would bound the superset's
-  throughput from below but not pin it, and the service never answers
-  with a bound.
-* *deadlock cover* — if a cached ``w`` with ``thr(w) == 0`` dominates
-  the query (``w >= d``), then ``0 <= thr(d) <= thr(w) = 0``.
-
-The witnesses backing the prunes are kept as small antichains (minimal
-ceiling-reaching vectors, maximal deadlocked vectors) with a bounded
-length, so prune checks stay cheap; eviction only loses prune
-opportunities, never exactness.  Both rules are the extreme levels of
-the :class:`~repro.buffers.oracle.ThroughputBoundsOracle` the service
-indexes every record into; with ``config.bounds`` enabled the full
-oracle additionally answers any query whose interval closes
-(``bounds_exact``) and cuts scan candidates whose upper bound cannot
-matter (``bounds_cut`` via :meth:`EvaluationService.cuts_below`) —
-still exact, still front-identical.
+paper; property-tested in ``tests/properties``), so every record
+bounds the throughput of the distributions it dominates or is
+dominated by.  With ``config.bounds`` the memo indexes its records in
+a :class:`~repro.buffers.oracle.ThroughputBoundsOracle`: a plain query
+whose interval closes above zero is answered without a simulation
+(``bounds_exact``), and scan loops skip candidates whose upper bound
+cannot matter (``bounds_cut`` via :meth:`EvaluationService
+.cuts_below`) — still exact, still front-identical.  The memo builds
+that index from its records on the first such query, so a run without
+``bounds`` indexes nothing.
 
 **Parallel probing.**  Batch queries (``evaluate_many`` /
 ``evaluate_blocking_many``) resolve what the cache can answer and fan
@@ -68,9 +53,9 @@ tables.
 :class:`~repro.runtime.config.ExplorationConfig`): every execution is
 charged against the budget *before* it starts, so interruption lands on
 a probe boundary and all recorded results stay exact; cache hits,
-prunes and probe timings stream out as structured events, and the
-hub is where every counter of the service lives: :attr:`EvaluationService
-.stats` is a read-only rendering of it.
+oracle answers and probe timings stream out as structured events, and
+the hub is where every counter of the service lives:
+:attr:`EvaluationService.stats` is a read-only rendering of it.
 :meth:`EvaluationService.export_state` / ``restore_state`` round-trip
 the memo (blocking records included) for the checkpoint/resume story of
 :mod:`repro.runtime.checkpoint`, through the memo's one JSON form
@@ -107,19 +92,18 @@ from repro.runtime.config import ExplorationConfig
 from repro.runtime.controller import RunController
 from repro.runtime.telemetry import RunStats, TelemetryHub
 
-#: Default cap on each prune antichain; evicting old witnesses only
-#: reduces prune opportunities, never correctness.
-_PRUNE_FRONT_LIMIT = 128
-
-_ZERO = Fraction(0)
+#: Default cap on each oracle level antichain; evicting old witnesses
+#: only loosens bounds, never exactness.
+_LEVEL_LIMIT = 128
 
 
 class EvaluationRecord(NamedTuple):
     """Cached outcome of one distribution evaluation.
 
     ``space_blocked`` / ``space_deficits`` are ``None`` when the record
-    was synthesised by a pruning rule (the throughput is exact, but no
-    execution happened, so no blocking information exists).
+    was synthesised from a closed oracle interval (the throughput is
+    exact, but no execution happened, so no blocking information
+    exists).
     """
 
     throughput: Fraction
@@ -136,9 +120,8 @@ class EvaluationMemo:
     """The exact evaluation records of one (graph, observe) pair.
 
     Holds the records keyed by capacity vector (in the graph's channel
-    order), their :class:`~repro.buffers.oracle.ThroughputBoundsOracle`
-    index and the graph's maximal throughput (the ``ceiling``, once
-    known), behind one lock.  Services on one memo share all three:
+    order) and the graph's maximal throughput (the ``ceiling``, once
+    known), behind one lock.  Services on one memo share both:
     :class:`EvaluationService` builds a private memo unless it is handed
     one, and the analysis service hands each job its graph's live memo
     (:meth:`repro.service.registry.GraphRegistry.bank`).
@@ -149,6 +132,12 @@ class EvaluationMemo:
     with blocking data) is never replaced by a thin one.  :meth:`dump` /
     :meth:`load` are the memo's one JSON form.
 
+    The records' :class:`~repro.buffers.oracle.ThroughputBoundsOracle`
+    index serves ``config.bounds`` only: :attr:`oracle` builds it from
+    the records, in insertion order, on first access, and :meth:`put`
+    indexes every later record.  A memo that no ``bounds`` service reads
+    indexes nothing.
+
     Parameters
     ----------
     limit:
@@ -156,30 +145,36 @@ class EvaluationMemo:
         :class:`~repro.buffers.oracle.ThroughputBoundsOracle`).
     """
 
-    def __init__(self, *, limit: int = _PRUNE_FRONT_LIMIT):
+    def __init__(self, *, limit: int = _LEVEL_LIMIT):
         self.limit = max(1, int(limit))
         self.records: dict[tuple[int, ...], EvaluationRecord] = {}
-        # The dominance lattice over every record.  Its extreme levels
-        # are the prune antichains (minimal ceiling-reaching vectors,
-        # maximal deadlocked vectors), so it is maintained
-        # unconditionally; a service's config.bounds only widens which
-        # levels its queries consult.
-        self.oracle = ThroughputBoundsOracle(limit=self.limit)
+        self.ceiling: Fraction | None = None
+        self._oracle: ThroughputBoundsOracle | None = None
         self.lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.records)
 
     @property
-    def ceiling(self) -> Fraction | None:
-        """The graph's maximal throughput, once pinned."""
-        return self.oracle.ceiling
+    def oracle(self) -> ThroughputBoundsOracle:
+        """The records' dominance index, built on first access (the
+        caller holds :attr:`lock`)."""
+        if self._oracle is None:
+            self._oracle = ThroughputBoundsOracle(limit=self.limit, ceiling=self.ceiling)
+            for vector, record in self.records.items():
+                self._oracle.observe(vector, record.throughput)
+        return self._oracle
 
     def set_ceiling(self, ceiling: Fraction) -> None:
-        """Pin the graph's maximal throughput (exact, or the superset
-        prune answers wrongly)."""
+        """Pin the graph's maximal throughput (exact, or the oracle's
+        upper bounds are wrong)."""
         with self.lock:
-            self.oracle.ceiling = ceiling
+            self._pin(ceiling)
+
+    def _pin(self, ceiling: Fraction) -> None:
+        self.ceiling = ceiling
+        if self._oracle is not None:
+            self._oracle.ceiling = ceiling
 
     def put(self, vector: tuple[int, ...], record: EvaluationRecord) -> EvaluationRecord:
         """Store *record* under *vector* and return the stored record.
@@ -192,15 +187,15 @@ class EvaluationMemo:
         if existing is not None and existing.has_blocking:
             return existing
         self.records[vector] = record
-        if existing is None:
-            self.oracle.observe(vector, record.throughput)
+        if existing is None and self._oracle is not None:
+            self._oracle.observe(vector, record.throughput)
         return record
 
     def dump(self) -> dict:
         """JSON-ready ``{"ceiling", "memo"}``: every record with its
         blocking information, in insertion order."""
         with self.lock:
-            ceiling = self.oracle.ceiling
+            ceiling = self.ceiling
             items = list(self.records.items())
         return {
             "ceiling": str(ceiling) if ceiling is not None else None,
@@ -228,10 +223,9 @@ class EvaluationMemo:
         """Merge a :meth:`dump`-shaped payload into the memo.
 
         A ceiling in *state* is pinned (an absent one never unpins).
-        With *widen*, the oracle's level cap first grows by the number
-        of records loaded (:meth:`~repro.buffers.oracle
-        .ThroughputBoundsOracle.widen`, which never lowers it), so no
-        loaded record is evicted from its level.
+        With *widen*, the oracle's level cap (:attr:`limit`) first grows
+        by the number of records loaded, so no loaded record is evicted
+        from its level, whether the oracle is built yet or not.
         """
         records = [
             (
@@ -250,15 +244,17 @@ class EvaluationMemo:
         ceiling = state.get("ceiling")
         with self.lock:
             if ceiling is not None:
-                self.oracle.ceiling = Fraction(ceiling)
+                self._pin(Fraction(ceiling))
             if widen:
-                self.oracle.widen(self.limit + len(records))
+                self.limit += len(records)
+                if self._oracle is not None:
+                    self._oracle.widen(self.limit)
             for vector, record in records:
                 self.put(vector, record)
 
 
 class EvaluationService:
-    """Memoising, pruning, optionally parallel throughput oracle.
+    """Memoising, optionally parallel throughput oracle.
 
     Callable on a distribution, with ``.stats`` and ``.evaluations``,
     plus batch and blocking-aware entry points for the strategies that
@@ -276,15 +272,9 @@ class EvaluationService:
         .controller.RunController` and :class:`~repro.runtime
         .telemetry.TelemetryHub`; ``probe_timeout`` /
         ``max_pool_restarts`` / ``retry_backoff`` tune the
-        fault-tolerant worker pool.  The ``evaluator`` field must be
-        unset — a service cannot wrap another service.
-    ceiling:
-        The graph's **maximal throughput over all distributions**.
-        Required for the superset prune; must be exact (pass the value
-        of :func:`repro.analysis.throughput.max_throughput`), or leave
-        unset / call :meth:`set_ceiling` once known.
-    prune_limit:
-        The level cap of a private memo (ignored when *memo* is given).
+        fault-tolerant worker pool; ``bounds`` arms the bounds oracle.
+        The ``evaluator`` field must be unset — a service cannot wrap
+        another service.
     memo:
         The :class:`EvaluationMemo` to read and extend — shared with
         every other service on it.  It must hold records of this graph
@@ -298,8 +288,6 @@ class EvaluationService:
         observe: str | None = None,
         *,
         config: ExplorationConfig | None = None,
-        ceiling: Fraction | None = None,
-        prune_limit: int = _PRUNE_FRONT_LIMIT,
         memo: EvaluationMemo | None = None,
     ):
         config = config if config is not None else ExplorationConfig()
@@ -338,19 +326,16 @@ class EvaluationService:
             auto_fallbacks(self.backend_name) if config.backend == "auto" else ()
         )
         self._order = graph.channel_names
-        self.memo = memo if memo is not None else EvaluationMemo(limit=prune_limit)
-        if ceiling is not None:
-            self.memo.set_ceiling(ceiling)
-        # The memo's records and oracle, read and written under its lock.
+        self.memo = memo if memo is not None else EvaluationMemo()
+        # The memo's records, read and written under its lock.
         self._memo = self.memo.records
-        self._oracle = self.memo.oracle
         self.bounds_enabled = bool(config.bounds) and self.cache_enabled
         self._prober: ParallelProber | None = None
 
     @property
     def ceiling(self) -> Fraction | None:
         """The graph's maximal throughput once pinned (kept by the memo)."""
-        return self._oracle.ceiling
+        return self.memo.ceiling
 
     # -- canonical keys ---------------------------------------------------
     def _vector(self, distribution: Mapping[str, int]) -> tuple[int, ...]:
@@ -367,7 +352,7 @@ class EvaluationService:
         vector = self._vector(distribution)
         if self.cache_enabled:
             with self.memo.lock:
-                record, how = self._consult(vector, True, True)
+                record, how = self._consult(vector, plain=True)
             if record is not None:
                 self._announce(how, record, vector)
                 return record.throughput
@@ -396,9 +381,9 @@ class EvaluationService:
     def evaluate_many(self, distributions: Sequence[StorageDistribution]) -> list[Fraction]:
         """Throughputs of a batch of independent distributions.
 
-        Cache and prunes answer what they can; the remaining misses go
-        through the process pool (``workers > 1``) or run inline.
-        Results come back in input order.
+        The memo and the oracle answer what they can; the remaining
+        misses go through the process pool (``workers > 1``) or run
+        inline.  Results come back in input order.
         """
         records = self._resolve_batch(distributions, blocking=False)
         return [record.throughput for record in records]
@@ -413,9 +398,9 @@ class EvaluationService:
 
         *reached* tells the service which throughputs make blocking
         information unnecessary (the sweep never expands a distribution
-        that already reached its target): for such values a cached or
-        pruned record without blocking data may be returned; otherwise
-        an execution is performed to obtain it.
+        that already reached its target): for such values a cached
+        record without blocking data may be returned; otherwise an
+        execution is performed to obtain it.
         """
         return self._resolve_batch([distribution], blocking=True, reached=reached)[0]
 
@@ -441,18 +426,10 @@ class EvaluationService:
             return reached is not None and reached(record.throughput)
 
         vectors = [self._vector(distribution) for distribution in distributions]
-        # Blocking callers expand deadlocked entries, so the deadlock
-        # cover (which yields no blocking channels) is off for them, and
-        # the ceiling squeeze only applies when reaching the ceiling
-        # ends the expansion anyway.
-        ceiling = self.ceiling
-        prunable = not blocking or (
-            reached is not None and ceiling is not None and reached(ceiling)
-        )
         found: list[tuple[EvaluationRecord | None, str | None]] = [(None, None)] * len(vectors)
         if self.cache_enabled:
             with self.memo.lock:
-                found = [self._consult(vector, prunable, not blocking) for vector in vectors]
+                found = [self._consult(vector, plain=not blocking) for vector in vectors]
         records: list[EvaluationRecord | None] = [None] * len(vectors)
         misses: list[tuple[int, StorageDistribution, tuple[int, ...]]] = []
         for index, (distribution, vector, (record, how)) in enumerate(
@@ -496,44 +473,34 @@ class EvaluationService:
 
     # -- cache internals ----------------------------------------------------
     def _consult(
-        self, vector: tuple[int, ...], prunable: bool, allow_subset: bool
+        self, vector: tuple[int, ...], *, plain: bool
     ) -> tuple[EvaluationRecord | None, str | None]:
         """The memo's answer for *vector*: ``(record, how)``, where *how*
-        names the hit or the prune that produced it, or ``(None, None)``.
+        is ``"cache_hit"`` or ``"bounds_exact"``, or ``(None, None)``.
 
-        The caller holds the memo lock; a pruned answer is stored in
-        the memo before the lock is released.
+        Under ``config.bounds`` a *plain* query (one that needs no
+        blocking data) whose oracle interval closes above zero is
+        answered exactly without a simulation.  The caller holds the
+        memo lock; such an answer is stored in the memo before the lock
+        is released.
         """
         record = self._memo.get(vector)
         if record is not None:
             return record, "cache_hit"
-        if not prunable:
-            return None, None
-        oracle = self._oracle
-        total = sum(vector)
-        ceiling = oracle.ceiling
-        if ceiling is not None and oracle.floor_reaches(ceiling, vector, total):
-            return self.memo.put(vector, EvaluationRecord(ceiling, 0, None, None)), "ceiling"
-        if allow_subset:
-            if oracle.ceil_covers(_ZERO, vector, total):
-                return self.memo.put(vector, EvaluationRecord(_ZERO, 0, None, None)), "deadlock"
-            if self.bounds_enabled:
-                low, high = oracle.interval(vector, total)
-                if high is not None and low == high and low > 0:
-                    return self.memo.put(vector, EvaluationRecord(low, 0, None, None)), "bounds_exact"
+        if plain and self.bounds_enabled:
+            low, high = self.memo.oracle.interval(vector)
+            if high is not None and low == high and low > 0:
+                return self.memo.put(vector, EvaluationRecord(low, 0, None, None)), "bounds_exact"
         return None, None
 
     def _announce(self, how: str, record: EvaluationRecord, vector: tuple[int, ...]) -> None:
-        """Count and emit what :meth:`_consult` answered (lock released)."""
-        hub = self.telemetry
-        size = sum(vector)
+        """Emit what :meth:`_consult` answered (lock released)."""
         if how == "cache_hit":
-            hub.emit("cache_hit", size=size)
-        elif how == "bounds_exact":
-            hub.emit("bounds_exact", size=size, throughput=str(record.throughput))
+            self.telemetry.emit("cache_hit", size=sum(vector))
         else:
-            hub.count("prunes_superset" if how == "ceiling" else "prunes_subset")
-            hub.emit("prune", kind=how, size=size)
+            self.telemetry.emit(
+                "bounds_exact", size=sum(vector), throughput=str(record.throughput)
+            )
 
     def cuts_below(
         self, distribution: StorageDistribution, bound: Fraction, strict: bool = True
@@ -557,7 +524,7 @@ class EvaluationService:
         vector = self._vector(distribution)
         with self.memo.lock:
             # A real record answers cheaper and counts as a hit.
-            cut = vector not in self._memo and self._oracle.upper_below(vector, bound, strict)
+            cut = vector not in self._memo and self.memo.oracle.upper_below(vector, bound, strict)
         if cut:
             self.telemetry.emit("bounds_cut", size=sum(vector))
         return cut
@@ -617,14 +584,10 @@ class EvaluationService:
 
     # -- lifecycle / introspection ------------------------------------------
     def set_ceiling(self, ceiling: Fraction) -> None:
-        """Pin the graph's maximal throughput, enabling the superset prune.
-
-        Records are indexed by the oracle at their exact throughput
-        level as they are stored, so no retroactive promotion is needed:
-        the ceiling merely selects which floor level the squeeze
-        consults from now on.  The ceiling is the memo's, so every
-        service on the memo sees it.
-        """
+        """Pin the graph's maximal throughput (exact): it caps the
+        oracle's upper bounds, and a constraint query on the same memo
+        reads it instead of recomputing it.  The ceiling is the memo's,
+        so every service on the memo sees it."""
         self.memo.set_ceiling(ceiling)
 
     def _ensure_prober(self) -> ParallelProber:

@@ -80,7 +80,6 @@ class ExplorationStats:
     sizes_probed: int = 0
     search_space: int | None = None
     cache_hits: int = 0
-    prunes: int = 0
     workers: int = 1
     parallel_batches: int = 0
     pool_restarts: int = 0
@@ -100,19 +99,12 @@ class ExplorationStats:
         return cls(**{key: value for key, value in data.items() if key in known})
 
     @classmethod
-    def from_hub(
-        cls, hub: TelemetryHub, *, sizes_probed: int | None = None, **run: object
-    ) -> "ExplorationStats":
+    def from_hub(cls, hub: TelemetryHub, **run: object) -> "ExplorationStats":
         """The counts of *hub* plus the *run*'s ``strategy``,
-        ``wall_time_s``, ``backend`` and ``search_space``.  A sweep, which
-        scans no sizes, passes the distinct sizes it evaluated as
-        *sizes_probed*."""
-        counts = hub.stats()
+        ``wall_time_s``, ``backend`` and ``search_space``."""
         known = {field.name for field in fields(cls)}
-        shared = {name: value for name, value in counts._asdict().items() if name in known}
-        if sizes_probed is not None:
-            shared["sizes_probed"] = sizes_probed
-        return cls(**shared, prunes=counts.prunes, **run)
+        counts = hub.stats()._asdict().items()
+        return cls(**{name: value for name, value in counts if name in known}, **run)
 
 
 @dataclass(frozen=True)
@@ -211,7 +203,7 @@ class DesignSpaceResult:
             f" {self.stats.wall_time_s:.3f}s ({self.stats.strategy})"
         )
         lines.append(
-            f"  cache: {self.stats.cache_hits} hits, {self.stats.prunes} prunes,"
+            f"  cache: {self.stats.cache_hits} hits,"
             f" {self.stats.workers} worker(s),"
             f" {self.stats.parallel_batches} parallel batches"
         )
@@ -331,7 +323,6 @@ def explore_design_space(
     exhausted: str | None = None
     max_thr: Fraction | None = None
     front: ParetoFront | None = None
-    sizes_probed: int | None = None
     pending: tuple[StorageDistribution, ...] = ()
     low_bound: Fraction | None = None
     high_bound: Fraction | None = None
@@ -366,7 +357,8 @@ def explore_design_space(
                     config=ExplorationConfig(evaluator=service),
                 )
                 front = ParetoFront.from_evaluations(sweep.evaluations, token_sizes)
-                sizes_probed = len({d.size for d in sweep.evaluations})
+                # A sweep scans no sizes: its count is the sizes it evaluated.
+                service.telemetry.count("sizes_probed", len({d.size for d in sweep.evaluations}))
                 if not sweep.complete:
                     complete = False
                     exhausted = sweep.exhausted
@@ -397,7 +389,10 @@ def explore_design_space(
             complete = False
             exhausted = stop.reason
             front = ParetoFront.from_evaluations(service.evaluations, token_sizes)
-            sizes_probed = len({d.size for d in service.evaluations})
+            if strategy == "dependency":
+                service.telemetry.count(
+                    "sizes_probed", len({d.size for d in service.evaluations})
+                )
         if max_thr is None:
             max_thr = max(service.evaluations.values(), default=Fraction(0))
 
@@ -449,7 +444,6 @@ def explore_design_space(
             service.telemetry,
             strategy=strategy,
             wall_time_s=time.perf_counter() - started,
-            sizes_probed=sizes_probed,
             backend=service.backend_name,
             search_space=search_space,
         )

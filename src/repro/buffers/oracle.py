@@ -40,13 +40,10 @@ for something better than ``best`` can skip every candidate with
 bounds derived from exact records via monotonicity never misclassify —
 so fronts and witnesses are bit-identical with the oracle on or off.
 
-The deadlock cover and the ceiling squeeze of
-:class:`~repro.buffers.evalcache.EvaluationService` are the two extreme
-levels of this structure (``ceil`` level 0 and ``floor`` level
-``ceiling``); the service keeps them available even when interval
-queries are disabled.  Those two point queries stay purely
-antichain-based so their answers (and the service's prune counters)
-do not depend on whether interval queries are enabled.
+The oracle serves ``config.bounds`` only: an
+:class:`~repro.buffers.evalcache.EvaluationMemo` builds one from its
+records on the first bounds query or cut and indexes every later
+record, so a run without bounds indexes nothing.
 """
 
 from __future__ import annotations
@@ -167,25 +164,18 @@ class ThroughputBoundsOracle:
             "ceiling": self.ceiling,
         }
 
-    # -- point queries on single levels (the legacy prune rules) ----------
+    # -- point queries on single levels ----------------------------------
     def floor_reaches(
         self, throughput: Fraction, vector: tuple[int, ...], total: int | None = None
     ) -> bool:
-        """Is a recorded ``w <= vector`` with ``thr(w) == throughput`` known?
-
-        With ``throughput`` the graph ceiling this is exactly the
-        ceiling-squeeze prune.
-        """
+        """Is a recorded ``w <= vector`` with ``thr(w) == throughput`` known?"""
         front = self._floor.get(throughput)
         return front is not None and front.any_below(vector, total)
 
     def ceil_covers(
         self, throughput: Fraction, vector: tuple[int, ...], total: int | None = None
     ) -> bool:
-        """Is a recorded ``w >= vector`` with ``thr(w) == throughput`` known?
-
-        With ``throughput`` zero this is exactly the deadlock cover.
-        """
+        """Is a recorded ``w >= vector`` with ``thr(w) == throughput`` known?"""
         front = self._ceil.get(throughput)
         return front is not None and front.any_above(vector, total)
 

@@ -6,11 +6,10 @@ Dominance
 Throughput is monotone non-decreasing under component-wise capacity
 increase, so "vector ``a`` dominates vector ``b``" (``a >= b`` in every
 component) is the ordering every exact acceleration in this package
-rests on: the memo-cache prunes, the
-:class:`~repro.buffers.oracle.ThroughputBoundsOracle`, the Pareto-front
-invariant.  :func:`dominates` / :func:`strictly_dominates` are the one
-shared definition, and :class:`DominanceFront` the one bounded-antichain
-container, used by all of them.
+rests on: the :class:`~repro.buffers.oracle.ThroughputBoundsOracle`
+and the Pareto-front invariant.  :func:`dominates` /
+:func:`strictly_dominates` are the one shared definition, and
+:class:`DominanceFront` the oracle's bounded-antichain container.
 
 Shared-memory model
 -------------------

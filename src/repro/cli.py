@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="stop the exploration after N throughput probes (cache hits and"
-        " prunes are free); exit code 3 flags the partial result",
+        " exact bounds-oracle answers are free); exit code 3 flags the partial"
+        " result",
     )
     parser.add_argument(
         "--checkpoint",

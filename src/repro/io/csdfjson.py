@@ -22,7 +22,8 @@ from pathlib import Path
 from collections.abc import Mapping
 
 from repro.csdf.graph import CSDFGraph
-from repro.exceptions import ParseError
+from repro.exceptions import GraphError, ParseError
+from repro.io.jsonio import objects, parse_int, parse_name
 
 
 def csdf_to_dict(graph: CSDFGraph) -> dict:
@@ -56,27 +57,41 @@ def csdf_from_dict(data: Mapping) -> CSDFGraph:
     CSDF graphs.
     """
 
-    def as_sequence(value) -> tuple[int, ...]:
-        if isinstance(value, int):
-            return (value,)
-        return tuple(int(entry) for entry in value)
+    def phases(value: object, what: str) -> tuple[int, ...]:
+        if isinstance(value, (list, tuple)):
+            return tuple(parse_int(entry, what) for entry in value)
+        return (parse_int(value, what),)
 
+    if not isinstance(data, Mapping):
+        raise ParseError("CSDF graph document must be a JSON object")
     try:
-        graph = CSDFGraph(data.get("name", "csdf"))
-        for actor in data["actors"]:
+        graph = CSDFGraph(parse_name(data.get("name", "csdf"), "name"))
+        for index, actor in enumerate(objects(data, "actors")):
             times = actor.get("execution_times", actor.get("execution_time", 1))
-            graph.add_actor(actor["name"], as_sequence(times))
-        for channel in data["channels"]:
+            graph.add_actor(
+                parse_name(actor["name"], f"actors[{index}].name"),
+                phases(times, f"actors[{index}].execution_times"),
+            )
+        for index, channel in enumerate(objects(data, "channels")):
+            where = f"channels[{index}]"
             graph.add_channel(
                 channel["source"],
                 channel["destination"],
-                as_sequence(channel.get("productions", channel.get("production", 1))),
-                as_sequence(channel.get("consumptions", channel.get("consumption", 1))),
-                int(channel.get("initial_tokens", 0)),
-                channel.get("name"),
+                phases(
+                    channel.get("productions", channel.get("production", 1)),
+                    f"{where}.productions",
+                ),
+                phases(
+                    channel.get("consumptions", channel.get("consumption", 1)),
+                    f"{where}.consumptions",
+                ),
+                parse_int(channel.get("initial_tokens", 0), f"{where}.initial_tokens"),
+                parse_name(channel.get("name"), f"{where}.name", optional=True),
             )
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError) as error:
         raise ParseError(f"malformed CSDF graph dictionary: {error}") from error
+    except GraphError as error:
+        raise ParseError(f"invalid CSDF graph in document: {error}") from error
     return graph
 
 

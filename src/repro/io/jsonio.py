@@ -20,9 +20,37 @@ import json
 from pathlib import Path
 from collections.abc import Mapping
 
-from repro.exceptions import ParseError
+from repro.exceptions import GraphError, ParseError
 from repro.graph.graph import SDFGraph
 from repro.graph.validation import validate_graph
+
+
+def parse_int(value: object, what: str) -> int:
+    """*value* as an integer, or a :class:`ParseError` naming *what*
+    (``"x"``, ``""``, ``None``, a list or ``1.5`` are none)."""
+    if not isinstance(value, float) or value.is_integer():
+        try:
+            return int(value)  # type: ignore[call-overload]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParseError(f"{what}: {value!r} is not an integer")
+
+
+def parse_name(value: object, what: str, *, optional: bool = False) -> str | None:
+    """*value* as a name, or a :class:`ParseError` naming *what* (``None``
+    passes only when *optional*)."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise ParseError(f"{what}: {value!r} is not a string")
+
+
+def objects(data: Mapping, key: str) -> list[Mapping]:
+    """``data[key]`` as a list of JSON objects, or a :class:`ParseError`
+    naming *key* (a missing key raises ``KeyError``)."""
+    entries = data[key]
+    if not isinstance(entries, list) or not all(isinstance(entry, Mapping) for entry in entries):
+        raise ParseError(f"{key!r} must be a list of objects")
+    return entries
 
 
 def graph_to_dict(graph: SDFGraph) -> dict:
@@ -48,23 +76,32 @@ def graph_to_dict(graph: SDFGraph) -> dict:
 
 
 def graph_from_dict(data: Mapping) -> SDFGraph:
-    """Reconstruct an :class:`SDFGraph` from :func:`graph_to_dict` output."""
+    """Reconstruct an :class:`SDFGraph` from :func:`graph_to_dict` output
+    (:class:`ParseError` on any malformed document)."""
+    if not isinstance(data, Mapping):
+        raise ParseError("graph document must be a JSON object")
     try:
-        graph = SDFGraph(data.get("name", "sdf"))
-        for actor in data["actors"]:
-            graph.add_actor(actor["name"], int(actor.get("execution_time", 1)))
-        for channel in data["channels"]:
+        graph = SDFGraph(parse_name(data.get("name", "sdf"), "name"))
+        for index, actor in enumerate(objects(data, "actors")):
+            graph.add_actor(
+                parse_name(actor["name"], f"actors[{index}].name"),
+                parse_int(actor.get("execution_time", 1), f"actors[{index}].execution_time"),
+            )
+        for index, channel in enumerate(objects(data, "channels")):
+            where = f"channels[{index}]"
             graph.add_channel(
                 channel["source"],
                 channel["destination"],
-                int(channel.get("production", 1)),
-                int(channel.get("consumption", 1)),
-                int(channel.get("initial_tokens", 0)),
-                channel.get("name"),
+                parse_int(channel.get("production", 1), f"{where}.production"),
+                parse_int(channel.get("consumption", 1), f"{where}.consumption"),
+                parse_int(channel.get("initial_tokens", 0), f"{where}.initial_tokens"),
+                parse_name(channel.get("name"), f"{where}.name", optional=True),
             )
+        validate_graph(graph)
     except (KeyError, TypeError) as error:
         raise ParseError(f"malformed graph dictionary: {error}") from error
-    validate_graph(graph)
+    except GraphError as error:
+        raise ParseError(f"invalid graph in document: {error}") from error
     return graph
 
 

@@ -45,7 +45,8 @@ import json
 from pathlib import Path
 from collections.abc import Mapping
 
-from repro.exceptions import GraphError, ParseError, ValidationError
+from repro.exceptions import GraphError, InconsistentGraphError, ParseError
+from repro.io.jsonio import objects, parse_int, parse_name
 from repro.sadf.fsm import ScenarioFSM
 from repro.sadf.graph import SADFGraph
 
@@ -114,15 +115,15 @@ def sadf_from_dict(data: Mapping) -> SADFGraph:
             f"not an SADF document: model is {model!r}, expected {SADF_MODEL!r}"
         )
     try:
-        sadf = SADFGraph(data.get("name", "sadf"))
-        for actor in data["actors"]:
-            sadf.add_actor(actor)
-        for channel in data["channels"]:
+        sadf = SADFGraph(parse_name(data.get("name", "sadf"), "name"))
+        for index, actor in enumerate(data["actors"]):
+            sadf.add_actor(parse_name(actor, f"actors[{index}]"))
+        for index, channel in enumerate(objects(data, "channels")):
             sadf.add_channel(
                 channel["source"],
                 channel["destination"],
-                int(channel.get("initial_tokens", 0)),
-                channel.get("name"),
+                parse_int(channel.get("initial_tokens", 0), f"channels[{index}].initial_tokens"),
+                parse_name(channel.get("name"), f"channels[{index}].name", optional=True),
             )
         scenarios = data["scenarios"]
         if not isinstance(scenarios, Mapping):
@@ -137,17 +138,17 @@ def sadf_from_dict(data: Mapping) -> SADFGraph:
         fsm_data = data.get("fsm")
         if fsm_data is not None:
             fsm = ScenarioFSM(fsm_data["initial"])
-            for transition in fsm_data.get("transitions", ()):
+            for index, transition in enumerate(fsm_data.get("transitions", ())):
                 fsm.add_transition(
                     transition["source"],
                     transition["target"],
-                    int(transition.get("delay", 0)),
+                    parse_int(transition.get("delay", 0), f"fsm.transitions[{index}].delay"),
                 )
             sadf.set_fsm(fsm)
         sadf.validate()
     except (KeyError, TypeError, AttributeError) as error:
         raise ParseError(f"malformed sadfjson document: {error}") from error
-    except (GraphError, ValidationError) as error:
+    except (GraphError, InconsistentGraphError) as error:
         # Unknown scenario refs in the FSM, rate inconsistencies,
         # duplicate names, no scenarios, an FSM without an infinite
         # run, ... — graph-level rejections surface as parse errors of

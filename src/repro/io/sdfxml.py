@@ -14,9 +14,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from repro.exceptions import ParseError
+from repro.exceptions import GraphError, ParseError
 from repro.graph.graph import SDFGraph
 from repro.graph.validation import validate_graph
+from repro.io.jsonio import parse_int
 
 
 def write_xml_string(graph: SDFGraph) -> str:
@@ -60,12 +61,19 @@ def write_xml(graph: SDFGraph, path: str | Path) -> None:
 
 
 def read_xml_string(text: str) -> SDFGraph:
-    """Parse an SDF3-style XML document into an :class:`SDFGraph`."""
+    """Parse an SDF3-style XML document into an :class:`SDFGraph`
+    (:class:`ParseError` on any malformed document)."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as error:
         raise ParseError(f"malformed XML: {error}") from error
+    try:
+        return _read_root(root)
+    except GraphError as error:
+        raise ParseError(f"invalid graph in document: {error}") from error
 
+
+def _read_root(root: ET.Element) -> SDFGraph:
     if root.tag != "sdf3":
         raise ParseError(f"expected <sdf3> root element, found <{root.tag}>")
     app = root.find("applicationGraph")
@@ -89,7 +97,7 @@ def read_xml_string(text: str) -> SDFGraph:
             rate = port_el.get("rate", "1")
             if not port_name:
                 raise ParseError(f"actor {name!r}: port without a name")
-            port_rates[(name, port_name)] = _parse_int(rate, f"rate of port {port_name!r}")
+            port_rates[(name, port_name)] = parse_int(rate, f"rate of port {port_name!r}")
 
     for channel_el in sdf.findall("channel"):
         name = channel_el.get("name")
@@ -109,7 +117,7 @@ def read_xml_string(text: str) -> SDFGraph:
             raise ParseError(
                 f"channel {name!r}: unknown destination port {destination}.{destination_port}"
             ) from None
-        tokens = _parse_int(channel_el.get("initialTokens", "0"), f"initial tokens of {name!r}")
+        tokens = parse_int(channel_el.get("initialTokens", "0"), f"initial tokens of {name!r}")
         graph.add_channel(source, destination, production, consumption, tokens, name)
 
     validate_graph(graph)
@@ -133,14 +141,7 @@ def _parse_execution_times(app: ET.Element) -> dict[str, int]:
         for processor in actor_props.findall("processor"):
             execution = processor.find("executionTime")
             if execution is not None:
-                times[actor] = _parse_int(
+                times[actor] = parse_int(
                     execution.get("time", "1"), f"execution time of {actor!r}"
                 )
     return times
-
-
-def _parse_int(value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{what}: {value!r} is not an integer") from None

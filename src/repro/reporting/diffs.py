@@ -30,7 +30,6 @@ RESULT_STAT_KEYS = (
     "workers",
     "evaluations",
     "cache_hits",
-    "prunes",
     "bounds_exact",
     "bounds_cut",
     "max_states_stored",

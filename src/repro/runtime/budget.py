@@ -62,8 +62,8 @@ class Budget:
         run (controller creation).
     max_probes:
         Maximum number of state-space executions *in this run*.  Cache
-        hits and monotonicity prunes are free — on a resumed run the
-        replayed prefix therefore costs no budget.
+        hits and the bounds oracle's exact answers are free — on a
+        resumed run the replayed prefix therefore costs no budget.
     cancel:
         Optional :class:`CancelToken` checked at every probe boundary.
     """

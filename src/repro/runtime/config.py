@@ -38,8 +38,8 @@ class ExplorationConfig:
         Process-pool size for fanning out independent probes; ``1``
         stays serial (bit-identical results either way).
     cache:
-        Keep the exact memo/pruning cache enabled.  Budgets,
-        checkpoints and the bounds oracle require it.
+        Keep the exact memo cache enabled.  Budgets, checkpoints and
+        the bounds oracle require it.
     bounds:
         Enable the :class:`~repro.buffers.oracle
         .ThroughputBoundsOracle`: interval queries answer probes whose

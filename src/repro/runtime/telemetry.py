@@ -3,7 +3,7 @@
 A :class:`TelemetryHub` is a lightweight event/metrics registry shared
 by the run controller, the evaluation service, the worker pool and the
 exploration strategies.  Every notable step emits a named event
-(``probe_start``, ``probe_finish``, ``cache_hit``, ``prune``,
+(``probe_start``, ``probe_finish``, ``cache_hit``, ``bounds_exact``,
 ``frontier_update``, ``pool_restart``, ...); the hub
 
 * keeps a monotonically increasing **counter** per event name (and
@@ -41,7 +41,6 @@ KNOWN_EVENTS = (
     "probe_start",
     "probe_finish",
     "cache_hit",
-    "prune",
     "bounds_exact",
     "bounds_cut",
     "frontier_update",
@@ -68,8 +67,6 @@ class RunStats(NamedTuple):
     threshold_scans: int
     cache_hits: int
     workers: int
-    prunes_superset: int
-    prunes_subset: int
     parallel_batches: int
     parallel_tasks: int
     fast_runs: int
@@ -77,11 +74,6 @@ class RunStats(NamedTuple):
     pool_fallback_reason: str | None
     bounds_exact: int
     bounds_cut: int
-
-    @property
-    def prunes(self) -> int:
-        """Queries answered by a monotonicity rule or a closed interval."""
-        return self.prunes_superset + self.prunes_subset + self.bounds_exact
 
 
 #: :class:`RunStats` fields kept as peaks, and the counted ones; a

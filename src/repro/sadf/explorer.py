@@ -219,10 +219,9 @@ def explore_design_space(
 
         def probe(distribution: StorageDistribution) -> Probe:
             # One record per scenario prices the distribution.  A
-            # memoised or pruned one will do (every value counts as
-            # reached); a miss runs once, blocking-aware, so deficits()
-            # re-runs only scenarios whose record carries no blocking
-            # data.
+            # memoised one will do (every value counts as reached); a
+            # miss runs once, blocking-aware, so deficits() re-runs only
+            # scenarios whose record carries no blocking data.
             records = {
                 name: services[name].evaluate_blocking(distribution, lambda _value: True)
                 for name in reachable
@@ -252,18 +251,6 @@ def explore_design_space(
             return Probe(worst, deficits)
 
         try:
-            # Per-scenario throughput ceilings first: they power the
-            # superset prune of every service, including during the
-            # worst-case maximum search below.
-            from repro.analysis.throughput import max_throughput as _max_throughput
-
-            for name in reachable:
-                services[name].set_ceiling(
-                    _max_throughput(
-                        sadf.scenario_graph(name), observe, evaluator=services[name]
-                    )
-                )
-
             # Maximal worst case; every probe lands in the memos / caches.
             max_thr = adaptive_maximum(priced, upper, 2)
             while worst_at(upper) < max_thr:
@@ -291,6 +278,8 @@ def explore_design_space(
         front = ParetoFront.from_evaluations(evaluations)
         if max_size is not None:
             front = front.filtered(lambda point: point.size <= max_size)
+        # A sweep scans no sizes: its count is the sizes it evaluated.
+        hub.count("sizes_probed", len({d.size for d in evaluations}))
 
         resume_token: ResumeToken | None = None
         if not complete or config.checkpoint is not None:
@@ -334,7 +323,6 @@ def explore_design_space(
             hub,
             strategy=SADF_STRATEGY,
             wall_time_s=time.perf_counter() - started,
-            sizes_probed=len({d.size for d in evaluations}),
             backend=services[reachable[0]].backend_name,
         )
         return DesignSpaceResult(

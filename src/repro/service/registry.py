@@ -12,9 +12,8 @@ that cheap:
 * each entry carries one :class:`MemoBank` per observed actor: the
   graph's live :class:`~repro.buffers.evalcache.EvaluationMemo`, the
   union of every exact evaluation any job ever paid for on that graph,
-  with its oracle index and the graph's maximal throughput.  Every job
-  on the graph builds its
-  :class:`~repro.buffers.evalcache.EvaluationService` on that memo, so
+  and the graph's maximal throughput.  Every job on the graph builds
+  its :class:`~repro.buffers.evalcache.EvaluationService` on that memo, so
   probes other clients already ran are answered from memory and
   nothing is copied per job.
 

@@ -1,4 +1,4 @@
-"""Unit tests for the shared evaluation service (memo + pruning)."""
+"""Unit tests for the shared evaluation service (memo + bounds oracle)."""
 
 from fractions import Fraction
 
@@ -38,50 +38,6 @@ def test_records_max_states(graph):
     assert service.stats.max_states_stored >= 2
 
 
-def test_ceiling_squeeze_prunes_supersets(graph):
-    ceiling = Fraction(1, 4)  # the example's maximal throughput
-    service = EvaluationService(graph, "c", ceiling=ceiling)
-    witness = dist(alpha=7, beta=3)
-    assert service(witness) == ceiling
-    superset = dist(alpha=8, beta=4)
-    assert service(superset) == ceiling
-    assert service.stats.prunes_superset == 1
-    assert service.stats.evaluations == 1  # the superset never ran
-    assert service(superset) == Executor(graph, superset, "c").run().throughput
-
-
-def test_ceiling_squeeze_never_fires_below_the_ceiling(graph):
-    service = EvaluationService(graph, "c", ceiling=Fraction(1, 4))
-    below = dist(alpha=4, beta=2)  # throughput 1/7 < ceiling
-    assert service(below) < Fraction(1, 4)
-    superset = dist(alpha=5, beta=2)
-    service(superset)
-    assert service.stats.prunes_superset == 0
-    assert service.stats.evaluations == 2
-
-
-def test_deadlock_cover_prunes_subsets(graph):
-    service = EvaluationService(graph, "c")
-    big_deadlock = dist(alpha=2, beta=3)
-    assert service(big_deadlock) == 0
-    subset = dist(alpha=2, beta=2)
-    assert service(subset) == 0
-    assert service.stats.prunes_subset == 1
-    assert service.stats.evaluations == 1
-    assert Executor(graph, subset, "c").run().throughput == 0
-
-
-def test_set_ceiling_promotes_cached_results_retroactively(graph):
-    service = EvaluationService(graph, "c")
-    witness = dist(alpha=7, beta=3)
-    value = service(witness)
-    superset = dist(alpha=8, beta=3)
-    service.set_ceiling(value)
-    assert service(superset) == value
-    assert service.stats.prunes_superset == 1
-    assert service.stats.evaluations == 1
-
-
 def test_cache_disabled_reruns_everything(graph):
     service = EvaluationService(graph, "c", config=ExplorationConfig(cache=False))
     d = dist(alpha=4, beta=2)
@@ -99,15 +55,19 @@ def test_evaluate_many_preserves_input_order(graph):
 
 
 def test_blocking_query_reruns_pruned_records(graph):
-    """A prune synthesises a record without blocking data; a blocking
-    caller that still needs to expand the distribution must trigger a
-    real execution."""
+    """A closed oracle interval synthesises a record without blocking
+    data; a blocking caller that still needs to expand the distribution
+    must trigger a real execution."""
     ceiling = Fraction(1, 4)
-    service = EvaluationService(graph, "c", ceiling=ceiling)
+    service = EvaluationService(graph, "c", config=ExplorationConfig(bounds=True))
+    service.set_ceiling(ceiling)
     service(dist(alpha=7, beta=3))  # ceiling witness
     superset = dist(alpha=7, beta=4)
+    assert service(superset) == ceiling  # [1/4, 1/4]: answered exactly
+    assert service.stats.bounds_exact == 1
+    assert service.stats.evaluations == 1
 
-    # Pruning is allowed: reaching the ceiling ends expansion anyway.
+    # The thin record will do when reaching the ceiling ends expansion.
     record = service.evaluate_blocking(superset, reached=lambda value: value >= ceiling)
     assert record.throughput == ceiling
     assert not record.has_blocking
@@ -122,7 +82,7 @@ def test_blocking_query_reruns_pruned_records(graph):
 
 
 def test_blocking_record_not_replaced_by_thinner_one(graph):
-    service = EvaluationService(graph, "c", ceiling=Fraction(1, 4))
+    service = EvaluationService(graph, "c")
     d = dist(alpha=3, beta=3)
     full = service.evaluate_blocking(d, reached=lambda value: False)
     assert full.has_blocking

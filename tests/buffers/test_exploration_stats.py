@@ -34,7 +34,7 @@ def test_serial_baseline_counts_are_pinned(graph, strategy, evaluations, sizes_p
     assert result.stats.evaluations == evaluations
     assert result.stats.sizes_probed == sizes_probed
     assert result.stats.cache_hits == 0
-    assert result.stats.prunes == 0
+    assert result.stats.bounds_exact == 0
     assert result.stats.workers == 1
     assert result.stats.parallel_batches == 0
     assert [(p.size, str(p.throughput)) for p in result.front] == PINNED_FRONT
@@ -45,9 +45,9 @@ def test_cache_never_increases_work(graph, strategy, evaluations, _sizes):
     result = explore_design_space(graph, "c", strategy=strategy, config=ExplorationConfig(cache=True))
     assert result.stats.evaluations <= evaluations
     assert [(p.size, str(p.throughput)) for p in result.front] == PINNED_FRONT
-    # Every saved evaluation is attributed to a hit or a prune.
+    # Every saved evaluation is attributed to a hit.
     saved = evaluations - result.stats.evaluations
-    assert result.stats.cache_hits + result.stats.prunes >= saved
+    assert result.stats.cache_hits >= saved
 
 
 def test_dependency_needs_fewest_evaluations(graph):
@@ -72,7 +72,7 @@ def test_parallel_run_accounts_workers_and_batches(graph):
 def test_summary_surfaces_cache_counters(graph):
     summary = explore_design_space(graph, "c").summary()
     assert "cache:" in summary
-    assert "prunes" in summary
+    assert "hits" in summary
     assert "worker(s)" in summary
 
 
@@ -85,6 +85,6 @@ def test_result_json_includes_cache_counters(graph, tmp_path):
     path = tmp_path / "result.json"
     write_result_json(result, path)
     stats = json.loads(path.read_text())["stats"]
-    for key in ("cache_hits", "prunes", "workers", "parallel_batches"):
+    for key in ("cache_hits", "bounds_exact", "workers", "parallel_batches"):
         assert key in stats
     assert stats["workers"] == 1

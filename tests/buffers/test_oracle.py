@@ -7,12 +7,15 @@ service-level plumbing (``bounds_exact`` answers, ``cuts_below`` and
 checkpoint round-trips with the oracle enabled).
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from repro.buffers.distribution import StorageDistribution
-from repro.buffers.evalcache import EvaluationService
+from repro.buffers.evalcache import EvaluationMemo, EvaluationService
+from repro.buffers.explorer import explore_design_space, minimal_distribution_for_throughput
 from repro.buffers.oracle import ThroughputBoundsOracle
 from repro.buffers.shared import DominanceFront
 from repro.engine.executor import Executor
@@ -122,8 +125,8 @@ class TestOracleIntervals:
         oracle.observe((2, 2), Fraction(0))
         oracle.observe((9, 9), Fraction(1, 4))
         # A zero floor level would be useless; lower() must not report
-        # "provably >= 0" via the level scan, and the ceil side must
-        # still serve the deadlock cover.
+        # "provably >= 0" via the level scan, while the ceil side still
+        # covers everything below the deadlocked record.
         assert oracle.lower((3, 3)) == 0
         assert oracle.ceil_covers(Fraction(0), (1, 2))
         assert not oracle.ceil_covers(Fraction(0), (3, 2))
@@ -270,14 +273,14 @@ class TestServiceBounds:
         # the original's cuts, so the restored oracle must still prove
         # every cut the original proved at any point of its run.
         config = self.config()
-        service = EvaluationService(graph, "c", config=config, prune_limit=1)
+        service = EvaluationService(graph, "c", config=config, memo=EvaluationMemo(limit=1))
         service(dist(alpha=4, beta=6))  # 1/7
         candidate = dist(alpha=4, beta=4)  # two slices below: level scan only
         assert service.cuts_below(candidate, Fraction(1, 6))
         service(dist(alpha=5, beta=2))  # 1/7, incomparable: evicts (4, 6)
         assert not service.cuts_below(candidate, Fraction(1, 6))
 
-        restored = EvaluationService(graph, "c", config=config, prune_limit=1)
+        restored = EvaluationService(graph, "c", config=config, memo=EvaluationMemo(limit=1))
         restored.restore_state(service.export_state())
         assert restored.cuts_below(candidate, Fraction(1, 6))
 
@@ -286,3 +289,86 @@ class TestServiceBounds:
 
         with pytest.raises(ExplorationError):
             ExplorationConfig(cache=False, bounds=True)
+
+    def test_runs_without_bounds_index_nothing(self, graph, monkeypatch, tmp_path):
+        def refuse(oracle, vector, throughput):
+            raise AssertionError("a run without bounds indexed a record")
+
+        monkeypatch.setattr(ThroughputBoundsOracle, "observe", refuse)
+        checkpoint = tmp_path / "run.ckpt.json"
+        for strategy in ("dependency", "divide", "exhaustive"):
+            config = ExplorationConfig(checkpoint=checkpoint)
+            first = explore_design_space(graph, "c", strategy=strategy, config=config)
+            resumed = explore_design_space(graph, "c", strategy=strategy, resume=checkpoint)
+            assert resumed.front.to_dicts() == first.front.to_dicts()
+        memo = EvaluationMemo()
+        with EvaluationService(graph, "c", memo=memo) as service:
+            assert minimal_distribution_for_throughput(
+                graph, Fraction(1, 6), "c", config=ExplorationConfig(evaluator=service)
+            ).size == 8
+        assert len(memo) and memo.ceiling == Fraction(1, 4)
+
+    def test_bounds_service_on_a_filled_memo_sees_the_oracle_indexed_throughout(self):
+        from repro.gallery.registry import gallery_graph
+
+        graph = gallery_graph("modem")
+        # A cap of two witnesses per level makes the index depend on
+        # the order its records arrive in.
+        filled, indexed = EvaluationMemo(limit=2), EvaluationMemo(limit=2)
+        with indexed.lock:
+            indexed.oracle  # built now: every record is indexed as it lands
+        for memo in (filled, indexed):
+            with EvaluationService(graph, memo=memo) as service:
+                explore_design_space(graph, config=ExplorationConfig(evaluator=service))
+        upper = {name: 2 * cap for name, cap in explore_design_space(graph).upper_bounds.items()}
+        for memo in (filled, indexed):
+            # The first bounds query builds the filled memo's index.
+            with EvaluationService(graph, config=self.config(), memo=memo) as service:
+                service(dist(**upper))
+        assert len(filled) == len(indexed) > 200
+        with filled.lock, indexed.lock:
+            assert filled.oracle.snapshot() == indexed.oracle.snapshot()
+
+    def test_bounds_services_sharing_a_memo_index_every_record(self):
+        from repro.buffers.bounds import lower_bound_distribution
+        from repro.gallery.registry import gallery_graph
+
+        graph = gallery_graph("samplerate")
+        cap = lower_bound_distribution(graph).size + 2
+        memo = EvaluationMemo(limit=4)
+        errors = []
+
+        def explore(strategy):
+            try:
+                with EvaluationService(graph, config=self.config(), memo=memo) as service:
+                    explore_design_space(
+                        graph,
+                        strategy=strategy,
+                        max_size=cap,
+                        config=ExplorationConfig(evaluator=service),
+                    )
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=explore, args=(strategy,))
+            for strategy in ("divide", "exhaustive", "dependency", "divide")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        # Whichever service built the index first, no record landed
+        # unindexed: the index equals one built from the records now.
+        rebuilt = ThroughputBoundsOracle(limit=4, ceiling=memo.ceiling)
+        with memo.lock:
+            for vector, record in memo.records.items():
+                rebuilt.observe(vector, record.throughput)
+            assert memo.oracle.snapshot() == rebuilt.snapshot()

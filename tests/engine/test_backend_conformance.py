@@ -248,7 +248,7 @@ def normalised(stats):
 
     Wall time, the backend label and pool health are allowed to differ
     between backends; every counter that feeds papers' tables (probe
-    counts, cache hits, prunes, oracle behaviour) is not.
+    counts, cache hits, oracle behaviour) is not.
     """
     return replace(
         stats,

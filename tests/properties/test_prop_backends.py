@@ -104,7 +104,8 @@ def test_batch_is_order_and_duplicate_invariant(graph_seed, wave_seed, shuffle_s
 def service_fingerprint(service):
     """What a service holds after plain queries: its whole memo records
     (blocking fields included) and the oracle."""
-    return dict(service._memo), service._oracle.snapshot()
+    with service.memo.lock:
+        return dict(service.memo.records), service.memo.oracle.snapshot()
 
 
 def drive(service, waves):

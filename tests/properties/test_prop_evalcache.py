@@ -1,12 +1,12 @@
 """Differential harness for the evaluation service.
 
-The cached/pruned/parallel :class:`~repro.buffers.evalcache
+The cached/parallel :class:`~repro.buffers.evalcache
 .EvaluationService` is only trustworthy if it is *exact*: every
 exploration through it must return bit-identical Pareto fronts —
 sizes, throughputs and witness distributions — to the plain serial
 path (``workers=1`` with the cache disabled).  These tests assert that
 over random consistent graphs for all three strategies, and test the
-monotonicity invariant the pruning rules rest on directly.
+monotonicity invariant the bounds oracle rests on directly.
 """
 
 import random
@@ -46,10 +46,10 @@ def test_cache_is_differentially_exact(seed):
         baseline = explore_design_space(graph, strategy=strategy, config=ExplorationConfig(cache=False))
         cached = explore_design_space(graph, strategy=strategy, config=ExplorationConfig(cache=True))
         assert front_fingerprint(cached.front) == front_fingerprint(baseline.front)
-        # Caching and pruning may only ever save work.
+        # Caching may only ever save work.
         assert cached.stats.evaluations <= baseline.stats.evaluations
         assert baseline.stats.cache_hits == 0
-        assert baseline.stats.prunes == 0
+        assert baseline.stats.bounds_exact == 0
 
 
 @given(seeds)
@@ -105,8 +105,8 @@ def test_pruning_invariant_monotone_under_dominance(seed, pick_seed):
 @given(seeds, seeds)
 @settings(max_examples=25, deadline=None)
 def test_service_answers_match_executor(seed, pick_seed):
-    """Whatever mix of cache hits, prunes and executions answers a
-    query, the answer equals a fresh executor run."""
+    """Whatever mix of cache hits, oracle answers and executions
+    answers a query, the answer equals a fresh executor run."""
     rng = random.Random(seed)
     graph = random_consistent_graph(
         rng, max_actors=4, max_repetition=3, max_rate_factor=1
@@ -117,7 +117,9 @@ def test_service_answers_match_executor(seed, pick_seed):
 
     from repro.analysis.throughput import max_throughput
 
-    with EvaluationService(graph, observe, ceiling=max_throughput(graph, observe)) as service:
+    config = ExplorationConfig(bounds=True)
+    with EvaluationService(graph, observe, config=config) as service:
+        service.set_ceiling(max_throughput(graph, observe))
         for _ in range(12):
             distribution = StorageDistribution(
                 {name: lower[name] + pick.randint(0, 2) for name in graph.channel_names}

@@ -59,7 +59,7 @@ def test_oracle_intervals_bracket_the_simulator(seed):
     # box member's bracket against ground truth.
     for distribution in box[::3]:
         service(distribution)
-    oracle = service._oracle
+    oracle = service.memo.oracle
     for distribution in box:
         vector = tuple(distribution[name] for name in graph.channel_names)
         low, high = oracle.interval(vector)

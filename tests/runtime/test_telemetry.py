@@ -43,8 +43,8 @@ class TestTelemetryHub:
         assert event.elapsed_s == pytest.approx(1.5)
 
     def test_event_to_dict_flattens_payload(self):
-        event = TelemetryEvent("prune", {"kind": "ceiling"}, 2.0)
-        assert event.to_dict() == {"event": "prune", "elapsed_s": 2.0, "kind": "ceiling"}
+        event = TelemetryEvent("bounds_exact", {"size": 7}, 2.0)
+        assert event.to_dict() == {"event": "bounds_exact", "elapsed_s": 2.0, "size": 7}
 
     def test_no_callback_is_fine(self):
         hub = TelemetryHub()
@@ -122,11 +122,11 @@ class TestMerge:
 
     def test_merge_accepts_snapshot_payloads(self):
         job = TelemetryHub()
-        job.emit("prune")
+        job.emit("bounds_exact")
         job.record_time("probe", 2.0)
         server = TelemetryHub()
         server.merge(job.snapshot())
-        assert server.counters == {"prune": 1}
+        assert server.counters == {"bounds_exact": 1}
         assert server.timers["probe"] == {"count": 1, "total_s": 2.0}
 
     def test_merge_does_not_mutate_source(self):

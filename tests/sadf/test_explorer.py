@@ -112,8 +112,10 @@ class TestBudgetAndResume:
 
     def test_pending_lists_the_interrupted_distribution(self):
         # The budget trips inside the worst-case evaluation of the seed,
-        # which stays pending (as in the SDF sweep's checkpoints).
-        config = ExplorationConfig(budget=Budget(max_probes=3))
+        # which stays pending (as in the SDF sweep's checkpoints).  The
+        # maximal worst case spends all six probes (three sizes, two
+        # scenarios each), so the seed's first probe trips the budget.
+        config = ExplorationConfig(budget=Budget(max_probes=6))
         result = explore_design_space(h263_frames(), "mc", config=config)
         assert result.resume_token.payload["pending"] == [dict(result.lower_bounds)]
         assert all(point.distribution != result.lower_bounds for point in result.front)
@@ -161,7 +163,6 @@ class TestSharedMemos:
         explore_design_space(h263_frames(), "mc", memos=memos)
         assert set(memos) == {"i", "p"}
         assert all(len(memo) for memo in memos.values())
-        assert all(memo.ceiling is not None for memo in memos.values())
 
     def test_shared_memos_warm_start(self):
         memos = {name: EvaluationMemo() for name in h263_frames().scenario_names}
@@ -179,7 +180,7 @@ class TestSharedMemos:
             memos=memos,
         )
         assert not partial.complete
-        # Every probe paid is kept (prunes add thin records on top).
+        # Every probe paid is kept.
         assert sum(len(memo) for memo in memos.values()) >= partial.stats.evaluations > 0
         finished = explore_design_space(h263_frames(), "mc", memos=memos)
         full = explore_design_space(h263_frames(), "mc")

@@ -73,7 +73,7 @@ class TestJobKind:
             wait_for(lambda: job.state == "done")
             assert front_of(job) == PINNED_FRONT
             assert job.result["max_throughput"] == "1/11"
-            assert job.result["stats"]["evaluations"] == 8
+            assert job.result["stats"]["evaluations"] == 12
             assert job.result["stats"]["strategy"] == "sadf-dependency"
         finally:
             manager.drain()

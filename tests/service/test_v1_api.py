@@ -175,6 +175,16 @@ class TestErrorEnvelope:
         assert response.status == 400
         assert body(response)["error"]["code"] == "bad_request"
 
+    def test_malformed_graph_document_maps_to_bad_request(self, server):
+        document = {"actors": [{"name": "a", "execution_time": "x"}], "channels": []}
+        response = server.api.handle("POST", "/v1/graphs", json.dumps(document).encode("utf-8"))
+        assert response.status == 400
+        error = body(response)["error"]
+        assert error["code"] == "bad_request"
+        assert "execution_time" in error["message"]
+        assert error["trace_id"] == response.headers["X-Trace-Id"]
+        assert server.api.handle("GET", "/v1/healthz").status == 200
+
     def test_breaker_rejection_carries_retry_after(self, server, fig1):
         breaker = server.manager.breakers["batch"]
         for _ in range(4):
