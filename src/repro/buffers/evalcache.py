@@ -270,9 +270,8 @@ class EvaluationService:
         probe backend, pool size and memoisation; ``budget`` and
         ``on_event`` wire the service's :class:`~repro.runtime
         .controller.RunController` and :class:`~repro.runtime
-        .telemetry.TelemetryHub`; ``probe_timeout`` /
-        ``max_pool_restarts`` / ``retry_backoff`` tune the
-        fault-tolerant worker pool; ``bounds`` arms the bounds oracle.
+        .telemetry.TelemetryHub`; ``probe_timeout`` is the worker
+        pool's per-probe watchdog; ``bounds`` arms the bounds oracle.
         The ``evaluator`` field must be unset — a service cannot wrap
         another service.
     memo:
@@ -598,8 +597,6 @@ class EvaluationService:
                 self._blocking_backend,
                 self.workers,
                 probe_timeout=self.config.probe_timeout,
-                max_restarts=self.config.max_pool_restarts,
-                retry_backoff=self.config.retry_backoff,
                 fallbacks=self._fallbacks,
                 telemetry=self.telemetry,
             )

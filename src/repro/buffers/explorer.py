@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.buffers.dependencies import dependency_sweep, find_minimal_distribution
 from repro.buffers.distribution import StorageDistribution
@@ -59,6 +59,7 @@ from repro.runtime.telemetry import TelemetryHub
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.csdf.graph import CSDFGraph
+    from repro.sadf.graph import SADFGraph
 
 _STRATEGIES = ("dependency", "divide", "exhaustive")
 
@@ -287,9 +288,11 @@ def explore_design_space(
     resume:
         A :class:`~repro.runtime.checkpoint.ResumeToken`, checkpoint
         payload mapping or checkpoint file path from a previous run of
-        the *same graph*.  The banked memo cache is restored and the
-        strategy replayed over it deterministically, which provably
-        yields the identical front an uninterrupted run produces.
+        the *same graph* observing the same actor (checked, with the
+        format, by :func:`~repro.runtime.checkpoint.restore_service`).
+        The banked memo cache is restored and the strategy replayed
+        over it deterministically, which provably yields the identical
+        front an uninterrupted run produces.
     """
     model = graph_model(graph)
     model.check()
@@ -317,9 +320,8 @@ def explore_design_space(
         "run_start", graph=graph.name, observe=observe, strategy=strategy
     )
     if resume is not None:
-        restore_service(coerce_resume(resume), service)
+        restore_service(coerce_resume(resume), service, graph, observe, service.telemetry)
 
-    complete = True
     exhausted: str | None = None
     max_thr: Fraction | None = None
     front: ParetoFront | None = None
@@ -359,10 +361,7 @@ def explore_design_space(
                 front = ParetoFront.from_evaluations(sweep.evaluations, token_sizes)
                 # A sweep scans no sizes: its count is the sizes it evaluated.
                 service.telemetry.count("sizes_probed", len({d.size for d in sweep.evaluations}))
-                if not sweep.complete:
-                    complete = False
-                    exhausted = sweep.exhausted
-                    pending = sweep.pending
+                exhausted, pending = sweep.exhausted, sweep.pending
             else:
                 bounded_upper = _cap_box(lower, upper, size_cap)
                 if strategy == "exhaustive":
@@ -386,7 +385,6 @@ def explore_design_space(
             # probe bookkeeping only through the service).  Everything
             # executed so far sits in the exact memo cache — its Pareto
             # front is the partial answer.
-            complete = False
             exhausted = stop.reason
             front = ParetoFront.from_evaluations(service.evaluations, token_sizes)
             if strategy == "dependency":
@@ -405,60 +403,27 @@ def explore_design_space(
         if quantum is not None:
             front = thin_front(front, quantum)
 
-        resume_token: ResumeToken | None = None
-        if not complete or config.checkpoint is not None:
-            resume_token = build_token(
-                service,
-                graph_name=graph.name,
-                observe=observe,
-                strategy=strategy,
-                complete=complete,
-                exhausted=exhausted,
-                front=front,
-                pending=pending,
-            )
-            if config.checkpoint is not None:
-                path = save_checkpoint(resume_token, config.checkpoint)
-                service.telemetry.emit(
-                    "checkpoint_saved",
-                    path=str(path),
-                    complete=complete,
-                    probes_banked=resume_token.probes_recorded,
-                )
-
         search_space = None
         if count_search_space:
             search_space = sum(
                 count_distributions_of_size(graph.channel_names, size, lower, upper)
                 for size in range(lower.size, upper.size + 1)
             )
-
-        service.telemetry.emit(
-            "run_finish",
-            complete=complete,
-            exhausted=exhausted,
-            pareto_points=len(front),
-            evaluations=service.stats.evaluations,
-        )
-        stats = ExplorationStats.from_hub(
+        return finish_run(
+            service,
             service.telemetry,
-            strategy=strategy,
-            wall_time_s=time.perf_counter() - started,
-            backend=service.backend_name,
-            search_space=search_space,
-        )
-        return DesignSpaceResult(
-            graph_name=graph.name,
+            config,
+            graph=graph,
             observe=observe,
+            strategy=strategy,
+            started=started,
             front=front,
-            stats=stats,
-            lower_bounds=lower,
-            upper_bounds=upper,
+            lower=lower,
+            upper=upper,
             max_throughput=max_thr,
-            complete=complete,
             exhausted=exhausted,
-            resume_token=resume_token if not complete else None,
-            telemetry=service.telemetry.snapshot(),
+            pending=pending,
+            search_space=search_space,
         )
     finally:
         if owns_service:
@@ -507,6 +472,77 @@ def maximal_throughput_point(
             f"graph {graph.name!r} deadlocks under every storage distribution"
         )
     return point
+
+
+def finish_run(
+    services: "EvaluationService | Mapping[str, EvaluationService]",
+    telemetry: TelemetryHub,
+    config: ExplorationConfig,
+    *,
+    graph: "SDFGraph | CSDFGraph | SADFGraph",
+    observe: str,
+    strategy: str,
+    started: float,
+    front: ParetoFront,
+    lower: StorageDistribution,
+    upper: StorageDistribution,
+    max_throughput: Fraction,
+    exhausted: str | None,
+    pending: Iterable[StorageDistribution] = (),
+    search_space: int | None = None,
+) -> DesignSpaceResult:
+    """End a run of *graph* on its service or ``{scenario: service}`` map:
+    the resume token (kept if a budget *exhausted* the run), then
+    ``config.checkpoint`` and ``checkpoint_saved``, then ``run_finish``
+    and the result, its stats read from the run's *telemetry*."""
+    complete = exhausted is None
+    token: ResumeToken | None = None
+    if not complete or config.checkpoint is not None:
+        token = build_token(
+            services,
+            graph,
+            observe=observe,
+            strategy=strategy,
+            exhausted=exhausted,
+            front=front,
+            pending=pending,
+        )
+        if config.checkpoint is not None:
+            path = save_checkpoint(token, config.checkpoint)
+            telemetry.emit(
+                "checkpoint_saved",
+                path=str(path),
+                complete=complete,
+                probes_banked=token.probes_recorded,
+            )
+    telemetry.emit(
+        "run_finish",
+        complete=complete,
+        exhausted=exhausted,
+        pareto_points=len(front),
+        evaluations=telemetry.stats().evaluations,
+    )
+    first = next(iter(services.values())) if isinstance(services, Mapping) else services
+    stats = ExplorationStats.from_hub(
+        telemetry,
+        strategy=strategy,
+        wall_time_s=time.perf_counter() - started,
+        backend=first.backend_name,
+        search_space=search_space,
+    )
+    return DesignSpaceResult(
+        graph_name=graph.name,
+        observe=observe,
+        front=front,
+        stats=stats,
+        lower_bounds=lower,
+        upper_bounds=upper,
+        max_throughput=max_throughput,
+        complete=complete,
+        exhausted=exhausted,
+        resume_token=None if complete else token,
+        telemetry=telemetry.snapshot(),
+    )
 
 
 def _front_from_probes(probes: dict[int, SizeProbe]) -> ParetoFront:

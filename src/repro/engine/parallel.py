@@ -44,6 +44,13 @@ from repro.engine.backends import EvalResult, ProbeBackend, probe_batch
 from repro.graph.graph import SDFGraph
 from repro.runtime.telemetry import TelemetryHub
 
+#: Times a broken or timed-out pool is rebuilt before a prober degrades
+#: to inline evaluation for good.
+MAX_POOL_RESTARTS = 1
+#: Base sleep in seconds before a pool restart; doubles per consecutive
+#: restart of one batch.
+RETRY_BACKOFF = 0.05
+
 _worker_graph: SDFGraph | None = None
 _worker_observe: str | None = None
 _worker_backend: ProbeBackend | None = None
@@ -94,12 +101,9 @@ class ParallelProber:
         exceeding it is treated as a pool failure (the pool is torn
         down — a hung worker cannot be cancelled — and the batch
         retried on a fresh pool or inline).
-    max_restarts:
-        How many times a broken or timed-out pool is rebuilt before
-        degrading to inline evaluation permanently.
-    retry_backoff:
-        Base sleep in seconds before a restart; doubles per
-        consecutive restart of one batch.
+    max_restarts / retry_backoff:
+        Override :data:`MAX_POOL_RESTARTS` / :data:`RETRY_BACKOFF`,
+        which are read when the prober is built.
     fallbacks:
         The backends a batch reruns on, in turn, while it hits a
         kernel's resource limit; empty to let the limit raise.
@@ -117,8 +121,8 @@ class ParallelProber:
         workers: int = 1,
         *,
         probe_timeout: float | None = None,
-        max_restarts: int = 1,
-        retry_backoff: float = 0.05,
+        max_restarts: int | None = None,
+        retry_backoff: float | None = None,
         fallbacks: tuple[ProbeBackend, ...] = (),
         telemetry: TelemetryHub | None = None,
     ):
@@ -128,8 +132,8 @@ class ParallelProber:
         self.fallbacks = fallbacks
         self.workers = max(1, int(workers))
         self.probe_timeout = probe_timeout
-        self.max_restarts = max(0, int(max_restarts))
-        self.retry_backoff = retry_backoff
+        self.max_restarts = max(0, MAX_POOL_RESTARTS if max_restarts is None else max_restarts)
+        self.retry_backoff = RETRY_BACKOFF if retry_backoff is None else retry_backoff
         self.telemetry = telemetry if telemetry is not None else TelemetryHub()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_failed = False

@@ -70,12 +70,6 @@ class ExplorationConfig:
         Per-probe wall-clock timeout (seconds) for pool workers; a
         probe exceeding it counts as a pool failure (restart / inline
         retry).  ``None`` disables the watchdog.
-    max_pool_restarts:
-        How many times a broken worker pool is rebuilt before the run
-        degrades to inline evaluation for good.
-    retry_backoff:
-        Base sleep (seconds) before a pool restart; doubles per
-        consecutive restart.
     backend:
         Probe backend name from the :mod:`repro.engine.backends`
         registry (``"reference"``, ``"fastcore"``, ``"cc"``, or any
@@ -102,8 +96,6 @@ class ExplorationConfig:
     checkpoint: str | Path | None = None
     on_event: Callable[[TelemetryEvent], None] | None = field(default=None)
     probe_timeout: float | None = None
-    max_pool_restarts: int = 1
-    retry_backoff: float = 0.05
     bounds: bool = False
     backend: str = "auto"
 
@@ -123,8 +115,6 @@ class ExplorationConfig:
                     f" host: {reason}. Use backend='auto' to pick the best"
                     " available backend instead."
                 )
-        if self.max_pool_restarts < 0:
-            raise ExplorationError("max_pool_restarts must be >= 0")
         if self.probe_timeout is not None and self.probe_timeout <= 0:
             raise ExplorationError("probe_timeout must be positive")
         if self.budget is not None and not self.cache:

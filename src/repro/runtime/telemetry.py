@@ -83,6 +83,10 @@ _COUNTED = frozenset(RunStats._fields) - {*_STAT_PEAKS, "pool_fallback_reason"}
 _STAT_COUNTERS = {
     "evaluations": "probe_start", "cache_hits": "cache_hit", "pool_restarts": "pool_restart"
 }
+#: Counts a resumed run makes again: its replay rescans (or, in a sweep,
+#: re-evaluates) every size of the earlier legs, so those legs' counts
+#: are not added.
+_REPLAYED = frozenset({"sizes_probed", "threshold_scans"})
 
 
 class TraceLog:
@@ -220,12 +224,13 @@ class TelemetryHub:
 
     def carry(self, stats: Mapping) -> None:
         """Add an earlier leg's :class:`RunStats` payload (a checkpoint's
-        ``stats`` section) to this run; ``workers`` and the fallback
-        reason stay this leg's, unknown keys are ignored."""
+        ``stats`` section) to this run; ``workers``, the fallback reason
+        and the counts the replay makes again (``sizes_probed``,
+        ``threshold_scans``) stay this leg's, unknown keys are ignored."""
         for name, value in stats.items():
             if name == "max_states_stored":
                 self.peak(name, value)
-            elif name in _COUNTED:
+            elif name in _COUNTED and name not in _REPLAYED:
                 counter = _STAT_COUNTERS.get(name, name)
                 self.carried[counter] = self.carried.get(counter, 0) + value
 

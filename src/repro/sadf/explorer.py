@@ -26,8 +26,10 @@ probe budget.  Results flow through the existing
 :class:`~repro.buffers.pareto.ParetoFront` /
 :class:`~repro.buffers.explorer.ExplorationStats` machinery, budgets
 yield partial results with resume tokens, and ``config.checkpoint``
-writes a versioned multi-scenario checkpoint (format
-:data:`SADF_CHECKPOINT_FORMAT`) restoring every scenario's memo.
+writes a multi-scenario checkpoint (format
+:data:`~repro.runtime.checkpoint.SADF_CHECKPOINT_FORMAT`) restoring
+every scenario's memo, through the same
+:mod:`repro.runtime.checkpoint` path as an SDF run.
 
 A **degenerate** single-scenario graph (one scenario, zero-delay
 self-loop FSM) is delegated outright to the plain SDF
@@ -40,7 +42,6 @@ SDF path by construction, the property pinned in
 from __future__ import annotations
 
 import functools
-import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -51,31 +52,25 @@ from repro.buffers.distribution import StorageDistribution
 from repro.buffers.evalcache import EvaluationMemo, EvaluationService
 from repro.buffers.explorer import (
     DesignSpaceResult,
-    ExplorationStats,
     explore_design_space as _explore_sdf,
+    finish_run,
 )
 from repro.buffers.frontier import Probe, adaptive_maximum, frontier_sweep
 from repro.buffers.pareto import ParetoFront, ParetoPoint
-from repro.exceptions import (
-    BudgetExhausted,
-    CheckpointError,
-    ExplorationError,
-    GraphError,
+from repro.exceptions import BudgetExhausted, ExplorationError, GraphError
+from repro.runtime.checkpoint import (  # the SADF format names are re-exported
+    SADF_CHECKPOINT_FORMAT,
+    SADF_CHECKPOINT_VERSION,
+    ResumeToken,
+    coerce_resume,
+    restore_service,
 )
-from repro.runtime.checkpoint import ResumeToken, save_checkpoint
 from repro.runtime.config import ExplorationConfig
 from repro.runtime.controller import RunController
 from repro.runtime.telemetry import TelemetryHub
 from repro.sadf.graph import SADFGraph
 from repro.sadf.makespan import MakespanResult, iteration_makespan
 from repro.sadf.throughput import worst_case_throughput
-
-#: Checkpoint format marker of multi-scenario SADF explorations.  The
-#: degenerate single-scenario path delegates to the SDF explorer and
-#: therefore writes plain ``repro-checkpoint`` files; the two formats
-#: reject each other explicitly.
-SADF_CHECKPOINT_FORMAT = "repro-sadf-checkpoint"
-SADF_CHECKPOINT_VERSION = 1
 
 #: Strategy tag stamped into multi-scenario stats and checkpoints.
 SADF_STRATEGY = "sadf-dependency"
@@ -175,9 +170,6 @@ def explore_design_space(
             service.controller = controller
             services[name] = service
 
-        if resume is not None:
-            _restore_scenarios(_coerce_sadf_resume(resume), sadf, observe, services)
-
         hub.emit(
             "run_start",
             graph=sadf.name,
@@ -185,6 +177,8 @@ def explore_design_space(
             strategy=SADF_STRATEGY,
             scenarios=len(reachable),
         )
+        if resume is not None:
+            restore_service(coerce_resume(resume), services, sadf, observe, hub)
 
         lower = _merged_bound(sadf, reachable, lower_bound_distribution)
         upper = _merged_bound(sadf, reachable, upper_bound_distribution)
@@ -271,7 +265,6 @@ def explore_design_space(
             exhausted, pending = sweep.exhausted, sweep.pending
         except BudgetExhausted as stop:
             exhausted = stop.reason
-        complete = exhausted is None
         if max_thr is None:
             max_thr = max(evaluations.values(), default=Fraction(0))
 
@@ -281,62 +274,24 @@ def explore_design_space(
         # A sweep scans no sizes: its count is the sizes it evaluated.
         hub.count("sizes_probed", len({d.size for d in evaluations}))
 
-        resume_token: ResumeToken | None = None
-        if not complete or config.checkpoint is not None:
-            payload = {
-                "format": SADF_CHECKPOINT_FORMAT,
-                "version": SADF_CHECKPOINT_VERSION,
-                "graph": sadf.name,
-                "observe": observe,
-                "strategy": SADF_STRATEGY,
-                "complete": complete,
-                "exhausted": exhausted,
-                "channels": list(order),
-                "frontier": front.to_dicts(),
-                "pending": [dict(entry) for entry in pending],
-                "scenarios": {
-                    name: services[name].export_state() for name in reachable
-                },
-            }
-            resume_token = ResumeToken(payload)
-            if config.checkpoint is not None:
-                path = save_checkpoint(resume_token, config.checkpoint)
-                hub.emit(
-                    "checkpoint_saved",
-                    path=str(path),
-                    complete=complete,
-                    scenarios=len(reachable),
-                )
-
         # Scenario counts add up; the largest state space and pool win,
         # and the first scenario whose pool degraded explains the run's.
         for service in services.values():
             hub.merge(service.telemetry)
-        hub.emit(
-            "run_finish",
-            complete=complete,
-            exhausted=exhausted,
-            pareto_points=len(front),
-            evaluations=hub.stats().evaluations,
-        )
-        stats = ExplorationStats.from_hub(
+        return finish_run(
+            services,
             hub,
-            strategy=SADF_STRATEGY,
-            wall_time_s=time.perf_counter() - started,
-            backend=services[reachable[0]].backend_name,
-        )
-        return DesignSpaceResult(
-            graph_name=sadf.name,
+            config,
+            graph=sadf,
             observe=observe,
+            strategy=SADF_STRATEGY,
+            started=started,
             front=front,
-            stats=stats,
-            lower_bounds=lower,
-            upper_bounds=upper,
+            lower=lower,
+            upper=upper,
             max_throughput=max_thr,
-            complete=complete,
             exhausted=exhausted,
-            resume_token=resume_token if not complete else None,
-            telemetry=hub.snapshot(),
+            pending=pending,
         )
     finally:
         for service in services.values():
@@ -450,63 +405,3 @@ def _merged_bound(
         merged = current if merged is None else merged.merged_max(current)
     assert merged is not None  # validate() guarantees scenarios exist
     return merged
-
-
-def _coerce_sadf_resume(resume: object) -> Mapping:
-    """Accept a token, payload mapping or checkpoint path; validate the
-    multi-scenario format."""
-    if isinstance(resume, ResumeToken):
-        payload = dict(resume.payload)
-    elif isinstance(resume, (str, Path)):
-        try:
-            payload = json.loads(Path(resume).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise CheckpointError(
-                f"{resume}: not valid checkpoint JSON ({error})"
-            ) from None
-    elif isinstance(resume, Mapping):
-        payload = dict(resume)
-    else:
-        raise CheckpointError(
-            f"cannot resume from {type(resume).__name__}: expected a"
-            " ResumeToken, a checkpoint path or a payload mapping"
-        )
-    if not isinstance(payload, dict) or payload.get("format") != SADF_CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"not a {SADF_CHECKPOINT_FORMAT} payload (single-scenario runs"
-            " write plain SDF checkpoints; resume those through the SDF path)"
-        )
-    if payload.get("version") != SADF_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {payload.get('version')!r} is not supported"
-            f" (expected {SADF_CHECKPOINT_VERSION})"
-        )
-    for key in ("graph", "observe", "channels", "scenarios"):
-        if key not in payload:
-            raise CheckpointError(f"checkpoint misses the {key!r} section")
-    return payload
-
-
-def _restore_scenarios(
-    payload: Mapping,
-    sadf: SADFGraph,
-    observe: str,
-    services: Mapping[str, EvaluationService],
-) -> None:
-    if payload["graph"] != sadf.name:
-        raise CheckpointError(
-            f"checkpoint was written for graph {payload['graph']!r},"
-            f" not {sadf.name!r}"
-        )
-    if list(payload["channels"]) != list(sadf.channel_names):
-        raise CheckpointError(
-            f"checkpoint channel set {payload['channels']} does not match"
-            f" graph {sadf.name!r} ({list(sadf.channel_names)})"
-        )
-    if payload["observe"] != observe:
-        raise CheckpointError(
-            f"checkpoint observed {payload['observe']!r}, not {observe!r}"
-        )
-    for name, state in payload["scenarios"].items():
-        if name in services and state.get("memo"):
-            services[name].restore_state(state)

@@ -574,12 +574,7 @@ class JobManager:
 
     def _run_dse(self, job: Job, graph, service: EvaluationService) -> None:
         params = job.spec.params
-        checkpoint = self._checkpoint_path(job)
-        resume = (
-            str(checkpoint)
-            if checkpoint is not None and checkpoint.exists()
-            else None
-        )
+        checkpoint, resume = self._checkpoint(job)
         result = explore_design_space(
             graph,
             job.spec.observe,
@@ -615,12 +610,7 @@ class JobManager:
         memo sharing is per scenario — the explorer's scenario services
         run on one live bank per ``observe@scenario`` key."""
         params = job.spec.params
-        checkpoint = self._checkpoint_path(job)
-        resume = (
-            str(checkpoint)
-            if checkpoint is not None and checkpoint.exists()
-            else None
-        )
+        checkpoint, resume = self._checkpoint(job)
         fingerprint = job.spec.fingerprint
         observe = job.spec.observe
         result = explore_sadf_design_space(
@@ -723,10 +713,13 @@ class JobManager:
         self.telemetry.emit("job_requeued", kind=job.spec.kind)
 
     # -- durability ---------------------------------------------------------
-    def _checkpoint_path(self, job: Job) -> Path | None:
+    def _checkpoint(self, job: Job) -> tuple[Path | None, str | None]:
+        """The checkpoint file a DSE job writes, and the one it resumes:
+        the same file, once an earlier leg of the job has left it."""
         if self._checkpoint_dir is None:
-            return None
-        return self._checkpoint_dir / f"{job.id}.ckpt.json"
+            return None, None
+        path = self._checkpoint_dir / f"{job.id}.ckpt.json"
+        return path, str(path) if path.exists() else None
 
     def _persist(self, job: Job) -> None:
         if self._store_path is None:

@@ -232,6 +232,16 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="written for graph"):
             explore_design_space(other, resume=partial.resume_token)
 
+    def test_other_observed_actor_rejected_on_resume(self, tmp_path):
+        graph = gallery_graph("example")
+        explore_design_space(
+            graph,
+            "c",
+            config=ExplorationConfig(budget=Budget(max_probes=4), checkpoint=tmp_path / "c.json"),
+        )
+        with pytest.raises(CheckpointError, match="observed 'c', not 'a'"):
+            explore_design_space(graph, "a", resume=tmp_path / "c.json")
+
     def test_resume_type_error(self):
         with pytest.raises(CheckpointError, match="cannot resume"):
             coerce_resume(42)

@@ -35,10 +35,6 @@ class TestValidation:
         with pytest.raises(ExplorationError):
             ExplorationConfig(probe_timeout=0)
 
-    def test_max_pool_restarts_nonnegative(self):
-        with pytest.raises(ExplorationError):
-            ExplorationConfig(max_pool_restarts=-1)
-
     def test_evaluator_excludes_other_run_knobs(self):
         graph = gallery_graph("example")
         with EvaluationService(graph, "c") as service:

@@ -8,6 +8,7 @@ adds the earlier legs of a resumed run, as ``ExplorationStats`` does.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,48 @@ def test_resumed_run_reports_every_leg_but_counts_its_own(tmp_path):
     assert resumed.stats.evaluations == 233 and resumed.stats.cache_hits == 40
     assert_payload_agrees(resumed.telemetry, resumed.stats)
     assert resumed.telemetry["counters"]["probe_start"] == 233 - 40
+
+
+#: Graph, observed actor, strategy, quantum, the budget of an interrupted
+#: first leg, and the ``sizes_probed`` / ``threshold_scans`` an
+#: uninterrupted run reports.
+REPLAYED = [
+    ("modem", None, "dependency", None, 40, 7, 0),
+    ("example", "c", "divide", None, 4, 7, 0),
+    ("example", "c", "divide", "1/20", 4, 7, 11),
+    pytest.param("modem", None, "divide", "1/50", 40, 12, 19, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("name, observe, strategy, quantum, budget, sizes, scans", REPLAYED)
+def test_resumed_run_counts_its_replayed_sizes_once(
+    tmp_path, name, observe, strategy, quantum, budget, sizes, scans
+):
+    """The replay rescans every size of the earlier leg, so the leg's
+    ``sizes_probed`` and ``threshold_scans`` are not added again."""
+    graph = gallery_graph(name)
+    run = {"strategy": strategy, "quantum": Fraction(quantum) if quantum else None}
+    checkpoint = tmp_path / "leg.ckpt.json"
+    first = explore_design_space(
+        graph,
+        observe,
+        config=ExplorationConfig(budget=Budget(max_probes=budget), checkpoint=checkpoint),
+        **run,
+    )
+    assert not first.complete
+    resumed = explore_design_space(graph, observe, resume=checkpoint, **run)
+    shown = resumed.telemetry["stats"]
+    assert (resumed.stats.sizes_probed, shown["threshold_scans"]) == (sizes, scans)
+    assert_payload_agrees(resumed.telemetry, resumed.stats)
+
+
+def test_resumed_sadf_run_counts_its_sizes_once(tmp_path):
+    checkpoint = tmp_path / "leg.ckpt.json"
+    config = ExplorationConfig(budget=Budget(max_probes=40), checkpoint=checkpoint)
+    assert not explore_sadf(sadf_gallery_graph("modem-modes"), config=config).complete
+    resumed = explore_sadf(sadf_gallery_graph("modem-modes"), resume=checkpoint)
+    assert resumed.stats.sizes_probed == 11
+    assert explore_sadf(sadf_gallery_graph("modem-modes")).stats.sizes_probed == 11
 
 
 def test_sadf_run_sums_its_scenarios():

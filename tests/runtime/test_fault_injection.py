@@ -109,11 +109,11 @@ class TestWorkerDeath:
         assert restarts and restarts[0]["reason"] == "worker died"
         assert restarts[0]["attempt"] == 1
 
-    def test_service_reports_pool_health_in_stats(self):
+    def test_service_reports_pool_health_in_stats(self, monkeypatch):
         graph = gallery_graph("example")
-        service = EvaluationService(
-            graph, "c", config=ExplorationConfig(workers=2, max_pool_restarts=2, retry_backoff=0.0)
-        )
+        monkeypatch.setattr(parallel, "MAX_POOL_RESTARTS", 2)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
+        service = EvaluationService(graph, "c", config=ExplorationConfig(workers=2))
         try:
             from repro.buffers.distribution import StorageDistribution
 
@@ -187,12 +187,13 @@ class TestLifecycle:
         assert service.stats.parallel_batches == batches_after_first_close
         assert service.stats.parallel_batches >= 1
 
-    def test_exploration_with_injected_death_matches_serial(self):
+    def test_exploration_with_injected_death_matches_serial(self, monkeypatch):
         """End-to-end: a worker dying mid-exploration never changes the front."""
         graph = gallery_graph("example")
         serial = explore_design_space(graph, "c")
-        config = ExplorationConfig(workers=2, max_pool_restarts=3, retry_backoff=0.0)
-        service = EvaluationService(graph, "c", config=config)
+        monkeypatch.setattr(parallel, "MAX_POOL_RESTARTS", 3)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.0)
+        service = EvaluationService(graph, "c", config=ExplorationConfig(workers=2))
         try:
             # Murder a worker before the first pooled batch: the batch
             # hits BrokenProcessPool, restarts and re-runs exactly.

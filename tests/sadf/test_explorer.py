@@ -9,6 +9,7 @@ from repro.buffers.explorer import explore_design_space as explore_sdf
 from repro.exceptions import BudgetExhausted, CheckpointError, ExplorationError
 from repro.gallery import h263_frames, modem_modes
 from repro.runtime.budget import Budget
+from repro.runtime.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
 from repro.runtime.config import ExplorationConfig
 from repro.sadf.explorer import (
     SADF_CHECKPOINT_FORMAT,
@@ -144,6 +145,61 @@ class TestBudgetAndResume:
         explore_sdf(fig1, "c", config=ExplorationConfig(checkpoint=path))
         with pytest.raises(CheckpointError, match=SADF_CHECKPOINT_FORMAT):
             explore_design_space(h263_frames(), "mc", resume=str(path))
+
+    def test_sadf_checkpoint_rejected_by_the_sdf_explorer(self, tmp_path, fig1):
+        path = tmp_path / "sadf.ckpt.json"
+        explore_design_space(h263_frames(), "mc", config=ExplorationConfig(checkpoint=path))
+        with pytest.raises(CheckpointError, match=f"resumes a {CHECKPOINT_FORMAT} checkpoint"):
+            explore_sdf(fig1, "c", resume=str(path))
+
+    def test_other_observed_actor_rejected(self):
+        partial = explore_design_space(
+            h263_frames(), "mc", config=ExplorationConfig(budget=Budget(max_probes=3))
+        )
+        with pytest.raises(CheckpointError, match="observed 'mc', not 'idct'"):
+            explore_design_space(h263_frames(), "idct", resume=partial.resume_token)
+
+    def test_load_checkpoint_reads_the_sadf_format(self, tmp_path):
+        path = tmp_path / "sadf.ckpt.json"
+        config = ExplorationConfig(budget=Budget(max_probes=3), checkpoint=path)
+        explore_design_space(h263_frames(), "mc", config=config)
+        token = load_checkpoint(path)
+        assert (token.graph_name, token.strategy, token.complete) == (
+            "h263-frames", SADF_STRATEGY, False
+        )
+        resumed = explore_design_space(h263_frames(), "mc", resume=token)
+        full = explore_design_space(h263_frames(), "mc")
+        assert resumed.front.to_dicts() == full.front.to_dicts()
+
+    def test_token_counts_the_records_of_every_scenario(self):
+        partial = explore_design_space(
+            modem_modes(), config=ExplorationConfig(budget=Budget(max_probes=40))
+        )
+        token = partial.resume_token
+        banked = sum(len(state["memo"]) for state in token.payload["scenarios"].values())
+        assert token.probes_recorded == banked == 40
+        assert "40 probe(s) banked" in repr(token)
+
+    def test_resume_restores_once_and_saves_like_an_sdf_run(self, tmp_path):
+        partial = explore_design_space(
+            h263_frames(), "mc", config=ExplorationConfig(budget=Budget(max_probes=3))
+        )
+        events = []
+        path = tmp_path / "sadf.ckpt.json"
+        config = ExplorationConfig(checkpoint=path, on_event=events.append)
+        explore_design_space(h263_frames(), "mc", config=config, resume=partial.resume_token)
+        restored = [event.data for event in events if event.name == "checkpoint_restored"]
+        saved = [event.data for event in events if event.name == "checkpoint_saved"]
+        assert restored == [
+            {"graph": "h263-frames", "probes_banked": partial.resume_token.probes_recorded}
+        ]
+        assert saved == [
+            {
+                "path": str(path),
+                "complete": True,
+                "probes_banked": load_checkpoint(path).probes_recorded,
+            }
+        ]
 
     def test_wrong_graph_rejected(self):
         partial = explore_design_space(
